@@ -7,6 +7,7 @@ from .core import (
     ArrowPresentation,
     End,
     InvalidGraph,
+    InvariantViolation,
     Mark,
     MarkedRibbonGraph,
     RibbonGraph,

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success; 1 a promised property failed to hold (verification
-failures, a relation the command was asked to establish not found); 2 usage,
-parse or input validation errors.
+failures, a relation the command was asked to establish not found, a
+package invariant violated); 2 usage, parse or input validation errors.
 """
 
 from __future__ import annotations
@@ -11,7 +11,13 @@ import argparse
 import sys
 
 from . import io_text
-from .core import RibbonGraph, RibbonGraphError, canonical_form, is_equivalent
+from .core import (
+    InvariantViolation,
+    RibbonGraph,
+    RibbonGraphError,
+    canonical_form,
+    is_equivalent,
+)
 from .decomposition import (
     classify_biseparation,
     enumerate_biseparations,
@@ -130,7 +136,7 @@ def cmd_relate(args) -> int:
             "partial_dual_subsets": [sorted(s) for s in subsets],
         }
         if search is not None:
-            data["moves"] = io_text.move_trace_json(trace) if trace else None
+            data["moves"] = io_text.move_trace_json(trace) if trace is not None else None
             data["search_closed"] = search.closed
         print(io_text.emit(data), end="")
     else:
@@ -234,6 +240,9 @@ def main(argv=None) -> int:
         return 2 if ex.code not in (0, None) else 0
     try:
         return args.func(args)
+    except InvariantViolation as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return 1
     except (RibbonGraphError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

@@ -45,6 +45,11 @@ class UnknownEdge(RibbonGraphError):
     """An edge label does not name an edge of the host graph."""
 
 
+class InvariantViolation(RibbonGraphError):
+    """A property the package guarantees failed to hold: a defect in the
+    package, not in its input."""
+
+
 class End(NamedTuple):
     """One of the two ends of an edge, e.g. ``End('a', 1)`` for ``a.1``."""
 
@@ -308,9 +313,19 @@ class RibbonGraph:
 
 
 class _Indexed:
-    """Integer-indexed view of a graph: darts ``2*i + (slot-1)`` per edge ``i``."""
+    """Integer-indexed view of a graph: darts ``2*i + (slot-1)`` per edge ``i``.
 
-    __slots__ = ("labels", "eindex", "nv", "ne", "rot", "dart_vertex", "dart_pos", "sign")
+    Dart ``d`` has the arc endpoints ``2*d`` (in) and ``2*d + 1`` (out),
+    numbered as :func:`topology.trace_walks` reads them.  The free corners
+    of the rotations pair endpoints once and for all; every edge adds either
+    its band pairings or its free-arc pairings, by its bit in an edge mask.
+    :meth:`walk_homes` counts the closed walks so obtained.
+    """
+
+    __slots__ = (
+        "labels", "eindex", "nv", "ne", "rot", "dart_vertex", "dart_pos", "sign",
+        "components", "_pairings", "_homes",
+    )
 
     def __init__(self, g: RibbonGraph):
         self.labels = sorted(g.signs)
@@ -330,6 +345,72 @@ class _Indexed:
                 self.dart_vertex[d] = vi
                 self.dart_pos[d] = pos
             self.rot.append(darts)
+        # vertex indices grouped by connected component, edgeless ones too
+        self.components = _component_darts(self)
+        self._pairings = None
+        self._homes: dict[int, tuple[int, ...]] = {}
+
+    def _endpoint_pairings(self) -> tuple[list[int], list[int], list[int]]:
+        """Partner of every arc endpoint across its free corner, across its
+        band side, and along its own free arc."""
+        if self._pairings is None:
+            n = 4 * self.ne
+            corner = [0] * n
+            for darts in self.rot:
+                for j, d in enumerate(darts):
+                    nxt = darts[(j + 1) % len(darts)]
+                    corner[2 * d + 1] = 2 * nxt
+                    corner[2 * nxt] = 2 * d + 1
+            band = [0] * n
+            arc = [0] * n
+            for i in range(self.ne):
+                h_in, h_out, k_in, k_out = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
+                if self.sign[i] > 0:
+                    sides = ((h_out, k_in), (k_out, h_in))
+                else:
+                    sides = ((h_out, k_out), (k_in, h_in))
+                for table, pairs in ((band, sides), (arc, ((h_in, h_out), (k_in, k_out)))):
+                    for a, b in pairs:
+                        table[a], table[b] = b, a
+            self._pairings = (corner, band, arc)
+        return self._pairings
+
+    def mask(self, edges: Iterable[str]) -> int:
+        """Bit mask of an edge subset (bit ``i`` for edge ``labels[i]``)."""
+        m = 0
+        for lab in edges:
+            m |= 1 << self.eindex[lab]
+        return m
+
+    def walk_homes(self, mask: int) -> tuple[int, ...]:
+        """Home vertex of every boundary walk of the spanning subgraph on the
+        edges in ``mask``, one entry per walk, memoised per mask.
+
+        Edges in the mask are bands, the others free arcs, exactly as in
+        :func:`topology.trace_walks`; an edgeless vertex is one bare walk.
+        A walk never leaves a component of the spanning subgraph, so its
+        home (the vertex where it starts) places it in that component.
+        """
+        homes = self._homes.get(mask)
+        if homes is not None:
+            return homes
+        corner, band, arc = self._endpoint_pairings()
+        mate = [band[p] if mask >> (p >> 2) & 1 else arc[p] for p in range(len(corner))]
+        seen = bytearray(len(corner))
+        out = [v for v, darts in enumerate(self.rot) if not darts]
+        dart_vertex = self.dart_vertex
+        for p0 in range(len(corner)):
+            if seen[p0]:
+                continue
+            p = p0
+            while not seen[p]:
+                q = corner[p]
+                seen[p] = seen[q] = 1
+                p = mate[q]
+            out.append(dart_vertex[p0 >> 1])
+        homes = tuple(out)
+        self._homes[mask] = homes
+        return homes
 
 
 # -- construction ---------------------------------------------------------
@@ -763,7 +844,7 @@ def canonical_form(g: RibbonGraph) -> str:
     """
     idx = g._indexed()
     parts = []
-    for members in _component_darts(idx):
+    for members in idx.components:
         tokens = _component_code(idx, members)
         ne = sum(len(idx.rot[v]) for v in members) // 2
         parts.append(_render_component(tokens, len(members), ne))

@@ -9,6 +9,16 @@ genus is then the sum of the two sides' genera.  This module detects those
 certificates, classifies them by the topology of the components, factors
 graphs into prime join summands and relates certificate subsets by toggling
 summands.
+
+Side components are read from the graph's integer view without building
+subgraphs.  One traversal of a side's edges yields its components, in the
+order of their first vertex, and propagates vertex flip parities for their
+orientability.  The boundary walks of the spanning subgraph on the side,
+counted once per edge set by the same counter the spectrum uses, each stay
+in one component; walks per component give its boundary count ``f_C`` and
+its Euler genus ``2 - v_C + e_C - f_C``.  The route through built induced
+subgraphs is kept as the ``verify`` oracle
+``side_components_by_subgraphs``.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from typing import Iterable, Optional, Sequence
 from .core import (
     End,
     InvalidGraph,
+    InvariantViolation,
     RibbonGraph,
     RibbonGraphError,
     induced_subgraph,
@@ -133,7 +144,8 @@ def join(
     """One-point join: a 1-sum keeping each side's ends on a contiguous arc.
 
     ``gap`` selects after which rotation slot of ``vp`` the block of ``vq``
-    ends is inserted.  Genus adds under joins; this is asserted.
+    ends is inserted.  Genus adds under joins; this is checked, and a
+    failure raises :class:`InvariantViolation`.
     """
     dp, dq = p.degree(vp), q.degree(vq)
     if dq == 0 or q.n_edges == 0:
@@ -143,7 +155,8 @@ def join(
     out = n_sum(p, q, [(vp, vq, word, q_offset)])
     got = surface_stats(out).euler_genus
     want = surface_stats(p).euler_genus + surface_stats(q).euler_genus
-    assert got == want, f"join must add genus: {got} != {want}"
+    if got != want:
+        raise InvariantViolation(f"join must add genus: {got} != {want}")
     return out
 
 
@@ -178,22 +191,67 @@ class BiseparationCertificate:
         return f"{self.label} (trivial)" if self.trivial else self.label
 
 
-def _side_components(g: RibbonGraph, edges: frozenset, side: str):
-    out = []
-    if edges:
-        sub = induced_subgraph(g, edges)
-        for vs, es in connected_components(sub):
-            st = surface_stats(induced_subgraph(g, es))
-            out.append(
-                SideComponent(
-                    side=side,
-                    vertices=vs,
-                    edges=es,
-                    euler_genus=st.euler_genus,
-                    orientable=st.orientable,
-                )
-            )
-    return out
+def _side_components(g: RibbonGraph, edges: frozenset, side: str) -> list[SideComponent]:
+    """Components of the subgraph induced by ``edges``, ordered by their
+    first vertex, with their surface data, from the graph's integer view.
+
+    One traversal of the edges in the mask finds each component and
+    propagates vertex flip parities along it; a clash (a twisted loop
+    included) makes the component non-orientable.  Every boundary walk of
+    the spanning subgraph on the mask stays in one component, so counting
+    walks by home vertex gives each component's boundary count ``f_C`` and
+    its Euler genus ``2 - v_C + e_C - f_C``.
+    """
+    if not edges:
+        return []
+    idx = g._indexed()
+    mask = idx.mask(edges)
+    rot, dart_vertex, sign = idx.rot, idx.dart_vertex, idx.sign
+    comp = [-1] * idx.nv
+    parity = [0] * idx.nv
+    found = []  # (vertex indices, edge indices, orientable) per component
+    for start in range(idx.nv):
+        if comp[start] >= 0 or not any(mask >> (d >> 1) & 1 for d in rot[start]):
+            continue
+        ci = len(found)
+        comp[start] = ci
+        parity[start] = 1
+        stack = [start]
+        members = [start]
+        es = set()
+        orientable = True
+        while stack:
+            v = stack.pop()
+            for d in rot[v]:
+                e = d >> 1
+                if not mask >> e & 1:
+                    continue
+                es.add(e)
+                w = dart_vertex[d ^ 1]
+                want = parity[v] * sign[e]
+                if comp[w] < 0:
+                    comp[w] = ci
+                    parity[w] = want
+                    stack.append(w)
+                    members.append(w)
+                elif parity[w] != want:
+                    orientable = False
+        found.append((members, es, orientable))
+    n_walks = [0] * len(found)
+    for v in idx.walk_homes(mask):
+        if comp[v] >= 0:
+            n_walks[comp[v]] += 1
+    names, labels = g.vertex_names, idx.labels
+    return [
+        SideComponent(
+            side=side,
+            vertices=frozenset(names[v] for v in members),
+            edges=frozenset(labels[e] for e in es),
+            euler_genus=2 - len(members) + len(es) - n_walks[ci],
+            orientable=orientable,
+        )
+        for ci, (members, es, orientable) in enumerate(found)
+    ]
 
 
 def _classify_components(comps) -> tuple[str, int]:
@@ -210,7 +268,7 @@ def biseparation_data(
     g: RibbonGraph, edges: Iterable[str]
 ) -> tuple[tuple[SideComponent, ...], Optional[BiseparationCertificate]]:
     """Side components of a subset plus the certificate when one exists."""
-    if not is_connected(g):
+    if len(g._indexed().components) > 1:
         raise InvalidGraph("biseparations are defined for connected graphs")
     sub = g.check_subset(edges)
     cache = g._cache.setdefault("bisep", {})

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import RibbonGraph, is_equivalent
+from .core import InvariantViolation, RibbonGraph, is_equivalent
 from .decomposition import (
     NotAJoinSummand,
     is_connected,
@@ -97,10 +97,15 @@ def dual_join_summand_move(g: RibbonGraph, factor: Iterable[str]) -> RibbonGraph
         ) and is_equivalent(induced_subgraph(result, other), part_p):
             ok = True
             break
-    assert ok, "dual of a join summand must rebuild as untouched-part join dual-part"
+    if not ok:
+        raise InvariantViolation(
+            "dual of a join summand must rebuild as untouched-part join dual-part"
+        )
     before, after = surface_stats(g), surface_stats(result)
-    assert before.euler_genus == after.euler_genus
-    assert before.orientable == after.orientable
+    if (before.euler_genus, before.orientable) != (after.euler_genus, after.orientable):
+        raise InvariantViolation(
+            "dual of a join summand must keep Euler genus and orientability"
+        )
     return result
 
 

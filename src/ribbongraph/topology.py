@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Union
 
 from .core import (
     End,
+    InvariantViolation,
     Mark,
     MarkedRibbonGraph,
     RibbonGraph,
@@ -316,7 +317,7 @@ def _walk_home(step_seq: tuple[Step, ...], end_vertex: dict[str, str]) -> str:
             return step[1]
         if step[0] in ("side", "arc"):
             return end_vertex[step[1]]
-    raise AssertionError("walk without location")
+    raise InvariantViolation("boundary walk without a location")
 
 
 def surface_stats(g: RibbonGraph) -> SurfaceStats:
@@ -369,7 +370,10 @@ def surface_stats(g: RibbonGraph) -> SurfaceStats:
     v, e, f, c = g.n_vertices, g.n_edges, len(walks), len(comps)
     chi = v - e + f
     gamma = 2 * c - chi
-    assert gamma == total_gamma
+    if gamma != total_gamma:
+        raise InvariantViolation(
+            f"Euler genus {gamma} differs from the sum {total_gamma} over components"
+        )
     if c == 1:
         label = sub_stats[0].surface
     elif c == 0:

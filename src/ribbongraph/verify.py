@@ -27,6 +27,7 @@ from .core import (
     disjoint_union,
     from_arrow_presentation,
     from_canonical_code,
+    induced_subgraph,
     is_equivalent,
     mark_and_remove,
     restore,
@@ -50,6 +51,7 @@ from .duality import (
     partial_dual,
     partial_dual_by_edges,
     partial_dual_via_marks,
+    spectrum,
     subsets_sorted,
 )
 from .topology import (
@@ -315,6 +317,22 @@ def orientable_by_double_cover(g: RibbonGraph) -> bool:
     return len(roots) == 2 * len(connected_components(g))
 
 
+def side_components_by_subgraphs(g: RibbonGraph, edges: Iterable[str]) -> tuple:
+    """``(vertices, edges, Euler genus, orientable)`` of every component of
+    the subgraph induced by ``edges``, from built subgraphs: the induced
+    subgraph, its connected components, and the surface statistics of each
+    component's own induced subgraph.  Oracle for the integer route of
+    :func:`decomposition.biseparation_data`."""
+    sub = g.check_subset(edges)
+    if not sub:
+        return ()
+    out = []
+    for vs, es in connected_components(induced_subgraph(g, sub)):
+        st = surface_stats(induced_subgraph(g, es))
+        out.append((vs, es, st.euler_genus, st.orientable))
+    return tuple(out)
+
+
 def biseparation_sequence_oracle(
     g: RibbonGraph, edges: Iterable[str], first: Optional[int] = None
 ) -> Optional[list[int]]:
@@ -332,8 +350,6 @@ def biseparation_sequence_oracle(
     for side, part in (("A", sub), ("B", g.complement(sub))):
         if not part:
             continue
-        from .core import induced_subgraph
-
         for vs, es in connected_components(induced_subgraph(g, part)):
             comps.append((side, vs, es))
     if len(comps) <= 1:
@@ -541,6 +557,31 @@ def _check_route_agreement(res: CheckResult, ana: _Analysis) -> None:
         marked = partial_dual_via_marks(g, sub)
         if not is_equivalent(ref, one_edge) or not is_equivalent(ref, marked):
             res.fail(graph=_serial(g), subset=sub, property="construction agreement")
+
+
+def _check_count_routes(res: CheckResult, ana: _Analysis) -> None:
+    """The boundary-count routes against built graphs: every spectrum row
+    against the built dual's statistics, every side list of a certificate
+    against :func:`side_components_by_subgraphs`."""
+    g = ana.g
+    full = frozenset(g.edge_labels)
+    rows = {r.subset: r for r in spectrum(g)}
+    # a subset and its complement share their side lists, so each edge
+    # set's oracle list is built once
+    built = {sub: side_components_by_subgraphs(g, sub) for sub in ana.subsets}
+    for sub in ana.subsets:
+        res.checked += 1
+        row = rows.get(sub)
+        st = ana.dual_stats[sub]
+        if row is None or (row.euler_genus, row.orientable) != (st.euler_genus, st.orientable):
+            res.fail(graph=_serial(g), subset=sub, property="spectrum row vs built dual")
+        got = tuple(
+            (c.side, c.vertices, c.edges, c.euler_genus, c.orientable) for c in ana.sides[sub]
+        )
+        want = tuple(("A",) + c for c in built[sub]) + tuple(("B",) + c for c in built[full - sub])
+        if got != want:
+            res.fail(graph=_serial(g), subset=sub,
+                     property="side components vs built induced subgraphs")
 
 
 def _check_genus_decomposition(res: CheckResult, ana: _Analysis) -> None:
@@ -830,11 +871,15 @@ def _check_sum_genus(res: CheckResult, corpus: Corpus) -> None:
             pv = [v for v in p.vertex_names]
             if len(pv) < n:
                 continue
+            sp = surface_stats(p)
             for q in rights:
                 qv = [v for v in q.vertex_names]
                 if len(qv) < n:
                     continue
                 q2 = q.relabeled({lab: "q" + lab for lab in q.edge_labels})
+                sq = surface_stats(q2)
+                chi_want = sp.euler_characteristic + sq.euler_characteristic - 2 * n
+                gamma_sum = sp.euler_genus + sq.euler_genus
                 for vps in itertools.permutations(pv, n):
                     for vqs in itertools.combinations(qv, n):
                         pattern_space = [
@@ -861,15 +906,6 @@ def _check_sum_genus(res: CheckResult, corpus: Corpus) -> None:
                             dual = partial_dual(s, q2.edge_labels)
                             dual2 = partial_dual(s, p.edge_labels)
                             st, st2 = surface_stats(dual), surface_stats(dual2)
-                            chi_want = (
-                                surface_stats(p).euler_characteristic
-                                + surface_stats(q2).euler_characteristic
-                                - 2 * n
-                            )
-                            gamma_sum = (
-                                surface_stats(p).euler_genus
-                                + surface_stats(q2).euler_genus
-                            )
                             if st.euler_characteristic != chi_want or st2.euler_characteristic != chi_want:
                                 res.fail(p=_serial(p), q=_serial(q2), n=n,
                                          property="dual Euler characteristic identity")
@@ -968,6 +1004,7 @@ PER_GRAPH_CHECKS: dict[str, Callable] = {
     "partial-dual-identities": _check_dual_identities,
     "dual-composition": None,  # handled specially (needs rng)
     "dual-route-agreement": _check_route_agreement,
+    "count-route-agreement": _check_count_routes,
     "genus-decomposition": _check_genus_decomposition,
     "complement-symmetry": _check_complement_symmetry,
     "sequence-oracle-agreement": _check_sequence_oracle,
@@ -999,6 +1036,7 @@ ALL_CHECKS = [
     "partial-dual-identities",
     "dual-composition",
     "dual-route-agreement",
+    "count-route-agreement",
     "component-duality",
     "genus-decomposition",
     "complement-symmetry",

@@ -24,6 +24,7 @@ SWEEP_CHECKS = [
     "partial-dual-identities",
     "dual-composition",
     "dual-route-agreement",
+    "count-route-agreement",
     "component-duality",
     "genus-decomposition",
     "complement-symmetry",

@@ -158,6 +158,25 @@ def test_spectrum_genus_filter(fixtures):
     assert [sorted(r.subset) for r in rows] == [[], ["a", "b"]]
 
 
+COUNT_ROUTE_GRAPHS = {
+    "disconnected": disjoint_union(single_vertex("a b a b", "+-"), single_vertex("c c", "-")),
+    "bare-vertex": build_graph({"u": ["a.1", "a.2"], "w": []}, {"a": "+"}),
+    "edgeless": single_vertex(""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_ROUTE_GRAPHS))
+def test_spectrum_counts_match_built_duals(name):
+    g = COUNT_ROUTE_GRAPHS[name]
+    rows = spectrum(g)
+    assert [r.subset for r in rows] == list(subsets_sorted(g.edge_labels))
+    for r in rows:
+        st = surface_stats(partial_dual(g, r.subset))
+        assert (r.euler_genus, r.orientable) == (st.euler_genus, st.orientable), r.subset
+    for k in {r.euler_genus for r in rows} | {7}:
+        assert spectrum(g, genus=k) == [r for r in rows if r.euler_genus == k]
+
+
 def test_spectrum_complement_symmetry(corpus3):
     for g in corpus3.graphs[:40]:
         rows = {frozenset(r.subset): r for r in spectrum(g)}

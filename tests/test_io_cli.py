@@ -1,8 +1,22 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ribbongraph import InvalidGraph, ParseError, is_equivalent, parse, serialize
+from ribbongraph import (
+    InvalidGraph,
+    InvariantViolation,
+    ParseError,
+    RibbonGraph,
+    is_equivalent,
+    parse,
+    partial_dual,
+    serialize,
+    single_vertex,
+)
 from ribbongraph.cli import main
 from ribbongraph.io_text import (
     document_from_json,
@@ -235,3 +249,67 @@ def test_cli_exit_codes(files, tmp_path, capsys):
     assert main(["nonsense"]) == 2
     assert main(["verify", "--max-edges", "9"]) == 2
     assert main(["verify", "--max-edges", "1", "--suite", "no-such-check"]) == 2
+
+
+# outputs of the two certificate-bearing commands recorded from the route that
+# built every partial dual and every side subgraph; the boundary-count route
+# must reproduce them byte for byte, component order included
+FIXTURE_OUTPUTS = Path(__file__).resolve().parent / "data" / "fixture_cli_outputs.json"
+
+
+def test_cli_certificate_outputs_unchanged(fixtures, tmp_path, capsys):
+    recorded = json.loads(FIXTURE_OUTPUTS.read_text(encoding="utf-8"))
+    assert sorted(recorded) == sorted(fixtures)
+    for name, g in fixtures.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(serialize_graph(g))
+        for command, want in recorded[name].items():
+            argv = command.split()
+            assert main(argv[:1] + [str(path)] + argv[1:]) == 0
+            assert capsys.readouterr().out == want, (name, command)
+
+
+def test_cli_relate_equivalent_json_matches_text(tmp_path, capsys):
+    path = tmp_path / "nested.txt"
+    path.write_text(serialize_graph(single_vertex("a a b b")))
+    assert main(["relate", str(path), str(path)]) == 0
+    text = capsys.readouterr().out
+    assert "already equivalent (empty move sequence)" in text
+    assert main(["relate", str(path), str(path), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    code = single_vertex("a a b b").canonical_code()
+    assert data["equivalent"] is True
+    assert data["moves"] == {"steps": [], "codes": [code]}
+
+
+def test_cli_invariant_violation_exits_1(files, monkeypatch, capsys):
+    import ribbongraph.duality
+
+    with monkeypatch.context() as m:
+        # a rebuilt dual without vertices breaks "a vertex without subset
+        # edges survives as a vertex of the dual"
+        m.setattr(ribbongraph.duality, "from_arrow_presentation",
+                  lambda presentation: RibbonGraph({}, {}))
+        with pytest.raises(InvariantViolation):
+            partial_dual(parse(C_TEXT).graph(), set())
+        assert main(["dual", files["c"], "--edges", ""]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: partial dual has 0 vertices")
+
+
+def test_cli_invariant_violation_survives_optimize(files):
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "import ribbongraph.duality as duality\n"
+        "from ribbongraph import RibbonGraph\n"
+        "from ribbongraph.cli import main\n"
+        "duality.from_arrow_presentation = lambda p: RibbonGraph({}, {})\n"
+        f"sys.exit(main(['dual', {files['c']!r}, '--edges', '']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: partial dual has 0 vertices")
+    assert "Traceback" not in done.stderr

@@ -89,6 +89,7 @@ def test_check_suite_runs_clean(corpus3):
         which=[
             "calibration",
             "partial-dual-identities",
+            "count-route-agreement",
             "genus-decomposition",
             "low-genus-duals",
             "toggle-orbit",
@@ -121,7 +122,8 @@ def test_sampled_six_edge_graphs_hold_up():
     corpus = generate(6, mode="random", seed=17, count=6)
     report = check_suite(
         corpus,
-        which=["genus-decomposition", "low-genus-duals", "complement-symmetry"],
+        which=["genus-decomposition", "low-genus-duals", "complement-symmetry",
+               "count-route-agreement"],
     )
     assert report.ok
     assert all(r.checked >= 6 * 64 for r in report.results)
