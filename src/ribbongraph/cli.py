@@ -24,7 +24,7 @@ from .decomposition import (
     is_biseparation,
     prime_factorization,
 )
-from .duality import geometric_dual, partial_dual, spectrum, subsets_sorted
+from .duality import geometric_dual, partial_dual, refuse_large_sweep, spectrum, subsets_sorted
 from .moves import move_related
 from .topology import surface_stats
 from .verify import ALL_CHECKS, check_suite, generate
@@ -118,6 +118,7 @@ def cmd_relate(args) -> int:
     equivalent = is_equivalent(g, h)
     subsets = []
     if set(g.edge_labels) == set(h.edge_labels) or g.n_edges == h.n_edges:
+        refuse_large_sweep(g, "relate")
         target = canonical_form(h)
         for sub in subsets_sorted(g.edge_labels):
             if canonical_form(partial_dual(g, sub)) == target:

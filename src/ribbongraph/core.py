@@ -315,16 +315,21 @@ class RibbonGraph:
 class _Indexed:
     """Integer-indexed view of a graph: darts ``2*i + (slot-1)`` per edge ``i``.
 
-    Dart ``d`` has the arc endpoints ``2*d`` (in) and ``2*d + 1`` (out),
-    numbered as :func:`topology.trace_walks` reads them.  The free corners
-    of the rotations pair endpoints once and for all; every edge adds either
-    its band pairings or its free-arc pairings, by its bit in an edge mask.
-    :meth:`walk_homes` counts the closed walks so obtained.
+    Every count the package reads off a spanning subgraph comes from this
+    view and an edge bitmask (bit ``i`` for edge ``labels[i]``), with no
+    subgraph built.  :meth:`parts` finds the components of the spanning
+    subgraph on a mask and their orientability in one traversal;
+    :attr:`components` and :attr:`component_of` hold its answer for the
+    whole graph.  :meth:`walk_homes` counts boundary walks: dart ``d`` has
+    the arc endpoints ``2*d`` (in) and ``2*d + 1`` (out), numbered as
+    :func:`topology.trace_walks` reads them; the free corners of the
+    rotations pair endpoints once and for all, and every edge adds either
+    its band pairings or its free-arc pairings, by its bit in the mask.
     """
 
     __slots__ = (
         "labels", "eindex", "nv", "ne", "rot", "dart_vertex", "dart_pos", "sign",
-        "components", "_pairings", "_homes",
+        "components", "component_of", "_pairings", "_homes",
     )
 
     def __init__(self, g: RibbonGraph):
@@ -345,8 +350,7 @@ class _Indexed:
                 self.dart_vertex[d] = vi
                 self.dart_pos[d] = pos
             self.rot.append(darts)
-        # vertex indices grouped by connected component, edgeless ones too
-        self.components = _component_darts(self)
+        self.components, self.component_of = self.parts((1 << self.ne) - 1)
         self._pairings = None
         self._homes: dict[int, tuple[int, ...]] = {}
 
@@ -374,6 +378,52 @@ class _Indexed:
                         table[a], table[b] = b, a
             self._pairings = (corner, band, arc)
         return self._pairings
+
+    def parts(self, mask: int) -> tuple[list[tuple[list[int], int, bool]], list[int]]:
+        """Components of the spanning subgraph on the edges in ``mask``.
+
+        Returns each component as ``(vertex indices, edge mask, orientable)``,
+        edgeless vertices included, in order of first vertex, and the
+        component index of every vertex.  One traversal propagates vertex
+        flip parities along the edges; a clash, a twisted loop included,
+        makes the component non-orientable.
+        """
+        rot, dart_vertex, sign = self.rot, self.dart_vertex, self.sign
+        comp = [-1] * self.nv
+        parity = [0] * self.nv
+        out = []
+        for start in range(self.nv):
+            if comp[start] >= 0:
+                continue
+            ci = len(out)
+            comp[start] = ci
+            parity[start] = 1
+            stack = [start]
+            members = [start]
+            edges = 0
+            orientable = True
+            while stack:
+                v = stack.pop()
+                for d in rot[v]:
+                    e = d >> 1
+                    if not mask >> e & 1:
+                        continue
+                    edges |= 1 << e
+                    w = dart_vertex[d ^ 1]
+                    want = parity[v] * sign[e]
+                    if comp[w] < 0:
+                        comp[w] = ci
+                        parity[w] = want
+                        stack.append(w)
+                        members.append(w)
+                    elif parity[w] != want:
+                        orientable = False
+            out.append((members, edges, orientable))
+        return out, comp
+
+    def edge_set(self, mask: int) -> frozenset:
+        """The edge labels whose bits are set in ``mask``."""
+        return frozenset(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
 
     def mask(self, edges: Iterable[str]) -> int:
         """Bit mask of an edge subset (bit ``i`` for edge ``labels[i]``)."""
@@ -708,30 +758,6 @@ _SEP_VERTEX = -1
 _SEP_SIGNS = -2
 
 
-def _component_darts(idx: _Indexed) -> list[list[int]]:
-    """Vertex indices grouped by connected component (edgeless ones too)."""
-    n = idx.nv
-    comp = [-1] * n
-    out = []
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        ci = len(out)
-        comp[start] = ci
-        stack = [start]
-        members = [start]
-        while stack:
-            v = stack.pop()
-            for d in idx.rot[v]:
-                w = idx.dart_vertex[d ^ 1]
-                if comp[w] < 0:
-                    comp[w] = ci
-                    stack.append(w)
-                    members.append(w)
-        out.append(members)
-    return out
-
-
 def _trace(idx: _Indexed, start_dart: int, start_flip: int, best):
     """Breadth-first code of the component of ``start_dart``.
 
@@ -844,10 +870,9 @@ def canonical_form(g: RibbonGraph) -> str:
     """
     idx = g._indexed()
     parts = []
-    for members in idx.components:
+    for members, edges, _ in idx.components:
         tokens = _component_code(idx, members)
-        ne = sum(len(idx.rot[v]) for v in members) // 2
-        parts.append(_render_component(tokens, len(members), ne))
+        parts.append(_render_component(tokens, len(members), edges.bit_count()))
     return "&".join(sorted(parts))
 
 

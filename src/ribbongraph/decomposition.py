@@ -10,14 +10,16 @@ certificates, classifies them by the topology of the components, factors
 graphs into prime join summands and relates certificate subsets by toggling
 summands.
 
-Side components are read from the graph's integer view without building
-subgraphs.  One traversal of a side's edges yields its components, in the
-order of their first vertex, and propagates vertex flip parities for their
-orientability.  The boundary walks of the spanning subgraph on the side,
-counted once per edge set by the same counter the spectrum uses, each stay
-in one component; walks per component give its boundary count ``f_C`` and
-its Euler genus ``2 - v_C + e_C - f_C``.  The route through built induced
-subgraphs is kept as the ``verify`` oracle
+Every count here comes from the graph's integer view (``core._Indexed``)
+and an edge bitmask, with no subgraph built.  Its one component pass on a
+side's mask yields the side's components, in the order of their first
+vertex, with their orientability.  The boundary walks of the spanning
+subgraph on the side, counted once per edge set by the same counter the
+spectrum uses, each stay in one component; walks per component give its
+boundary count ``f_C`` and its Euler genus ``2 - v_C + e_C - f_C``.  The
+same pass finds the components of the graph minus a vertex for the join
+splits, and the connectedness and genus of the prime factors.  The route
+through built induced subgraphs is kept as the ``verify`` oracle
 ``side_components_by_subgraphs``.
 """
 
@@ -33,13 +35,8 @@ from .core import (
     InvariantViolation,
     RibbonGraph,
     RibbonGraphError,
-    induced_subgraph,
 )
-from .topology import (
-    connected_components,
-    is_connected,
-    surface_stats,
-)
+from .topology import is_connected, surface_stats
 
 
 class NotAJoinSummand(RibbonGraphError):
@@ -195,62 +192,30 @@ def _side_components(g: RibbonGraph, edges: frozenset, side: str) -> list[SideCo
     """Components of the subgraph induced by ``edges``, ordered by their
     first vertex, with their surface data, from the graph's integer view.
 
-    One traversal of the edges in the mask finds each component and
-    propagates vertex flip parities along it; a clash (a twisted loop
-    included) makes the component non-orientable.  Every boundary walk of
-    the spanning subgraph on the mask stays in one component, so counting
-    walks by home vertex gives each component's boundary count ``f_C`` and
-    its Euler genus ``2 - v_C + e_C - f_C``.
+    These are the parts of the spanning subgraph on the mask that carry an
+    edge.  Every boundary walk of the spanning subgraph stays in one part,
+    so counting walks by home vertex gives each component's boundary count
+    ``f_C`` and its Euler genus ``2 - v_C + e_C - f_C``.
     """
     if not edges:
         return []
     idx = g._indexed()
     mask = idx.mask(edges)
-    rot, dart_vertex, sign = idx.rot, idx.dart_vertex, idx.sign
-    comp = [-1] * idx.nv
-    parity = [0] * idx.nv
-    found = []  # (vertex indices, edge indices, orientable) per component
-    for start in range(idx.nv):
-        if comp[start] >= 0 or not any(mask >> (d >> 1) & 1 for d in rot[start]):
-            continue
-        ci = len(found)
-        comp[start] = ci
-        parity[start] = 1
-        stack = [start]
-        members = [start]
-        es = set()
-        orientable = True
-        while stack:
-            v = stack.pop()
-            for d in rot[v]:
-                e = d >> 1
-                if not mask >> e & 1:
-                    continue
-                es.add(e)
-                w = dart_vertex[d ^ 1]
-                want = parity[v] * sign[e]
-                if comp[w] < 0:
-                    comp[w] = ci
-                    parity[w] = want
-                    stack.append(w)
-                    members.append(w)
-                elif parity[w] != want:
-                    orientable = False
-        found.append((members, es, orientable))
-    n_walks = [0] * len(found)
+    parts, comp_of = idx.parts(mask)
+    n_walks = [0] * len(parts)
     for v in idx.walk_homes(mask):
-        if comp[v] >= 0:
-            n_walks[comp[v]] += 1
-    names, labels = g.vertex_names, idx.labels
+        n_walks[comp_of[v]] += 1
+    names = g.vertex_names
     return [
         SideComponent(
             side=side,
             vertices=frozenset(names[v] for v in members),
-            edges=frozenset(labels[e] for e in es),
-            euler_genus=2 - len(members) + len(es) - n_walks[ci],
+            edges=idx.edge_set(es),
+            euler_genus=2 - len(members) + es.bit_count() - n_walks[ci],
             orientable=orientable,
         )
-        for ci, (members, es, orientable) in enumerate(found)
+        for ci, (members, es, orientable) in enumerate(parts)
+        if es
     ]
 
 
@@ -262,6 +227,33 @@ def _classify_components(comps) -> tuple[str, int]:
     if genera[0] == 1 and total == 1:
         return "rp2", 1
     return "other", total
+
+
+def _incidence_tree(g: RibbonGraph, comp_a, comp_b) -> Optional[tuple]:
+    """The incidence edges ``(A component, B component, shared vertex)``, in
+    vertex order, when they form a tree over all the components; else
+    ``None``."""
+    where_a = {v: i for i, c in enumerate(comp_a) for v in c.vertices}
+    where_b = {v: len(comp_a) + i for i, c in enumerate(comp_b) for v in c.vertices}
+    parent = list(range(len(comp_a) + len(comp_b)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree_edges = []
+    for v in g.vertex_names:
+        if v in where_a and v in where_b:
+            i, j = where_a[v], where_b[v]
+            ri, rj = find(i), find(j)
+            if ri == rj:
+                return None  # a cycle or two shared vertices: not a tree
+            parent[ri] = rj
+            tree_edges.append((i, j, v))
+    # an acyclic graph on n nodes is a tree exactly when it has n - 1 edges
+    return tuple(tree_edges) if len(tree_edges) == len(parent) - 1 else None
 
 
 def biseparation_data(
@@ -279,59 +271,16 @@ def biseparation_data(
     comp_b = _side_components(g, g.complement(sub), "B")
     comps = tuple(comp_a + comp_b)
     label, total = _classify_components(comps)
-    cert: Optional[BiseparationCertificate]
-    if not sub or sub == frozenset(g.edge_labels):
-        cert = BiseparationCertificate(
-            subset=sub,
-            trivial=True,
-            components=comps,
-            tree_edges=(),
-            label=label,
-            genus_sum=total,
-        )
-        cache[sub] = (comps, cert)
-        return comps, cert
-
-    where_a = {v: i for i, c in enumerate(comp_a) for v in c.vertices}
-    where_b = {v: len(comp_a) + i for i, c in enumerate(comp_b) for v in c.vertices}
-    tree_edges = []
-    parent = list(range(len(comps)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    cert = BiseparationCertificate(
+    trivial = not sub or sub == frozenset(g.edge_labels)
+    tree = () if trivial else _incidence_tree(g, comp_a, comp_b)
+    cert = None if tree is None else BiseparationCertificate(
         subset=sub,
-        trivial=False,
+        trivial=trivial,
         components=comps,
-        tree_edges=(),
+        tree_edges=tree,
         label=label,
         genus_sum=total,
     )
-    for v in g.vertex_names:
-        if v in where_a and v in where_b:
-            i, j = where_a[v], where_b[v]
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                cert = None  # a cycle or two shared vertices: not a tree
-                break
-            parent[ri] = rj
-            tree_edges.append((i, j, v))
-    if cert is not None:
-        if len({find(i) for i in range(len(comps))}) != 1:
-            cert = None
-        else:
-            cert = BiseparationCertificate(
-                subset=sub,
-                trivial=False,
-                components=comps,
-                tree_edges=tuple(tree_edges),
-                label=label,
-                genus_sum=total,
-            )
     cache[sub] = (comps, cert)
     return comps, cert
 
@@ -376,9 +325,11 @@ def enumerate_biseparations(
     g: RibbonGraph, label: str = "all"
 ) -> list[frozenset]:
     """All subsets whose certificate matches the filter (``all``, ``plane``,
-    ``rp2``, ``other`` or ``nontrivial``).  Closed under complement."""
-    from .duality import subsets_sorted
+    ``rp2``, ``other`` or ``nontrivial``).  Closed under complement.
+    Refused above ``duality.SWEEP_MAX_EDGES`` edges."""
+    from .duality import refuse_large_sweep, subsets_sorted
 
+    refuse_large_sweep(g, "biseparations")
     out = []
     for sub in subsets_sorted(g.edge_labels):
         cert = is_biseparation(g, sub)
@@ -397,6 +348,52 @@ def enumerate_biseparations(
 # -- joins: detection, prime factorization -------------------------------------
 
 
+def _join_splits(g: RibbonGraph, mask: int) -> list[tuple[str, frozenset]]:
+    """The join splits of the subgraph induced by the edges in ``mask``,
+    sorted, read from the integer view of ``g``."""
+    idx = g._indexed()
+    out = set()
+    for v, darts in enumerate(idx.rot):
+        rot = [x for x in darts if mask >> (x >> 1) & 1]
+        d = len(rot)
+        if d < 2:
+            continue
+        # components of the subgraph minus v, to check that none straddles
+        # the split; a loop end at v records its partner's position instead
+        at_v = 0
+        for x in rot:
+            at_v |= 1 << (x >> 1)
+        rest, comp_of = idx.parts(mask & ~at_v)
+        pos = {x: i for i, x in enumerate(rot)}
+        mate = [pos.get(x ^ 1, -1) for x in rot]
+        end_comp = [
+            -1 if mate[i] >= 0 else comp_of[idx.dart_vertex[x ^ 1]]
+            for i, x in enumerate(rot)
+        ]
+        for start in range(d):
+            for length in range(1, d):
+                block = [(start + k) % d for k in range(length)]
+                inside = set(block)
+                # loops must close inside or outside the block
+                if any(mate[i] >= 0 and mate[i] not in inside for i in block):
+                    continue
+                comps_in = {end_comp[i] for i in block} - {-1}
+                comps_out = {end_comp[i] for i in range(d) if i not in inside} - {-1}
+                if comps_in & comps_out:
+                    continue
+                x = 0
+                for i in block:
+                    x |= 1 << (rot[i] >> 1)
+                for ci in comps_in:
+                    x |= rest[ci][1]
+                out.add((v, x))
+    names = g.vertex_names
+    return sorted(
+        ((names[v], idx.edge_set(x)) for v, x in out),
+        key=lambda t: (t[0], sorted(t[1])),
+    )
+
+
 def join_summand_splits(g: RibbonGraph) -> list[tuple[str, frozenset]]:
     """All ways to split ``g`` as a join at a vertex.
 
@@ -409,59 +406,10 @@ def join_summand_splits(g: RibbonGraph) -> list[tuple[str, frozenset]]:
     if not is_connected(g):
         raise InvalidGraph("join splits are defined for connected graphs")
     cached = g._cache.get("join_splits")
-    if cached is not None:
-        return list(cached)
-    out = set()
-    for v in g.vertex_names:
-        rot = g.rotation(v)
-        d = len(rot)
-        if d < 2:
-            continue
-        # components of g minus v, to check that none straddles the split
-        local = {x.label for x in rot}
-        rest = RibbonGraph(
-            [(n, tuple(e for e in g.rotation(n) if e.label not in local))
-             for n in g.vertex_names if n != v],
-            {k: s for k, s in g.signs.items() if k not in local},
-            _validate=False,
-        )
-        rest_comps = connected_components(rest)
-        comp_of: dict[str, int] = {}
-        for ci, (vs, _) in enumerate(rest_comps):
-            for n in vs:
-                comp_of[n] = ci
-        end_comp: dict[int, int] = {}
-        for pos, e in enumerate(rot):
-            other = End(e.label, 3 - e.slot)
-            if other in rot:
-                end_comp[pos] = -1  # loop at v
-            else:
-                end_comp[pos] = comp_of[g.vertex_of_end(other)]
-        for start in range(d):
-            for length in range(1, d):
-                block = [(start + k) % d for k in range(length)]
-                inside = set(block)
-                # loops must close inside or outside the block
-                ok = True
-                for i in block:
-                    e = rot[i]
-                    other = End(e.label, 3 - e.slot)
-                    if other in rot and rot.index(other) not in inside:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                comps_in = {end_comp[i] for i in block} - {-1}
-                comps_out = {end_comp[i] for i in range(d) if i not in inside} - {-1}
-                if comps_in & comps_out:
-                    continue
-                edges_x = {rot[i].label for i in block}
-                for ci in comps_in:
-                    edges_x |= rest_comps[ci][1]
-                out.add((v, frozenset(edges_x)))
-    result = sorted(out, key=lambda t: (t[0], sorted(t[1])))
-    g._cache["join_splits"] = tuple(result)
-    return result
+    if cached is None:
+        cached = tuple(_join_splits(g, (1 << g.n_edges) - 1))
+        g._cache["join_splits"] = cached
+    return list(cached)
 
 
 @dataclass(frozen=True)
@@ -488,22 +436,27 @@ def prime_factorization(g: RibbonGraph) -> JoinTree:
     cached = g._cache.get("prime")
     if cached is not None:
         return cached
+    idx = g._indexed()
     factors = []
     stack = [frozenset(g.edge_labels)]
     while stack:
         edges = stack.pop()
         if not edges:
             continue
-        sub = induced_subgraph(g, edges)
-        splits = join_summand_splits(sub)
+        splits = _join_splits(g, idx.mask(edges))
         if not splits:
             factors.append(edges)
             continue
         v, x = splits[0]
         stack.append(x)
-        stack.append(frozenset(edges) - x)
+        stack.append(edges - x)
     factors.sort(key=sorted)
-    vert_sets = [frozenset(induced_subgraph(g, f).vertex_names) for f in factors]
+    # the vertices of a factor are the ends of its edges
+    names, dart_vertex = g.vertex_names, idx.dart_vertex
+    vert_sets = [
+        {names[dart_vertex[2 * idx.eindex[lab] + s]] for lab in f for s in (0, 1)}
+        for f in factors
+    ]
     joints = []
     for v in g.vertex_names:
         owners = tuple(i for i, vs in enumerate(vert_sets) if v in vs)
@@ -520,14 +473,16 @@ def summand_edge_sets(g: RibbonGraph) -> list[frozenset]:
     cached = g._cache.get("summands")
     if cached is not None:
         return list(cached)
-    tree = prime_factorization(g)
-    k = tree.n_factors
+    idx = g._indexed()
+    masks = [idx.mask(f) for f in prime_factorization(g).factors]
     out = []
-    for r in range(1, k + 1):
-        for combo in itertools.combinations(range(k), r):
-            edges = frozenset().union(*(tree.factors[i] for i in combo))
-            if is_connected(induced_subgraph(g, edges)):
-                out.append(edges)
+    for r in range(1, len(masks) + 1):
+        for combo in itertools.combinations(masks, r):
+            m = 0
+            for f in combo:
+                m |= f
+            if sum(1 for _, es, _ in idx.parts(m)[0] if es) == 1:
+                out.append(idx.edge_set(m))
     result = sorted(set(out), key=lambda s: (len(s), sorted(s)))
     g._cache["summands"] = tuple(result)
     return result
@@ -552,7 +507,7 @@ def is_join_biseparation_bruteforce(g: RibbonGraph, edges: Iterable[str]) -> boo
     the prime factorization: search over all recursive binary join splits."""
     sub = g.check_subset(edges)
     memo = g._cache.setdefault("jb_memo", {})
-    parts = g._cache.setdefault("jb_parts", {})
+    parts = g._cache.setdefault("jb_parts", {})  # join splits per edge set
 
     def search(edge_set: frozenset, a: frozenset) -> bool:
         if not a or a == edge_set:
@@ -561,12 +516,12 @@ def is_join_biseparation_bruteforce(g: RibbonGraph, edges: Iterable[str]) -> boo
         hit = memo.get(key)
         if hit is not None:
             return hit
-        part = parts.get(edge_set)
-        if part is None:
-            part = induced_subgraph(g, edge_set)
-            parts[edge_set] = part
+        splits = parts.get(edge_set)
+        if splits is None:
+            splits = _join_splits(g, g._indexed().mask(edge_set))
+            parts[edge_set] = splits
         result = False
-        for v, x in join_summand_splits(part):
+        for v, x in splits:
             if search(x, a & x) and search(edge_set - x, a - x):
                 result = True
                 break
@@ -582,7 +537,7 @@ def factor_genera(g: RibbonGraph) -> tuple[int, ...]:
     if cached is None:
         tree = prime_factorization(g)
         cached = tuple(
-            surface_stats(induced_subgraph(g, f)).euler_genus for f in tree.factors
+            sum(c.euler_genus for c in _side_components(g, f, "A")) for f in tree.factors
         )
         g._cache["factor_genera"] = cached
     return cached

@@ -263,11 +263,26 @@ def subsets_sorted(labels: Iterable[str]):
             yield frozenset(combo)
 
 
+# The largest edge count whose 2^e subsets a command sweeps unasked: 65,536
+# subsets, whose spectrum rows alone take about 54 MB.
+SWEEP_MAX_EDGES = 16
+
+
+def refuse_large_sweep(g: RibbonGraph, what: str, override: str = "") -> None:
+    """Raise :class:`RibbonGraphError` if sweeping the ``2^e`` edge subsets
+    of ``g`` for ``what`` would pass :data:`SWEEP_MAX_EDGES` edges;
+    ``override`` tells the caller how to insist, where it can."""
+    if g.n_edges > SWEEP_MAX_EDGES:
+        raise RibbonGraphError(
+            f"{what} over {g.n_edges} edges means 2^{g.n_edges} subsets, above "
+            f"the limit of {SWEEP_MAX_EDGES} edges{override}"
+        )
+
+
 def spectrum(
     g: RibbonGraph,
     genus: Optional[int] = None,
     classify: Optional[Callable[[RibbonGraph, frozenset], str]] = None,
-    max_edges: int = 20,
     force: bool = False,
 ) -> list[SpectrumEntry]:
     """Euler genus and orientability of every partial dual of ``g``.
@@ -283,14 +298,11 @@ def spectrum(
     counter of the graph's indexed view, and serves both a subset and its
     complement.  ``genus`` filters the rows; ``classify`` optionally
     annotates each row (the decomposition module supplies a suitable
-    callable).  Enumerating ``2^e`` subsets is refused above ``max_edges``
-    unless forced.
+    callable).  Enumerating ``2^e`` subsets is refused above
+    :data:`SWEEP_MAX_EDGES` edges unless forced.
     """
-    if g.n_edges > max_edges and not force:
-        raise RibbonGraphError(
-            f"spectrum over {g.n_edges} edges means 2^{g.n_edges} subsets; "
-            f"pass force=True to run anyway"
-        )
+    if not force:
+        refuse_large_sweep(g, "spectrum", "; pass force=True to run anyway")
     idx = g._indexed()
     full = (1 << idx.ne) - 1
     base = 2 * len(idx.components) + idx.ne

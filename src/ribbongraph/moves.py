@@ -12,11 +12,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import InvariantViolation, RibbonGraph, is_equivalent
+from .core import InvariantViolation, RibbonGraph, induced_subgraph, is_equivalent
 from .decomposition import (
     NotAJoinSummand,
     is_connected,
-    induced_subgraph,
     join_summand_splits,
     summand_edge_sets,
 )

@@ -9,9 +9,17 @@ edge is untwisted (``out`` to the other ``in``) and like-to-like when it is
 twisted.  Counting the resulting closed walks gives the number of boundary
 components, hence the Euler characteristic and the Euler genus.
 
-The same tracer serves the spanning-subgraph walks behind partial duality:
-edges outside the band set keep their attachment arcs as free, traversable
-arcs that carry direction arrows.
+:func:`trace_walks` spells every walk out as named steps.  It serves the
+callers that read those steps: the arrows of :func:`duality.partial_dual`,
+the rotations of the geometric duals and the walks of marked graphs.  Edges
+outside its band set keep their attachment arcs as free, traversable arcs
+that carry direction arrows.
+
+The counts come from the graph's integer view instead (``core._Indexed``):
+:func:`connected_components`, :func:`is_orientable` and
+:func:`surface_stats` read its one component pass and its boundary-walk
+counter, and build no subgraph.  The traced route survives as the
+``verify`` oracle ``surface_stats_by_walks``.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ from typing import Iterable, Optional, Union
 
 from .core import (
     End,
-    InvariantViolation,
     Mark,
     MarkedRibbonGraph,
     RibbonGraph,
@@ -189,76 +196,31 @@ def boundary_components(g: Union[RibbonGraph, MarkedRibbonGraph]) -> BoundaryWal
     return trace_walks(g, None)
 
 
-# -- connectivity -----------------------------------------------------------
+# -- connectivity and orientability ------------------------------------------
 
 
 def connected_components(g: RibbonGraph) -> tuple[tuple[frozenset, frozenset], ...]:
-    """Partition into components, each a ``(vertex names, edge labels)`` pair."""
-    neighbours: dict[str, set[str]] = {n: set() for n in g.vertex_names}
-    for label in g.edge_labels:
-        (u, _), (w, _) = g.ends_of(label)
-        neighbours[u].add(w)
-        neighbours[w].add(u)
-    seen: set[str] = set()
-    comps = []
-    for start in g.vertex_names:
-        if start in seen:
-            continue
-        stack = [start]
-        members = set()
-        while stack:
-            v = stack.pop()
-            if v in members:
-                continue
-            members.add(v)
-            stack.extend(neighbours[v] - members)
-        seen |= members
-        edges = frozenset(
-            label for label in g.edge_labels if g.ends_of(label)[0][0] in members
-        )
-        comps.append((frozenset(members), edges))
-    return tuple(comps)
+    """Partition into components, each a ``(vertex names, edge labels)`` pair,
+    in order of first vertex."""
+    idx = g._indexed()
+    names = g.vertex_names
+    return tuple(
+        (frozenset(names[v] for v in members), idx.edge_set(edges))
+        for members, edges, _ in idx.components
+    )
 
 
 def is_connected(g: RibbonGraph) -> bool:
-    return len(connected_components(g)) <= 1
-
-
-# -- orientability ------------------------------------------------------------
+    return len(g._indexed().components) <= 1
 
 
 def is_orientable(g: RibbonGraph) -> bool:
     """Whether some assignment of vertex flips makes every sign positive.
 
-    A twisted loop forces non-orientability at once; otherwise flip parities
-    propagate over a spanning structure and the graph is orientable exactly
-    when no cycle has odd total sign.
+    Flip parities propagate along each component; the graph is orientable
+    exactly when no cycle, a twisted loop included, has odd total sign.
     """
-    parity: dict[str, int] = {}
-    adj: dict[str, list[tuple[str, int]]] = {n: [] for n in g.vertex_names}
-    for label in g.edge_labels:
-        (u, _), (w, _) = g.ends_of(label)
-        if u == w:
-            if g.sign(label) < 0:
-                return False
-            continue
-        adj[u].append((w, g.sign(label)))
-        adj[w].append((u, g.sign(label)))
-    for start in g.vertex_names:
-        if start in parity:
-            continue
-        parity[start] = 1
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, s in adj[v]:
-                want = parity[v] * s
-                if w not in parity:
-                    parity[w] = want
-                    stack.append(w)
-                elif parity[w] != want:
-                    return False
-    return True
+    return all(orientable for _, _, orientable in g._indexed().components)
 
 
 # -- surface statistics -------------------------------------------------------
@@ -311,87 +273,61 @@ def surface_label(euler_genus: int, orientable: bool, connected: bool = True) ->
     return f"N_{euler_genus}"
 
 
-def _walk_home(step_seq: tuple[Step, ...], end_vertex: dict[str, str]) -> str:
-    for step in step_seq:
-        if step[0] in ("corner", "vertex"):
-            return step[1]
-        if step[0] in ("side", "arc"):
-            return end_vertex[step[1]]
-    raise InvariantViolation("boundary walk without a location")
-
-
-def surface_stats(g: RibbonGraph) -> SurfaceStats:
-    """Vertex, edge, boundary and component counts, Euler characteristic,
-    orientability, Euler genus and the surface classification, globally and
-    per connected component."""
-    walks = boundary_components(g).walks
-    comps = connected_components(g)
-    end_vertex = {label: g.ends_of(label)[0][0] for label in g.edge_labels}
-    vert_comp: dict[str, int] = {}
-    for i, (vs, _) in enumerate(comps):
-        for v in vs:
-            vert_comp[v] = i
-    walk_counts = [0] * max(1, len(comps))
-    for w in walks:
-        walk_counts[vert_comp[_walk_home(w, end_vertex)]] += 1
-
-    sub_stats = []
-    total_gamma = 0
-    orientable_all = True
-    single = len(comps) == 1
-    for i, (vs, es) in enumerate(comps):
-        v, e, f = len(vs), len(es), walk_counts[i]
-        chi = v - e + f
+def stats_from_components(
+    g: RibbonGraph, components: Iterable[tuple[frozenset, frozenset, int, bool]]
+) -> SurfaceStats:
+    """The surface statistics of ``g`` from each component's vertex names,
+    edge labels, boundary count and orientability.  The Euler genus,
+    ``2c - v + e - f``, is the sum of the components' ``2 - v_C + e_C - f_C``.
+    """
+    comps = []
+    for vs, es, f, ori in components:
+        chi = len(vs) - len(es) + f
         gamma = 2 - chi
-        if single:
-            ori = is_orientable(g)
-        else:
-            sub = RibbonGraph(
-                [(n, g.rotation(n)) for n in g.vertex_names if n in vs],
-                {k: g.sign(k) for k in es},
-                _validate=False,
-            )
-            ori = is_orientable(sub)
-        orientable_all = orientable_all and ori
-        total_gamma += gamma
-        sub_stats.append(
-            ComponentStats(
-                vertices=vs,
-                edges=es,
-                n_boundary=f,
-                euler_characteristic=chi,
-                orientable=ori,
-                euler_genus=gamma,
-                genus=gamma // 2 if ori else gamma,
-                surface=surface_label(gamma, ori),
-            )
-        )
-
-    v, e, f, c = g.n_vertices, g.n_edges, len(walks), len(comps)
+        genus = gamma // 2 if ori else gamma
+        comps.append(ComponentStats(vs, es, f, chi, ori, gamma, genus, surface_label(gamma, ori)))
+    v, e, f, c = g.n_vertices, g.n_edges, sum(s.n_boundary for s in comps), len(comps)
     chi = v - e + f
     gamma = 2 * c - chi
-    if gamma != total_gamma:
-        raise InvariantViolation(
-            f"Euler genus {gamma} differs from the sum {total_gamma} over components"
-        )
+    orientable = all(s.orientable for s in comps)
     if c == 1:
-        label = sub_stats[0].surface
+        label = comps[0].surface
     elif c == 0:
         label = "empty"
     else:
-        label = " + ".join(sorted(s.surface for s in sub_stats))
+        label = " + ".join(sorted(s.surface for s in comps))
     return SurfaceStats(
         n_vertices=v,
         n_edges=e,
         n_boundary=f,
         n_components=c,
         euler_characteristic=chi,
-        orientable=orientable_all,
+        orientable=orientable,
         euler_genus=gamma,
-        genus=gamma // 2 if orientable_all else gamma,
+        genus=gamma // 2 if orientable else gamma,
         surface=label,
-        components=tuple(sub_stats),
+        components=tuple(comps),
     )
+
+
+def surface_stats(g: RibbonGraph) -> SurfaceStats:
+    """Vertex, edge, boundary and component counts, Euler characteristic,
+    orientability, Euler genus and the surface classification, globally and
+    per connected component.
+
+    Components and their orientability come from the integer view's
+    component pass, and each boundary walk is counted in the component of
+    its home vertex.
+    """
+    idx = g._indexed()
+    walk_counts = [0] * len(idx.components)
+    for v in idx.walk_homes((1 << idx.ne) - 1):
+        walk_counts[idx.component_of[v]] += 1
+    names = g.vertex_names
+    return stats_from_components(g, (
+        (frozenset(names[v] for v in members), idx.edge_set(edges), f, ori)
+        for (members, edges, ori), f in zip(idx.components, walk_counts)
+    ))
 
 
 def euler_genus(g: RibbonGraph) -> int:

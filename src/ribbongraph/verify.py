@@ -9,6 +9,12 @@ sizes.
 ``check_suite`` runs a battery of named checks over a corpus; every check
 states a universally quantified property of the library's operations, and
 any failure is reported with a replayable serialized instance.
+
+The oracles are independent constructions the fast routes are checked
+against: components by name-keyed search (:func:`components_by_names`),
+orientability by the parity double cover, surface statistics from the
+step tracer (:func:`surface_stats_by_walks`), and side components from
+built induced subgraphs.  None of them reads the integer view.
 """
 
 from __future__ import annotations
@@ -55,9 +61,11 @@ from .duality import (
     subsets_sorted,
 )
 from .topology import (
-    connected_components,
+    SurfaceStats,
+    boundary_components,
     is_connected,
     is_orientable,
+    stats_from_components,
     surface_stats,
 )
 
@@ -289,6 +297,36 @@ def generate(
 # -- independent oracles ---------------------------------------------------------
 
 
+def components_by_names(g: RibbonGraph) -> tuple[tuple[frozenset, frozenset], ...]:
+    """``(vertex names, edge labels)`` of every component, in order of first
+    vertex, by a search over name-keyed neighbour sets.  Oracle for
+    :func:`topology.connected_components`."""
+    neighbours: dict[str, set[str]] = {n: set() for n in g.vertex_names}
+    for label in g.edge_labels:
+        (u, _), (w, _) = g.ends_of(label)
+        neighbours[u].add(w)
+        neighbours[w].add(u)
+    seen: set[str] = set()
+    comps = []
+    for start in g.vertex_names:
+        if start in seen:
+            continue
+        stack = [start]
+        members = set()
+        while stack:
+            v = stack.pop()
+            if v in members:
+                continue
+            members.add(v)
+            stack.extend(neighbours[v] - members)
+        seen |= members
+        edges = frozenset(
+            label for label in g.edge_labels if g.ends_of(label)[0][0] in members
+        )
+        comps.append((frozenset(members), edges))
+    return tuple(comps)
+
+
 def orientable_by_double_cover(g: RibbonGraph) -> bool:
     """Orientability via the parity double cover: the cover of each
     component is connected exactly when the component is non-orientable."""
@@ -314,21 +352,41 @@ def orientable_by_double_cover(g: RibbonGraph) -> bool:
             union((u, 0), (w, 1))
             union((u, 1), (w, 0))
     roots = {find(x) for x in nodes}
-    return len(roots) == 2 * len(connected_components(g))
+    return len(roots) == 2 * len(components_by_names(g))
+
+
+def surface_stats_by_walks(g: RibbonGraph) -> SurfaceStats:
+    """:func:`topology.surface_stats` from the step tracer: every boundary
+    walk spelled out and placed by the vertex it first meets, components
+    from :func:`components_by_names`, and each component's orientability
+    from the double cover of its own built subgraph."""
+    walks = boundary_components(g).walks
+    comps = components_by_names(g)
+    end_vertex = {label: g.ends_of(label)[0][0] for label in g.edge_labels}
+    vert_comp = {v: i for i, (vs, _) in enumerate(comps) for v in vs}
+    walk_counts = [0] * len(comps)
+    for walk in walks:
+        step = next(s for s in walk if s[0] in ("corner", "vertex", "side", "arc"))
+        home = step[1] if step[0] in ("corner", "vertex") else end_vertex[step[1]]
+        walk_counts[vert_comp[home]] += 1
+    return stats_from_components(g, (
+        (vs, es, f, orientable_by_double_cover(induced_subgraph(g, es)))
+        for (vs, es), f in zip(comps, walk_counts)
+    ))
 
 
 def side_components_by_subgraphs(g: RibbonGraph, edges: Iterable[str]) -> tuple:
     """``(vertices, edges, Euler genus, orientable)`` of every component of
     the subgraph induced by ``edges``, from built subgraphs: the induced
-    subgraph, its connected components, and the surface statistics of each
-    component's own induced subgraph.  Oracle for the integer route of
+    subgraph, its components by name, and the traced surface statistics of
+    each component's own induced subgraph.  Oracle for the integer route of
     :func:`decomposition.biseparation_data`."""
     sub = g.check_subset(edges)
     if not sub:
         return ()
     out = []
-    for vs, es in connected_components(induced_subgraph(g, sub)):
-        st = surface_stats(induced_subgraph(g, es))
+    for vs, es in components_by_names(induced_subgraph(g, sub)):
+        st = surface_stats_by_walks(induced_subgraph(g, es))
         out.append((vs, es, st.euler_genus, st.orientable))
     return tuple(out)
 
@@ -343,14 +401,14 @@ def biseparation_sequence_oracle(
     orderings (pruned), independent of the incidence-tree test.  ``first``
     forces the index of the opening component.
     """
-    if not is_connected(g):
+    if len(components_by_names(g)) > 1:
         raise ValueError("sequence oracle requires a connected graph")
     sub = g.check_subset(edges)
     comps: list[tuple[str, frozenset, frozenset]] = []
     for side, part in (("A", sub), ("B", g.complement(sub))):
         if not part:
             continue
-        for vs, es in connected_components(induced_subgraph(g, part)):
+        for vs, es in components_by_names(induced_subgraph(g, part)):
             comps.append((side, vs, es))
     if len(comps) <= 1:
         return [0] if comps else []
@@ -471,7 +529,7 @@ def _serial(g: RibbonGraph) -> str:
 
 class _Analysis:
     """Everything the subset sweeps need about one corpus graph, computed
-    once: duals, their stats, and certificates for every subset."""
+    once: duals, their traced stats, and certificates for every subset."""
 
     def __init__(self, g: RibbonGraph):
         self.g = g
@@ -484,7 +542,7 @@ class _Analysis:
         for sub in self.subsets:
             d = partial_dual(g, sub)
             self.dual[sub] = d
-            self.dual_stats[sub] = surface_stats(d)
+            self.dual_stats[sub] = surface_stats_by_walks(d)
             comps, cert = biseparation_data(g, sub)
             self.cert[sub] = cert
             self.sides[sub] = comps
@@ -561,8 +619,10 @@ def _check_route_agreement(res: CheckResult, ana: _Analysis) -> None:
 
 def _check_count_routes(res: CheckResult, ana: _Analysis) -> None:
     """The boundary-count routes against built graphs: every spectrum row
-    against the built dual's statistics, every side list of a certificate
-    against :func:`side_components_by_subgraphs`."""
+    against the built dual's traced statistics, the integer
+    :func:`surface_stats` of every built dual against the same traced
+    statistics, every side list of a certificate against
+    :func:`side_components_by_subgraphs`."""
     g = ana.g
     full = frozenset(g.edge_labels)
     rows = {r.subset: r for r in spectrum(g)}
@@ -575,6 +635,9 @@ def _check_count_routes(res: CheckResult, ana: _Analysis) -> None:
         st = ana.dual_stats[sub]
         if row is None or (row.euler_genus, row.orientable) != (st.euler_genus, st.orientable):
             res.fail(graph=_serial(g), subset=sub, property="spectrum row vs built dual")
+        if surface_stats(ana.dual[sub]) != st:
+            res.fail(graph=_serial(g), subset=sub,
+                     property="integer surface stats vs traced walks")
         got = tuple(
             (c.side, c.vertices, c.edges, c.euler_genus, c.orientable) for c in ana.sides[sub]
         )

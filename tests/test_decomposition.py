@@ -21,6 +21,7 @@ from ribbongraph import (
 )
 from ribbongraph.decomposition import (
     all_interleave_patterns,
+    factor_genera,
     is_join_biseparation_bruteforce,
     summand_edge_sets,
 )
@@ -278,3 +279,53 @@ def test_plane_sets_form_single_orbit(corpus3):
         }
         if plane:
             assert _orbit(g, min(plane, key=sorted)) == plane
+
+
+# -- the integer component pass against built induced subgraphs -----------------
+
+
+def test_factor_routes_match_built_subgraphs(corpus3):
+    import itertools
+
+    from ribbongraph import induced_subgraph, is_connected
+
+    for g in corpus3.graphs:
+        factors = prime_factorization(g).factors
+        assert factor_genera(g) == tuple(
+            surface_stats(induced_subgraph(g, f)).euler_genus for f in factors
+        )
+        unions = {
+            frozenset().union(*combo)
+            for r in range(1, len(factors) + 1)
+            for combo in itertools.combinations(factors, r)
+        }
+        want = sorted(
+            (u for u in unions if is_connected(induced_subgraph(g, u))),
+            key=lambda s: (len(s), sorted(s)),
+        )
+        assert summand_edge_sets(g) == want
+
+
+def test_join_splits_match_built_subgraphs(corpus3):
+    # (v, X) is a join split exactly when the two induced sides meet in v
+    # alone and the ends of X occupy one arc of the rotation at v
+    from ribbongraph import induced_subgraph
+    from ribbongraph.duality import subsets_sorted
+
+    for g in corpus3.graphs:
+        full = frozenset(g.edge_labels)
+        want = set()
+        for x in subsets_sorted(full):
+            if not x or x == full:
+                continue
+            shared = set(induced_subgraph(g, x).vertex_names) & set(
+                induced_subgraph(g, full - x).vertex_names
+            )
+            if len(shared) != 1:
+                continue
+            v = shared.pop()
+            inside = [e.label in x for e in g.rotation(v)]
+            changes = sum(a != b for a, b in zip(inside, inside[1:] + inside[:1]))
+            if changes == 2:
+                want.add((v, x))
+        assert set(join_summand_splits(g)) == want

@@ -204,3 +204,19 @@ def test_spectrum_bound():
     g = build_graph(rows, big)
     with pytest.raises(RibbonGraphError, match="force"):
         spectrum(g)
+
+
+def test_spectrum_refuses_seventeen_edges():
+    g = build_graph(
+        [(f"v{i}", [f"e{i}.1", f"e{(i + 1) % 17}.2"]) for i in range(17)],
+        {f"e{i}": "+" for i in range(17)},
+    )
+    with pytest.raises(RibbonGraphError, match="force"):
+        spectrum(g)
+    small = build_graph(
+        [(f"v{i}", [f"e{i}.1", f"e{(i + 1) % 16}.2"]) for i in range(16)],
+        {f"e{i}": "+" for i in range(16)},
+    )
+    from ribbongraph.duality import refuse_large_sweep
+
+    refuse_large_sweep(small, "spectrum")  # 16 edges are admitted

@@ -313,3 +313,21 @@ def test_cli_invariant_violation_survives_optimize(files):
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith("error: partial dual has 0 vertices")
     assert "Traceback" not in done.stderr
+
+
+def test_cli_sweeps_refuse_large_graphs(tmp_path, capsys):
+    # the 21-edge cycle of test_spectrum_bound: 2^21 subsets for either command
+    import time
+
+    n = 21
+    text = "ribbon v1\n" + "".join(f"edge e{i} +\n" for i in range(n)) + "".join(
+        f"vertex v{i}: e{i}.1 e{(i + 1) % n}.2\n" for i in range(n)
+    )
+    path = tmp_path / "cycle21.txt"
+    path.write_text(text)
+    for argv in (["relate", str(path), str(path)], ["biseparations", str(path)]):
+        t0 = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - t0 < 1.0, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2^21 subsets" in err, err

@@ -127,3 +127,55 @@ def test_genus_representation_independent(corpus3):
     for g in corpus3.graphs[:80]:
         rebuilt = from_canonical_code(g.canonical_code())
         assert euler_genus(rebuilt) == euler_genus(g)
+
+
+# -- the integer component pass against the traced, name-keyed oracles ---------
+
+
+def _pass_inputs(fixtures):
+    return {
+        "empty": build_graph({}, {}),
+        "two bare vertices": build_graph({"u": [], "w": []}, {}),
+        "plane + twisted loop + bare vertex": disjoint_union(
+            fixtures["C"], single_vertex("e e", "-"), build_graph({"x": []}, {})
+        ),
+    }
+
+
+def test_component_pass_matches_oracles(fixtures):
+    from ribbongraph.verify import components_by_names, surface_stats_by_walks
+
+    for name, g in _pass_inputs(fixtures).items():
+        assert surface_stats(g) == surface_stats_by_walks(g), name
+        assert connected_components(g) == components_by_names(g), name
+        assert is_orientable(g) == orientable_by_double_cover(g), name
+
+
+def test_component_pass_values(fixtures):
+    inputs = _pass_inputs(fixtures)
+    st = surface_stats(inputs["empty"])
+    assert (st.n_components, st.n_boundary, st.euler_genus, st.surface) == (0, 0, 0, "empty")
+    assert st.orientable and connected_components(inputs["empty"]) == ()
+    st = surface_stats(inputs["two bare vertices"])
+    assert (st.n_components, st.n_boundary, st.euler_genus) == (2, 2, 0)
+    assert st.surface == "sphere + sphere"
+    g = inputs["plane + twisted loop + bare vertex"]
+    st = surface_stats(g)
+    assert [c.euler_genus for c in st.components] == [0, 1, 0]
+    assert [c.orientable for c in st.components] == [True, False, True]
+    assert (st.euler_genus, st.orientable) == (1, False)
+    assert st.surface == "RP^2 + sphere + sphere"
+    assert not is_orientable(g)
+    assert [len(vs) for vs, _ in connected_components(g)] == [2, 1, 1]
+
+
+def test_component_pass_matches_oracles_on_corpus(corpus3):
+    from ribbongraph.verify import components_by_names, surface_stats_by_walks
+
+    small = [g for g in corpus3.graphs if g.n_edges <= 2]
+    for g in corpus3.graphs:
+        assert surface_stats(g) == surface_stats_by_walks(g)
+    for g1 in small[:8]:
+        u = disjoint_union(g1, small[-1], build_graph({"x": []}, {}))
+        assert surface_stats(u) == surface_stats_by_walks(u)
+        assert connected_components(u) == components_by_names(u)
