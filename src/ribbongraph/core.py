@@ -28,6 +28,7 @@ pure functions returning new values.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import deque
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -98,6 +99,25 @@ def as_end(item: EndLike) -> End:
     return End(m.group(1), int(m.group(2)))
 
 
+def per_graph(fn):
+    """Memoise ``fn(g)`` on the graph ``g``.
+
+    A graph is immutable, so a value derived from it alone never goes
+    stale.  Each graph has one declared memo slot, a dict keyed by the
+    decorated function (which must not return ``None``); only values that
+    callers really reuse are kept there, never one per edge subset.
+    """
+
+    @functools.wraps(fn)
+    def memoised(g):
+        value = g._memo.get(fn)
+        if value is None:
+            value = g._memo[fn] = fn(g)
+        return value
+
+    return memoised
+
+
 def _as_sign(value) -> int:
     if value in (1, +1, "+"):
         return 1
@@ -114,7 +134,7 @@ class RibbonGraph:
     chirality.  ``signs`` maps each edge label to its twist sign.
     """
 
-    __slots__ = ("_names", "_rots", "_signs", "_cache")
+    __slots__ = ("_names", "_rots", "_signs", "_memo")
 
     def __init__(self, vertices, signs, _validate: bool = True):
         names = []
@@ -125,7 +145,7 @@ class RibbonGraph:
         self._names = tuple(names)
         self._rots = tuple(rots)
         self._signs = {str(k): _as_sign(v) for k, v in dict(signs).items()}
-        self._cache: dict = {}
+        self._memo: dict = {}  # see per_graph
         if _validate:
             self._check()
 
@@ -189,28 +209,15 @@ class RibbonGraph:
     def degree(self, name: str) -> int:
         return len(self.rotation(name))
 
-    def _ends_index(self) -> dict:
-        idx = self._cache.get("ends")
-        if idx is None:
-            idx = {}
-            for name, rot in zip(self._names, self._rots):
-                for pos, e in enumerate(rot):
-                    idx.setdefault(e.label, [None, None])[e.slot - 1] = (name, pos)
-            self._cache["ends"] = idx
-        return idx
-
     def ends_of(self, label: str) -> tuple[tuple[str, int], tuple[str, int]]:
         """Locate both ends of ``label`` as ``(vertex name, position)`` pairs."""
         self.sign(label)
-        first, second = self._ends_index()[label]
-        return first, second
-
-    def vertex_of_end(self, e: EndLike) -> str:
-        e = as_end(e)
-        for name, rot in zip(self._names, self._rots):
-            if e in rot:
-                return name
-        raise InvalidGraph(f"end {e} not present")
+        idx = self._indexed()
+        d = 2 * idx.eindex[label]
+        return (
+            (self._names[idx.dart_vertex[d]], idx.dart_pos[d]),
+            (self._names[idx.dart_vertex[d + 1]], idx.dart_pos[d + 1]),
+        )
 
     def check_subset(self, edges: Iterable[str]) -> frozenset:
         """Validate an edge subset against this graph and freeze it."""
@@ -295,21 +302,15 @@ class RibbonGraph:
         signs = {mapping.get(k, k): v for k, v in self._signs.items()}
         return RibbonGraph(zip(self._names, rots), signs, _validate=False)
 
-    # -- cached derived data --------------------------------------------
+    # -- memoised derived data ------------------------------------------
 
+    @per_graph
     def _indexed(self) -> "_Indexed":
-        idx = self._cache.get("idx")
-        if idx is None:
-            idx = _Indexed(self)
-            self._cache["idx"] = idx
-        return idx
+        return _Indexed(self)
 
+    @per_graph
     def canonical_code(self) -> str:
-        code = self._cache.get("code")
-        if code is None:
-            code = canonical_form(self)
-            self._cache["code"] = code
-        return code
+        return canonical_form(self)
 
 
 class _Indexed:

@@ -35,6 +35,7 @@ from .core import (
     InvariantViolation,
     RibbonGraph,
     RibbonGraphError,
+    per_graph,
 )
 from .topology import is_connected, surface_stats
 
@@ -263,10 +264,6 @@ def biseparation_data(
     if len(g._indexed().components) > 1:
         raise InvalidGraph("biseparations are defined for connected graphs")
     sub = g.check_subset(edges)
-    cache = g._cache.setdefault("bisep", {})
-    hit = cache.get(sub)
-    if hit is not None:
-        return hit
     comp_a = _side_components(g, sub, "A")
     comp_b = _side_components(g, g.complement(sub), "B")
     comps = tuple(comp_a + comp_b)
@@ -281,7 +278,6 @@ def biseparation_data(
         label=label,
         genus_sum=total,
     )
-    cache[sub] = (comps, cert)
     return comps, cert
 
 
@@ -394,6 +390,11 @@ def _join_splits(g: RibbonGraph, mask: int) -> list[tuple[str, frozenset]]:
     )
 
 
+@per_graph
+def _whole_graph_splits(g: RibbonGraph) -> tuple[tuple[str, frozenset], ...]:
+    return tuple(_join_splits(g, (1 << g.n_edges) - 1))
+
+
 def join_summand_splits(g: RibbonGraph) -> list[tuple[str, frozenset]]:
     """All ways to split ``g`` as a join at a vertex.
 
@@ -405,11 +406,7 @@ def join_summand_splits(g: RibbonGraph) -> list[tuple[str, frozenset]]:
     """
     if not is_connected(g):
         raise InvalidGraph("join splits are defined for connected graphs")
-    cached = g._cache.get("join_splits")
-    if cached is None:
-        cached = tuple(_join_splits(g, (1 << g.n_edges) - 1))
-        g._cache["join_splits"] = cached
-    return list(cached)
+    return list(_whole_graph_splits(g))
 
 
 @dataclass(frozen=True)
@@ -425,6 +422,7 @@ class JoinTree:
         return len(self.factors)
 
 
+@per_graph
 def prime_factorization(g: RibbonGraph) -> JoinTree:
     """Split at join vertices until no split remains.
 
@@ -433,9 +431,6 @@ def prime_factorization(g: RibbonGraph) -> JoinTree:
     """
     if not is_connected(g):
         raise InvalidGraph("prime factorization is defined for connected graphs")
-    cached = g._cache.get("prime")
-    if cached is not None:
-        return cached
     idx = g._indexed()
     factors = []
     stack = [frozenset(g.edge_labels)]
@@ -462,17 +457,11 @@ def prime_factorization(g: RibbonGraph) -> JoinTree:
         owners = tuple(i for i, vs in enumerate(vert_sets) if v in vs)
         if len(owners) > 1:
             joints.append((v, owners))
-    tree = JoinTree(factors=tuple(factors), joints=tuple(joints))
-    g._cache["prime"] = tree
-    return tree
+    return JoinTree(factors=tuple(factors), joints=tuple(joints))
 
 
-def summand_edge_sets(g: RibbonGraph) -> list[frozenset]:
-    """Edge sets that can appear as a single join summand: the unions of
-    prime factors whose union is connected (the whole edge set included)."""
-    cached = g._cache.get("summands")
-    if cached is not None:
-        return list(cached)
+@per_graph
+def _summand_sets(g: RibbonGraph) -> tuple[frozenset, ...]:
     idx = g._indexed()
     masks = [idx.mask(f) for f in prime_factorization(g).factors]
     out = []
@@ -483,9 +472,13 @@ def summand_edge_sets(g: RibbonGraph) -> list[frozenset]:
                 m |= f
             if sum(1 for _, es, _ in idx.parts(m)[0] if es) == 1:
                 out.append(idx.edge_set(m))
-    result = sorted(set(out), key=lambda s: (len(s), sorted(s)))
-    g._cache["summands"] = tuple(result)
-    return result
+    return tuple(sorted(set(out), key=lambda s: (len(s), sorted(s))))
+
+
+def summand_edge_sets(g: RibbonGraph) -> list[frozenset]:
+    """Edge sets that can appear as a single join summand: the unions of
+    prime factors whose union is connected (the whole edge set included)."""
+    return list(_summand_sets(g))
 
 
 def is_join_biseparation(g: RibbonGraph, edges: Iterable[str]) -> bool:
@@ -502,45 +495,13 @@ def is_join_biseparation(g: RibbonGraph, edges: Iterable[str]) -> bool:
     return not rest
 
 
-def is_join_biseparation_bruteforce(g: RibbonGraph, edges: Iterable[str]) -> bool:
-    """Oracle for :func:`is_join_biseparation` that never uses uniqueness of
-    the prime factorization: search over all recursive binary join splits."""
-    sub = g.check_subset(edges)
-    memo = g._cache.setdefault("jb_memo", {})
-    parts = g._cache.setdefault("jb_parts", {})  # join splits per edge set
-
-    def search(edge_set: frozenset, a: frozenset) -> bool:
-        if not a or a == edge_set:
-            return True
-        key = (edge_set, a)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        splits = parts.get(edge_set)
-        if splits is None:
-            splits = _join_splits(g, g._indexed().mask(edge_set))
-            parts[edge_set] = splits
-        result = False
-        for v, x in splits:
-            if search(x, a & x) and search(edge_set - x, a - x):
-                result = True
-                break
-        memo[key] = result
-        return result
-
-    return search(frozenset(g.edge_labels), sub)
-
-
+@per_graph
 def factor_genera(g: RibbonGraph) -> tuple[int, ...]:
     """Euler genus of every prime factor, in factor order."""
-    cached = g._cache.get("factor_genera")
-    if cached is None:
-        tree = prime_factorization(g)
-        cached = tuple(
-            sum(c.euler_genus for c in _side_components(g, f, "A")) for f in tree.factors
-        )
-        g._cache["factor_genera"] = cached
-    return cached
+    return tuple(
+        sum(c.euler_genus for c in _side_components(g, f, "A"))
+        for f in prime_factorization(g).factors
+    )
 
 
 def classify_join_biseparation(g: RibbonGraph, edges: Iterable[str]) -> str:

@@ -114,9 +114,8 @@ def _neighbours(g: RibbonGraph, policy: str = "unions"):
 
     ``splits`` duals one side of a two-sided join split (each step is a
     single legal move).  ``unions`` duals any connected union of prime
-    factors, and ``primes`` any single prime factor; both may take steps
-    that are shortcuts for short sequences of legal moves, never leaving
-    the set of partial duals, and reach the same graphs.
+    factors; a step may be a shortcut for a short sequence of legal moves,
+    never leaving the set of partial duals, and reaches the same graphs.
     """
     out = []
     full = frozenset(g.edge_labels)
@@ -124,10 +123,6 @@ def _neighbours(g: RibbonGraph, policy: str = "unions"):
         factor_sets = summand_edge_sets(g)
     elif policy == "splits":
         factor_sets = binary_summand_sets(g)
-    elif policy == "primes":
-        from .decomposition import prime_factorization
-
-        factor_sets = list(prime_factorization(g).factors)
     else:
         raise ValueError(f"unknown move policy {policy!r}")
     for edges in factor_sets:
@@ -146,9 +141,13 @@ def move_related(
     Breadth-first over canonical codes; ``closed`` reports whether the
     search saw its whole reachable set before hitting the depth bound, so a
     missing trace is a proof of unrelatedness only when ``closed`` is true.
+    Moves keep the edge count, so graphs with different edge counts are
+    unrelated without a search.
     """
     if not is_connected(g) or not is_connected(h):
         raise ValueError("move search requires connected graphs")
+    if g.n_edges != h.n_edges:
+        return MoveSearchResult(None, True, 0)
     target = h.canonical_code()
     start_code = g.canonical_code()
     if start_code == target:

@@ -1,10 +1,11 @@
-"""Property test of the command-line contract on random small graphs.
+"""Property tests of the command-line contract on random small graphs.
 
 Every command exits 0 or 2 and never raises, ``--json`` output parses, two
 runs print the same bytes, and ``info --json`` agrees with the traced
 surface statistics.  Inputs are random graphs of up to six edges, often
 disconnected and with edgeless vertices, so that the multi-component paths
-run too.
+run too; pairs of them for ``relate``, edge counts often different; and
+files made malformed by mutating the bytes of a valid one.
 """
 
 import contextlib
@@ -52,6 +53,24 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _check_contract(commands):
+    """Run every command plain and with ``--json`` (``canon`` has no JSON
+    form): exit 0 or 2, no traceback, ``error: `` on exit 2, JSON that
+    parses, and the same bytes from a second run."""
+    for argv in commands:
+        runs = [argv] if argv[0] == "canon" else [argv, argv + ["--json"]]
+        for cmd in runs:
+            first = _run(cmd)
+            code, out, err = first
+            assert code in (0, 2), (cmd, err)
+            assert "Traceback" not in err
+            assert _run(cmd) == first, cmd
+            if code == 0 and "--json" in cmd:
+                json.loads(out)
+            if code == 2:
+                assert err.startswith("error: "), (cmd, err)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=cases())
@@ -65,19 +84,92 @@ def test_cli_contract(tmp_path, case):
         ["info", f], ["canon", f], ["dual", f, "--edges", ",".join(sorted(chosen))],
         ["spectrum", f], ["spectrum", f, "--classes"], ["biseparations", f], ["factor", f],
     ]
-    for argv in commands:
-        runs = [argv] if argv[0] == "canon" else [argv, argv + ["--json"]]
-        for cmd in runs:
-            first = _run(cmd)
-            code, out, err = first
-            assert code in (0, 2), (cmd, err)
-            assert "Traceback" not in err
-            assert _run(cmd) == first, cmd
-            if code == 0 and "--json" in cmd:
-                json.loads(out)
-            if code == 2:
-                assert err.startswith("error: "), (cmd, err)
+    _check_contract(commands)
     code, out, _ = _run(["info", f, "--json"])
     graph = parse(path.read_text()).graph()
     want = emit({"command": "info", **stats_json(surface_stats_by_walks(graph))})
     assert code == 0 and out == want
+
+
+def _path(n):
+    """The path with ``n`` edges ``e0 .. e{n-1}``."""
+    return build_graph(
+        [("v0", ["e0.1"])]
+        + [(f"v{i}", [f"e{i - 1}.2", f"e{i}.1"]) for i in range(1, n)]
+        + [(f"v{n}", [f"e{n - 1}.2"])],
+        {f"e{i}": "+" for i in range(n)},
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(first=cases(), second=cases())
+@example(first=(_path(6), set()), second=(_path(5), set()))
+@example(first=(_path(4), set()), second=(_path(4).relabeled({"e0": "x"}), set()))
+def test_cli_relate_contract(tmp_path, first, second):
+    paths = []
+    for name, (g, _) in (("g.txt", first), ("h.txt", second)):
+        path = tmp_path / name
+        path.write_text(serialize_graph(g))
+        paths.append(str(path))
+    f, h = paths
+    _check_contract([["relate", f, h], ["relate", h, f], ["relate", f, f]])
+
+
+def test_cli_relate_different_edge_counts_needs_no_search(tmp_path):
+    # both paths are plane, but partial duals keep the edge count, so the
+    # ten-edge path reaches the nine-edge one by no move; the search used to
+    # explore the whole move closure of the first graph (about a minute)
+    import time
+
+    long, short = tmp_path / "path10.txt", tmp_path / "path9.txt"
+    long.write_text(serialize_graph(_path(10)))
+    short.write_text(serialize_graph(_path(9)))
+    t0 = time.perf_counter()
+    code, out, _ = _run(["relate", str(long), str(short)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert "partial-dual subsets: none found" in out
+    assert "move sequence: none (search closed)" in out
+    code, out, _ = _run(["relate", str(long), str(short), "--json"])
+    data = json.loads(out)
+    assert code == 0 and data["moves"] is None and data["search_closed"] is True
+
+
+# bytes that a mutation writes: the format's own syntax, some letters and
+# digits, and a few that are not text
+_SYNTAX = list(b"ribbon v1 arrows cycle: edge vertex name note # +-<>.12 ab\n") + [0, 0xFF, 0xC3]
+
+
+@st.composite
+def mutations(draw):
+    """A valid graph file with a few bytes replaced, deleted or inserted."""
+    g, _ = draw(cases())
+    data = bytearray(serialize_graph(g).encode())
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(("replace", "delete", "insert")))
+        byte = draw(st.sampled_from(_SYNTAX))
+        if op == "insert" or pos == len(data):
+            data.insert(pos, byte)
+        elif op == "delete":
+            del data[pos]
+        else:
+            data[pos] = byte
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutations())
+@example(data=b"\xff\xfe")
+@example(data=b"ribbon v1\nedge a +\nvertex u: a.1 a.1\n")
+@example(data=b"arrows v1\ncycle: >a >a >a\n")
+def test_cli_contract_on_malformed_files(tmp_path, data):
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    f = str(path)
+    _check_contract(
+        [["info", f], ["canon", f], ["dual", f], ["spectrum", f, "--classes"],
+         ["biseparations", f], ["factor", f], ["relate", f, f]]
+    )

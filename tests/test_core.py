@@ -32,6 +32,13 @@ def test_build_plane_two_cycle(fixtures):
     assert euler_genus(g) == 0
 
 
+def test_ends_of_locates_both_ends(fixtures):
+    assert fixtures["C"].ends_of("b") == (("u", 1), ("w", 1))
+    assert single_vertex("a b a b", "++").ends_of("b") == (("v", 1), ("v", 3))
+    with pytest.raises(UnknownEdge):
+        fixtures["C"].ends_of("z")
+
+
 def test_build_single_vertex_no_edges():
     g = build_graph({"v": []}, {})
     assert g.n_vertices == 1 and g.n_edges == 0

@@ -196,6 +196,20 @@ def test_spectrum_classification_hook(fixtures):
     assert by[frozenset()] == "other(2) (trivial)"
 
 
+def test_spectrum_classes_keep_no_memo_per_subset():
+    # a certificate per subset used to be memoised on the graph: 2^e entries
+    # that no caller read twice
+    from ribbongraph import classify_biseparation
+    from ribbongraph.verify import generate
+
+    g = generate(10, mode="random", seed=3, count=1).graphs[0]
+    rows = spectrum(g, classify=classify_biseparation)
+    assert len(rows) == 2**10
+    # whole-graph values only: the integer view, and the canonical code that
+    # generate's deduplication asked for
+    assert sorted(key.__name__ for key in g._memo) == ["_indexed", "canonical_code"]
+
+
 def test_spectrum_bound():
     big = {f"e{i}": "+" for i in range(21)}
     rows = []

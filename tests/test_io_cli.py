@@ -331,3 +331,14 @@ def test_cli_sweeps_refuse_large_graphs(tmp_path, capsys):
         assert time.perf_counter() - t0 < 1.0, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "2^21 subsets" in err, err
+
+
+def test_cli_verify_refuses_large_graphs(capsys):
+    # one random 24-edge graph: 2^24 subsets per graph for the per-graph checks
+    import time
+
+    t0 = time.perf_counter()
+    assert main(["verify", "--mode", "random", "--max-edges", "24", "--count", "1"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: verify over 24 edges means 2^24 subsets"), err

@@ -99,8 +99,7 @@ def test_move_policies_reach_the_same_targets(fixtures):
     target = partial_dual(triple, {"a", "b"})
     by_unions = move_related(triple, target, policy="unions")
     by_splits = move_related(triple, target, policy="splits")
-    by_primes = move_related(triple, target, policy="primes")
-    assert by_unions.found and by_splits.found and by_primes.found
+    assert by_unions.found and by_splits.found
     assert len(by_unions.trace) <= len(by_splits.trace)
     with pytest.raises(ValueError, match="policy"):
         move_related(triple, target, policy="nonsense")
