@@ -19,12 +19,12 @@ from .core import (
     is_equivalent,
 )
 from .decomposition import (
+    BiseparationClass,
+    _certified_subsets,
     classify_biseparation,
-    enumerate_biseparations,
-    is_biseparation,
     prime_factorization,
 )
-from .duality import geometric_dual, partial_dual, refuse_large_sweep, spectrum, subsets_sorted
+from .duality import geometric_dual, partial_dual, partial_dual_subsets, spectrum
 from .moves import move_related
 from .topology import surface_stats
 from .verify import ALL_CHECKS, check_suite, generate
@@ -88,17 +88,15 @@ def cmd_spectrum(args) -> int:
 def cmd_biseparations(args) -> int:
     g = _load(args.file)
     label = {"plane": "plane", "rp2": "rp2", "all": "all"}[args.klass]
-    subs = enumerate_biseparations(g, label)
+    found = list(_certified_subsets(g, label))
     if args.json:
-        out = []
-        for sub in subs:
-            out.append(io_text.certificate_json(is_biseparation(g, sub)))
+        out = [io_text.certificate_json(cert) for _, cert in found]
         print(io_text.emit({"command": "biseparations", "biseparations": out}), end="")
     else:
-        if not subs:
+        if not found:
             print("none")
-        for sub in subs:
-            print(f"{io_text.subset_text(sub)}: {classify_biseparation(g, sub)}")
+        for sub, cert in found:
+            print(f"{io_text.subset_text(sub)}: {BiseparationClass.of(cert)}")
     return 0
 
 
@@ -116,13 +114,7 @@ def cmd_relate(args) -> int:
     g = _load(args.file1)
     h = _load(args.file2)
     equivalent = is_equivalent(g, h)
-    subsets = []
-    if g.n_edges == h.n_edges:
-        refuse_large_sweep(g, "relate")
-        target = canonical_form(h)
-        for sub in subsets_sorted(g.edge_labels):
-            if canonical_form(partial_dual(g, sub)) == target:
-                subsets.append(sub)
+    subsets = partial_dual_subsets(g, h)
     gamma_g = surface_stats(g).euler_genus
     gamma_h = surface_stats(h).euler_genus
     trace = None

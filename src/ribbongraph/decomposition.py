@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     End,
@@ -184,10 +184,6 @@ class BiseparationCertificate:
     label: str  # "plane", "rp2" or "other"
     genus_sum: int
 
-    @property
-    def classification(self) -> str:
-        return f"{self.label} (trivial)" if self.trivial else self.label
-
 
 def _side_components(g: RibbonGraph, edges: frozenset, side: str) -> list[SideComponent]:
     """Components of the subgraph induced by ``edges``, ordered by their
@@ -306,15 +302,36 @@ class BiseparationClass:
         text = self.label if self.label != "other" else f"other({self.genus_sum})"
         return f"{text} (trivial)" if self.trivial else text
 
+    @classmethod
+    def of(cls, cert: Optional[BiseparationCertificate]) -> "BiseparationClass":
+        """The class a certificate (or its absence) gives its subset."""
+        if cert is None:
+            return cls(False, False, None, None)
+        return cls(True, cert.trivial, cert.label, cert.genus_sum)
+
 
 def classify_biseparation(g: RibbonGraph, edges: Iterable[str]) -> BiseparationClass:
     """Classify a subset: no certificate, or plane / rp2 / other(k) by the
     genera of the side components (trivial subsets classified by the genus
     of the whole graph, which is what their single side carries)."""
-    cert = is_biseparation(g, edges)
-    if cert is None:
-        return BiseparationClass(False, False, None, None)
-    return BiseparationClass(True, cert.trivial, cert.label, cert.genus_sum)
+    return BiseparationClass.of(is_biseparation(g, edges))
+
+
+def _certified_subsets(
+    g: RibbonGraph, label: str = "all"
+) -> Iterator[tuple[frozenset, BiseparationCertificate]]:
+    """Each subset whose certificate matches the filter, with that
+    certificate, smallest subsets first; every certificate is computed
+    once.  The filters are those of :func:`enumerate_biseparations`."""
+    from .duality import refuse_large_sweep, subsets_sorted
+
+    refuse_large_sweep(g, "biseparations")
+    for sub in subsets_sorted(g.edge_labels):
+        cert = is_biseparation(g, sub)
+        if cert is None:
+            continue
+        if label == "all" or cert.label == label or (label == "nontrivial" and not cert.trivial):
+            yield sub, cert
 
 
 def enumerate_biseparations(
@@ -323,22 +340,7 @@ def enumerate_biseparations(
     """All subsets whose certificate matches the filter (``all``, ``plane``,
     ``rp2``, ``other`` or ``nontrivial``).  Closed under complement.
     Refused above ``duality.SWEEP_MAX_EDGES`` edges."""
-    from .duality import refuse_large_sweep, subsets_sorted
-
-    refuse_large_sweep(g, "biseparations")
-    out = []
-    for sub in subsets_sorted(g.edge_labels):
-        cert = is_biseparation(g, sub)
-        if cert is None:
-            continue
-        if label == "all":
-            out.append(sub)
-        elif label == "nontrivial":
-            if not cert.trivial:
-                out.append(sub)
-        elif cert.label == label:
-            out.append(sub)
-    return out
+    return [sub for sub, _ in _certified_subsets(g, label)]
 
 
 # -- joins: detection, prime factorization -------------------------------------

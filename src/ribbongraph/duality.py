@@ -25,6 +25,8 @@ with ``k`` components and ``e`` edges
 :func:`spectrum` reads both counts from the integer walk counter of the
 graph's indexed view.  The built route, ``surface_stats(partial_dual(g, A))``,
 is the oracle it is checked against in ``verify`` (``count-route-agreement``).
+The same two counts filter :func:`partial_dual_subsets`: only a subset
+whose counts match the target's vertex and boundary counts is built.
 """
 
 from __future__ import annotations
@@ -322,3 +324,31 @@ def spectrum(
             )
         )
     return rows
+
+
+def partial_dual_subsets(g: RibbonGraph, h: RibbonGraph) -> list[frozenset]:
+    """Every edge subset ``A`` of ``g`` whose partial dual ``G^A`` is
+    equivalent to ``h``, smallest subsets first.
+
+    ``G^A`` has ``f(A)`` vertices and ``f(Aᶜ)`` boundary components, so a
+    subset whose two walk counts differ from ``h``'s vertex and boundary
+    counts cannot give ``h``; only the others are built and canonicalised.
+    Partial duals keep the edge count, so a graph with a different edge
+    count gives no subset without a sweep, which is otherwise refused above
+    :data:`SWEEP_MAX_EDGES` edges.
+    """
+    if g.n_edges != h.n_edges:
+        return []
+    refuse_large_sweep(g, "relate")
+    idx = g._indexed()
+    full = (1 << idx.ne) - 1
+    counts = (h.n_vertices, len(h._indexed().walk_homes(full)))
+    target = h.canonical_code()
+    out = []
+    for sub in subsets_sorted(g.edge_labels):
+        mask = idx.mask(sub)
+        if (len(idx.walk_homes(mask)), len(idx.walk_homes(full ^ mask))) != counts:
+            continue
+        if partial_dual(g, sub).canonical_code() == target:
+            out.append(sub)
+    return out

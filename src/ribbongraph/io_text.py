@@ -277,20 +277,6 @@ def spectrum_json(rows) -> list:
     ]
 
 
-def certificate_text(cert) -> str:
-    if cert is None:
-        return "no biseparation"
-    lines = [f"class: {cert.classification} (genus sum {cert.genus_sum})"]
-    for i, c in enumerate(cert.components):
-        lines.append(
-            f"  component {i} side {c.side}: edges {subset_text(c.edges)} "
-            f"γ={c.euler_genus} {'orientable' if c.orientable else 'non-orientable'}"
-        )
-    for i, j, v in cert.tree_edges:
-        lines.append(f"  glue {i} -- {j} at vertex {v}")
-    return "\n".join(lines)
-
-
 def certificate_json(cert) -> Optional[dict]:
     if cert is None:
         return None

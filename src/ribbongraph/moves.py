@@ -3,7 +3,15 @@
 Dualling a join summand replaces one summand of a join by its geometric
 dual and leaves the rest alone; together with taking the geometric dual of
 the whole graph it relates all partially dual graphs of Euler genus zero
-and one.  The search works breadth-first over canonical codes.
+and one.
+
+Every graph a move sequence reaches from ``G`` is a partial dual ``G^A``,
+because ``(G^A)^X = G^(A△X)`` with the edge labels kept.  So
+:func:`move_related` searches breadth-first over edge subsets ``A`` of
+``G``: the steps from ``G^A`` lead to ``A△X`` for every summand edge set
+``X`` of ``G^A`` and to ``A△E`` for the geometric dual.  Nodes are
+deduplicated by canonical code, and each subset is built and coded at
+most once per search, so a search holds at most ``2^e`` nodes.
 """
 
 from __future__ import annotations
@@ -56,6 +64,8 @@ class MoveSearchResult:
     trace: Optional[MoveTrace]
     closed: bool  # reachable set exhausted below the bound
     max_depth: int
+    expanded: int = 0  # classes whose steps were taken
+    reached: int = 0  # distinct classes seen, the start included
 
     @property
     def found(self) -> bool:
@@ -108,29 +118,23 @@ def dual_join_summand_move(g: RibbonGraph, factor: Iterable[str]) -> RibbonGraph
     return result
 
 
-def _neighbours(g: RibbonGraph, policy: str = "unions"):
-    """All single search steps from ``g``: summand duals plus the whole
-    geometric dual.
+def _step_sets(g: RibbonGraph, policy: str) -> list[frozenset]:
+    """The edge sets a search step from ``g`` may dual, in label order.
 
     ``splits`` duals one side of a two-sided join split (each step is a
     single legal move).  ``unions`` duals any connected union of prime
     factors; a step may be a shortcut for a short sequence of legal moves,
     never leaving the set of partial duals, and reaches the same graphs.
+    The whole edge set is left to the geometric-dual step.
     """
-    out = []
-    full = frozenset(g.edge_labels)
     if policy == "unions":
         factor_sets = summand_edge_sets(g)
     elif policy == "splits":
         factor_sets = binary_summand_sets(g)
     else:
         raise ValueError(f"unknown move policy {policy!r}")
-    for edges in factor_sets:
-        if edges == full:
-            continue
-        out.append((MoveStep("dual-join-summand", edges), partial_dual(g, edges)))
-    out.append((MoveStep("geometric-dual", full), geometric_dual(g)))
-    return out
+    full = frozenset(g.edge_labels)
+    return [edges for edges in factor_sets if edges != full]
 
 
 def move_related(
@@ -138,12 +142,16 @@ def move_related(
 ) -> MoveSearchResult:
     """Shortest move sequence taking ``g`` to a graph equivalent to ``h``.
 
-    Breadth-first over canonical codes; ``closed`` reports whether the
-    search saw its whole reachable set before hitting the depth bound, so a
-    missing trace is a proof of unrelatedness only when ``closed`` is true.
-    Moves keep the edge count, so graphs with different edge counts are
-    unrelated without a search.
+    Breadth-first over the edge subsets ``A`` of ``g``, one node per
+    canonical code: the steps from ``G^A`` are the summand duals and the
+    geometric dual, each leading to ``G^(A△X)``.  ``closed`` reports
+    whether the search saw its whole reachable set before hitting the depth
+    bound, so a missing trace is a proof of unrelatedness only when
+    ``closed`` is true.  Moves keep the edge count, so graphs with
+    different edge counts are unrelated without a search.
     """
+    if bound < 0:
+        raise ValueError(f"move search depth bound must be at least 0, not {bound}")
     if not is_connected(g) or not is_connected(h):
         raise ValueError("move search requires connected graphs")
     if g.n_edges != h.n_edges:
@@ -151,24 +159,44 @@ def move_related(
     target = h.canonical_code()
     start_code = g.canonical_code()
     if start_code == target:
-        return MoveSearchResult(MoveTrace((), (start_code,)), True, 0)
-    seen: dict[str, tuple[Optional[str], Optional[MoveStep], RibbonGraph]] = {
-        start_code: (None, None, g)
+        return MoveSearchResult(MoveTrace((), (start_code,)), True, 0, 0, 1)
+    idx = g._indexed()
+    full = frozenset(g.edge_labels)
+    all_edges = idx.mask(full)
+    duals = {0: g}  # every subset built so far, by edge mask
+
+    def dual(mask: int) -> RibbonGraph:
+        d = duals.get(mask)
+        if d is None:
+            d = duals[mask] = partial_dual(g, idx.edge_set(mask))
+        return d
+
+    # code -> (parent code, step, edge mask of its first representative)
+    seen: dict[str, tuple[Optional[str], Optional[MoveStep], int]] = {
+        start_code: (None, None, 0)
     }
     queue = deque([(start_code, 0)])
     closed = True
     max_depth = 0
+    expanded = 0
     while queue:
         code, depth = queue.popleft()
         if depth >= bound:
             closed = False
             continue
-        cur = seen[code][2]
-        for step, nxt in _neighbours(cur, policy):
-            ncode = nxt.canonical_code()
+        expanded += 1
+        node = seen[code][2]
+        flips = [
+            (MoveStep("dual-join-summand", edges), idx.mask(edges))
+            for edges in _step_sets(dual(node), policy)
+        ]
+        flips.append((MoveStep("geometric-dual", full), all_edges))
+        for step, flip in flips:
+            mask = node ^ flip
+            ncode = dual(mask).canonical_code()
             if ncode in seen:
                 continue
-            seen[ncode] = (code, step, nxt)
+            seen[ncode] = (code, step, mask)
             max_depth = max(max_depth, depth + 1)
             if ncode == target:
                 steps = []
@@ -182,9 +210,11 @@ def move_related(
                     MoveTrace(tuple(reversed(steps)), tuple(reversed(codes))),
                     True,
                     depth + 1,
+                    expanded,
+                    len(seen),
                 )
             queue.append((ncode, depth + 1))
-    return MoveSearchResult(None, closed, max_depth)
+    return MoveSearchResult(None, closed, max_depth, expanded, len(seen))
 
 
 def join_partial_dual_distributes(

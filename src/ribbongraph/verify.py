@@ -17,7 +17,11 @@ step tracer (:func:`surface_stats_by_walks`), and side components from
 built induced subgraphs.  None of them reads the integer view.  The join
 oracle (:func:`join_biseparations_by_splits`) shares the library's split
 finder but searches recursive binary join splits instead of using the
-uniqueness of the prime factorization.
+uniqueness of the prime factorization.  The partial-dual subsets of a pair
+come from building and coding every subset
+(:func:`partial_dual_subsets_by_codes`), and the move closure from a
+search over built graphs (:func:`_move_closure`), where the library keys
+its search by edge subset.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from .duality import (
     spectrum,
     subsets_sorted,
 )
+from .moves import _step_sets
 from .topology import (
     SurfaceStats,
     boundary_components,
@@ -401,6 +406,18 @@ def side_components_by_subgraphs(g: RibbonGraph, edges: Iterable[str]) -> tuple:
     return tuple(out)
 
 
+def partial_dual_subsets_by_codes(g: RibbonGraph, h: RibbonGraph) -> list[frozenset]:
+    """Every edge subset of ``g`` whose built partial dual has ``h``'s
+    canonical code, smallest subsets first: every subset is built and
+    coded.  Oracle for the count filter of
+    :func:`duality.partial_dual_subsets`."""
+    target = h.canonical_code()
+    return [
+        sub for sub in subsets_sorted(g.edge_labels)
+        if partial_dual(g, sub).canonical_code() == target
+    ]
+
+
 def join_biseparations_by_splits(g: RibbonGraph) -> set[frozenset]:
     """Every subset that the recursive join-split search accepts.  Oracle
     for :func:`decomposition.is_join_biseparation` that never uses the
@@ -654,13 +671,15 @@ def _check_route_agreement(res: CheckResult, ana: _Analysis) -> None:
 
 
 def _check_count_routes(res: CheckResult, ana: _Analysis) -> None:
-    """The boundary-count routes against built graphs: every spectrum row
-    against the built dual's traced statistics, the integer
-    :func:`surface_stats` of every built dual against the same traced
-    statistics, every side list of a certificate against
-    :func:`side_components_by_subgraphs`."""
+    """The boundary-count routes against built graphs: each walk count
+    ``f(A)`` and ``f(Aᶜ)`` against the built dual's vertex and traced
+    boundary counts, every spectrum row against the built dual's traced
+    statistics, the integer :func:`surface_stats` of every built dual
+    against the same traced statistics, every side list of a certificate
+    against :func:`side_components_by_subgraphs`."""
     g = ana.g
     full = frozenset(g.edge_labels)
+    idx = g._indexed()
     rows = {r.subset: r for r in spectrum(g)}
     # a subset and its complement share their side lists, so each edge
     # set's oracle list is built once
@@ -669,6 +688,10 @@ def _check_count_routes(res: CheckResult, ana: _Analysis) -> None:
         res.checked += 1
         row = rows.get(sub)
         st = ana.dual_stats[sub]
+        if len(idx.walk_homes(idx.mask(sub))) != ana.dual[sub].n_vertices:
+            res.fail(graph=_serial(g), subset=sub, property="f(A) vs built dual vertices")
+        if len(idx.walk_homes(idx.mask(full - sub))) != st.n_boundary:
+            res.fail(graph=_serial(g), subset=sub, property="f(Aᶜ) vs built dual boundary")
         if row is None or (row.euler_genus, row.orientable) != (st.euler_genus, st.orientable):
             res.fail(graph=_serial(g), subset=sub, property="spectrum row vs built dual")
         if surface_stats(ana.dual[sub]) != st:
@@ -881,10 +904,17 @@ def _check_representation_roundtrip(res: CheckResult, ana: _Analysis) -> None:
             res.fail(graph=_serial(g), subset=sub, property="mark/restore round trip")
 
 
-def _move_closure(g: RibbonGraph, bound: int, policy: str) -> dict[str, int]:
-    """Canonical codes reachable by search moves, with their depths."""
-    from .moves import _neighbours
+def _neighbours(g: RibbonGraph, policy: str) -> list[RibbonGraph]:
+    """Every graph one search step takes ``g`` to, built from ``g`` itself:
+    the summand duals of the policy's step sets, then the geometric dual.
+    The move search reaches the same graphs as partial duals of its start
+    graph, keyed by edge subset."""
+    return [partial_dual(g, edges) for edges in _step_sets(g, policy)] + [geometric_dual(g)]
 
+
+def _move_closure(g: RibbonGraph, bound: int, policy: str) -> dict[str, int]:
+    """Canonical codes reachable by search moves, with their depths, by a
+    breadth-first search over built graphs."""
     depth = {g.canonical_code(): 0}
     frontier = [g]
     while frontier:
@@ -893,7 +923,7 @@ def _move_closure(g: RibbonGraph, bound: int, policy: str) -> dict[str, int]:
             d = depth[cur.canonical_code()]
             if d >= bound:
                 continue
-            for _, child in _neighbours(cur, policy):
+            for child in _neighbours(cur, policy):
                 code = child.canonical_code()
                 if code not in depth:
                     depth[code] = d + 1

@@ -234,3 +234,29 @@ def test_spectrum_refuses_seventeen_edges():
     from ribbongraph.duality import refuse_large_sweep
 
     refuse_large_sweep(small, "spectrum")  # 16 edges are admitted
+
+
+def test_partial_dual_subsets_build_only_matching_counts(monkeypatch):
+    # a subset is built only when the vertex and boundary counts of its
+    # dual, read off the walks, are those of the target
+    import ribbongraph.duality as duality
+    from ribbongraph.verify import generate
+
+    g = generate(6, mode="random", seed=5, count=1).graphs[0]
+    stats = {sub: surface_stats(partial_dual(g, sub)) for sub in subsets_sorted(g.edge_labels)}
+    built = []
+    original = duality.partial_dual
+
+    def counting(graph, edges):
+        built.append(frozenset(edges))
+        return original(graph, edges)
+
+    monkeypatch.setattr(duality, "partial_dual", counting)
+    for sub in (frozenset(), frozenset(sorted(g.edge_labels)[:2])):
+        h = original(g, sub)
+        want = (h.n_vertices, surface_stats(h).n_boundary)
+        built.clear()
+        found = duality.partial_dual_subsets(g, h)
+        assert sub in found
+        assert built == [s for s, st in stats.items() if (st.n_vertices, st.n_boundary) == want]
+        assert len(built) < 2 ** g.n_edges

@@ -342,3 +342,31 @@ def test_cli_verify_refuses_large_graphs(capsys):
     assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: verify over 24 edges means 2^24 subsets"), err
+
+
+def test_cli_relate_refuses_negative_depth(files, capsys):
+    assert main(["relate", files["c"], files["c"], "--max-depth", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: move search depth bound"), captured.err
+
+
+def test_cli_biseparations_certifies_each_subset_once(fixtures, tmp_path, monkeypatch, capsys):
+    import ribbongraph.decomposition as decomposition
+
+    calls = []
+    original = decomposition.biseparation_data
+
+    def counting(g, edges):
+        calls.append(frozenset(edges))
+        return original(g, edges)
+
+    monkeypatch.setattr(decomposition, "biseparation_data", counting)
+    g = fixtures["G2"]
+    path = tmp_path / "g2.txt"
+    path.write_text(serialize_graph(g))
+    for extra in ([], ["--json"]):
+        calls.clear()
+        assert main(["biseparations", str(path)] + extra) == 0
+        assert len(calls) == 2 ** g.n_edges == len(set(calls)), extra
+    capsys.readouterr()

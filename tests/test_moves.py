@@ -1,6 +1,7 @@
 import pytest
 
 from ribbongraph import (
+    MoveSearchResult,
     NotAJoinSummand,
     build_graph,
     dual_join_summand_move,
@@ -138,3 +139,55 @@ def test_distributivity_with_larger_side(fixtures):
     q = single_vertex("z z", "-")
     for sub in subsets_sorted(["a", "b", "z"]):
         assert join_partial_dual_distributes(p, "v", q, "v", sub)
+
+
+def test_relate_routes_agree_with_the_built_oracles(corpus4):
+    # every connected graph with up to 4 edges of Euler genus 0 or 1 against
+    # each of its distinct partial duals: the count-filtered sweep against
+    # building every subset, the subset-keyed search against the closure
+    # over built graphs
+    from ribbongraph.duality import partial_dual_subsets
+    from ribbongraph.verify import _move_closure, partial_dual_subsets_by_codes
+
+    pairs = 0
+    for g in corpus4.graphs:
+        if euler_genus(g) > 1:
+            continue
+        closures = {p: _move_closure(g, 8, p) for p in ("unions", "splits")}
+        seen = set()
+        for sub in subsets_sorted(g.edge_labels):
+            h = partial_dual(g, sub)
+            code = h.canonical_code()
+            if code in seen:
+                continue
+            seen.add(code)
+            pairs += 1
+            assert partial_dual_subsets(g, h) == partial_dual_subsets_by_codes(g, h), (g, sub)
+            for policy, depth in closures.items():
+                res = move_related(g, h, policy=policy)
+                assert res.found == (code in depth), (g, sub, policy)
+                if res.found:
+                    assert len(res.trace) == depth[code]
+                    assert is_equivalent(res.trace.replay(g), h)
+                else:
+                    assert res.closed
+                    assert res.reached == len(depth)
+                assert res.expanded <= res.reached
+    assert pairs > 1000
+
+
+def test_search_counts():
+    theta = build_graph(
+        {"u": ["a.1", "b.1", "c.1"], "w": ["c.2", "b.2", "a.2"]},
+        {"a": "+", "b": "+", "c": "+"},
+    )
+    assert move_related(theta, theta).reached == 1
+    res = move_related(theta, geometric_dual(theta))
+    assert (res.expanded, res.reached) == (1, 2)
+    assert move_related(theta, single_vertex("a a b b", "++")).expanded == 0
+    assert MoveSearchResult(None, True, 0).reached == 0
+
+
+def test_negative_bound_is_refused(fixtures):
+    with pytest.raises(ValueError, match="bound"):
+        move_related(fixtures["C"], fixtures["C"], bound=-1)
