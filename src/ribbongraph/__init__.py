@@ -46,6 +46,7 @@ from .decomposition import (
 )
 from .duality import (
     SpectrumEntry,
+    genus_polynomial,
     geometric_dual,
     partial_dual,
     partial_dual_by_edges,

@@ -21,7 +21,6 @@ from .core import (
 from .decomposition import (
     BiseparationClass,
     _certified_subsets,
-    classify_biseparation,
     prime_factorization,
 )
 from .duality import geometric_dual, partial_dual, partial_dual_subsets, spectrum
@@ -74,10 +73,7 @@ def cmd_dual(args) -> int:
 
 def cmd_spectrum(args) -> int:
     g = _load(args.file)
-    classify = None
-    if args.classes:
-        classify = lambda graph, sub: str(classify_biseparation(graph, sub))
-    rows = spectrum(g, genus=args.genus, classify=classify, force=args.force)
+    rows = spectrum(g, genus=args.genus, classes=args.classes, force=args.force)
     if args.json:
         print(io_text.emit({"command": "spectrum", "spectrum": io_text.spectrum_json(rows)}), end="")
     else:

@@ -216,14 +216,11 @@ def _side_components(g: RibbonGraph, edges: frozenset, side: str) -> list[SideCo
     ]
 
 
-def _classify_components(comps) -> tuple[str, int]:
-    genera = sorted((c.euler_genus for c in comps), reverse=True)
-    total = sum(genera)
-    if total == 0:
-        return "plane", 0
-    if genera[0] == 1 and total == 1:
-        return "rp2", 1
-    return "other", total
+def _label_of_total(total: int) -> str:
+    """The certificate label for a side-genus sum: ``plane`` for 0, ``rp2``
+    for 1 (one crosscap, as every side genus is at least 0), else
+    ``other``."""
+    return {0: "plane", 1: "rp2"}.get(total, "other")
 
 
 def _incidence_tree(g: RibbonGraph, comp_a, comp_b) -> Optional[tuple]:
@@ -263,7 +260,7 @@ def biseparation_data(
     comp_a = _side_components(g, sub, "A")
     comp_b = _side_components(g, g.complement(sub), "B")
     comps = tuple(comp_a + comp_b)
-    label, total = _classify_components(comps)
+    total = sum(c.euler_genus for c in comps)
     trivial = not sub or sub == frozenset(g.edge_labels)
     tree = () if trivial else _incidence_tree(g, comp_a, comp_b)
     cert = None if tree is None else BiseparationCertificate(
@@ -271,7 +268,7 @@ def biseparation_data(
         trivial=trivial,
         components=comps,
         tree_edges=tree,
-        label=label,
+        label=_label_of_total(total),
         genus_sum=total,
     )
     return comps, cert
@@ -346,11 +343,11 @@ def enumerate_biseparations(
 # -- joins: detection, prime factorization -------------------------------------
 
 
-def _join_splits(g: RibbonGraph, mask: int) -> list[tuple[str, frozenset]]:
-    """The join splits of the subgraph induced by the edges in ``mask``,
-    sorted, read from the integer view of ``g``."""
+def _split_masks(g: RibbonGraph, mask: int) -> Iterator[tuple[int, int]]:
+    """The join splits of the subgraph induced by the edges in ``mask``, as
+    ``(vertex index, edge mask)`` pairs read from the integer view of
+    ``g``, each one or more times, in no useful order."""
     idx = g._indexed()
-    out = set()
     for v, darts in enumerate(idx.rot):
         rot = [x for x in darts if mask >> (x >> 1) & 1]
         d = len(rot)
@@ -384,10 +381,16 @@ def _join_splits(g: RibbonGraph, mask: int) -> list[tuple[str, frozenset]]:
                     x |= 1 << (rot[i] >> 1)
                 for ci in comps_in:
                     x |= rest[ci][1]
-                out.add((v, x))
+                yield v, x
+
+
+def _join_splits(g: RibbonGraph, mask: int) -> list[tuple[str, frozenset]]:
+    """The join splits of the subgraph induced by the edges in ``mask``,
+    by vertex name and edge set, sorted."""
+    idx = g._indexed()
     names = g.vertex_names
     return sorted(
-        ((names[v], idx.edge_set(x)) for v, x in out),
+        ((names[v], idx.edge_set(x)) for v, x in set(_split_masks(g, mask))),
         key=lambda t: (t[0], sorted(t[1])),
     )
 
@@ -424,30 +427,35 @@ class JoinTree:
         return len(self.factors)
 
 
+def _prime_factor_masks(g: RibbonGraph) -> list[int]:
+    """Edge masks of the prime factors of every component of ``g``: each
+    component's edges are split at the first join split found until no
+    split remains.  Edgeless vertices have no factor.  The factor edge sets
+    are independent of the split order; the test suite asserts this by
+    trying every order on corpus graphs."""
+    out = []
+    stack = [es for _, es, _ in g._indexed().components]
+    while stack:
+        mask = stack.pop()
+        if not mask:
+            continue
+        split = next(_split_masks(g, mask), None)
+        if split is None:
+            out.append(mask)
+            continue
+        x = split[1]
+        stack.append(x)
+        stack.append(mask & ~x)
+    return out
+
+
 @per_graph
 def prime_factorization(g: RibbonGraph) -> JoinTree:
-    """Split at join vertices until no split remains.
-
-    The factor edge sets are independent of the split order; the test suite
-    asserts this by trying every order on corpus graphs.
-    """
+    """Split at join vertices until no split remains."""
     if not is_connected(g):
         raise InvalidGraph("prime factorization is defined for connected graphs")
     idx = g._indexed()
-    factors = []
-    stack = [frozenset(g.edge_labels)]
-    while stack:
-        edges = stack.pop()
-        if not edges:
-            continue
-        splits = _join_splits(g, idx.mask(edges))
-        if not splits:
-            factors.append(edges)
-            continue
-        v, x = splits[0]
-        stack.append(x)
-        stack.append(edges - x)
-    factors.sort(key=sorted)
+    factors = sorted((idx.edge_set(m) for m in _prime_factor_masks(g)), key=sorted)
     # the vertices of a factor are the ends of its edges
     names, dart_vertex = g.vertex_names, idx.dart_vertex
     vert_sets = [

@@ -22,22 +22,37 @@ with ``k`` components and ``e`` edges
 
     γ(G^A) = 2k + e − f(A) − f(Aᶜ).
 
-:func:`spectrum` reads both counts from the integer walk counter of the
-graph's indexed view.  The built route, ``surface_stats(partial_dual(g, A))``,
-is the oracle it is checked against in ``verify`` (``count-route-agreement``).
-The same two counts filter :func:`partial_dual_subsets`: only a subset
-whose counts match the target's vertex and boundary counts is built.
+Separability decides the rest.  Write ``G`` as the join of its prime
+factors ``P_i`` with edge sets ``E_i``; partial duality distributes over
+joins and Euler genus adds over them, so
+
+    γ(G^A) = Σ_i γ(P_i^(A∩E_i)),
+
+and ``A`` carries a biseparation certificate exactly when every ``A∩E_i``
+carries one on its factor, with the side-genus sums adding up.
+:func:`spectrum` therefore fills one table per prime factor, genus and
+certificate class for each subset of ``E_i`` from the integer walk and
+component counts of the graph's indexed view, and reads each row off the
+tables; :func:`genus_polynomial` multiplies the tables' histograms.  The
+built route, ``surface_stats(partial_dual(g, A))``, and the whole-graph
+certificates are the oracles they are checked against in ``verify``
+(``count-route-agreement``).  The same two walk counts filter
+:func:`partial_dual_subsets`: only a subset whose counts match the
+target's vertex and boundary counts is built.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .core import (
     Arrow,
     ArrowPresentation,
     End,
+    InvalidGraph,
     InvariantViolation,
     Mark,
     MarkedRibbonGraph,
@@ -46,6 +61,7 @@ from .core import (
     from_arrow_presentation,
     to_arrow_presentation,
 )
+from .decomposition import BiseparationClass, _label_of_total, _prime_factor_masks
 from .topology import is_orientable, trace_walks
 
 
@@ -245,7 +261,7 @@ def partial_dual_via_marks(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
 # -- spectrum -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectrumEntry:
     """One row of the partial-dual genus spectrum."""
 
@@ -281,49 +297,159 @@ def refuse_large_sweep(g: RibbonGraph, what: str, override: str = "") -> None:
         )
 
 
+def _factor_tables(g: RibbonGraph, masks: list[int], classes: bool) -> list[tuple]:
+    """One table per prime factor ``F`` (an edge mask of ``g``), indexed by
+    the submasks ``S`` of ``F`` written in ``F``'s own bits.
+
+    Returns per factor ``(edges, genus, cert)``: the edge indices of ``F``
+    in bit order, ``γ(P^S)`` for the factor ``P``, and (when ``classes``)
+    the side-genus sum of ``S``'s certificate on ``P``, or ``-1`` when it
+    has none.  With ``v_P`` the vertices that ``F``'s edges touch, the
+    spanning subgraph of ``g`` on ``S`` is ``P``'s plus ``v − v_P`` bare
+    vertices, each one walk and one component; so ``P``'s walk count is
+    ``f_P(S) = f(S) − (v − v_P)``, its component count ``c_P(S)`` likewise,
+    and as ``P`` is connected
+
+        γ(P^S) = 2 + |F| − f_P(S) − f_P(F∖S).
+
+    The side components of ``S`` on ``P`` are the parts of the spanning
+    subgraphs on ``S`` and ``F∖S`` that carry an edge; their genera sum to
+    the Euler genus ``2 c_P(S) − v_P + |S| − f_P(S)`` of the spanning
+    subgraph on ``S``, plus the same for ``F∖S``.  Their incidence graph,
+    one edge per vertex on both sides, is connected because ``P`` is, so it
+    is a tree exactly when it has one edge fewer than nodes, which reduces
+    to ``c_P(S) + c_P(F∖S) = v_P + 1``.  ``S = ∅`` and ``S = F`` always
+    qualify.
+    """
+    idx = g._indexed()
+    out = []
+    for fmask in masks:
+        edges = [i for i in range(idx.ne) if fmask >> i & 1]
+        p = len(edges)
+        top = (1 << p) - 1
+        # the submask of F for each local index, from the one without its
+        # lowest bit
+        submask = [0] * (top + 1)
+        for loc in range(1, top + 1):
+            low = loc & -loc
+            submask[loc] = submask[loc ^ low] | 1 << edges[low.bit_length() - 1]
+        v_p = len({idx.dart_vertex[d] for i in edges for d in (2 * i, 2 * i + 1)})
+        bare = idx.nv - v_p
+        f = [len(idx.walk_homes(m)) - bare for m in submask]
+        # one signed byte per entry: a genus or a side-genus sum is at most |F|
+        genus = array("b", (2 + p - f[loc] - f[top ^ loc] for loc in range(top + 1)))
+        cert = None
+        if classes:
+            c = [len(idx.parts(m)[0]) - bare for m in submask]
+            side = [2 * c[loc] - v_p + loc.bit_count() - f[loc] for loc in range(top + 1)]
+            cert = array("b", (
+                side[loc] + side[top ^ loc] if c[loc] + c[top ^ loc] == v_p + 1 else -1
+                for loc in range(top + 1)
+            ))
+        out.append((edges, genus, cert))
+    return out
+
+
 def spectrum(
     g: RibbonGraph,
     genus: Optional[int] = None,
-    classify: Optional[Callable[[RibbonGraph, frozenset], str]] = None,
+    classes: bool = False,
     force: bool = False,
 ) -> list[SpectrumEntry]:
-    """Euler genus and orientability of every partial dual of ``g``.
+    """Euler genus and orientability of every partial dual of ``g``, and
+    with ``classes`` the class of each subset's biseparation certificate.
 
-    No partial dual is built.  ``G^A`` has one vertex per boundary walk of
-    the spanning subgraph on ``A`` and one boundary component per walk of
-    the spanning subgraph on the complement, keeps the ``e`` edges and the
-    ``k`` components of ``g``, and is orientable exactly when ``g`` is, so
+    No partial dual is built and no whole-graph certificate computed.
+    Write ``g`` as the join of its prime factors ``P_i`` (over all its
+    components), with edge sets ``E_i``.  Partial duality distributes over
+    joins and Euler genus adds over them, so
 
-        γ(G^A) = 2k + e − f(A) − f(Aᶜ).
+        γ(G^A) = Σ_i γ(P_i^(A∩E_i)),
 
-    Each count ``f`` is taken once per edge set, from the integer walk
-    counter of the graph's indexed view, and serves both a subset and its
-    complement.  ``genus`` filters the rows; ``classify`` optionally
-    annotates each row (the decomposition module supplies a suitable
-    callable).  Enumerating ``2^e`` subsets is refused above
-    :data:`SWEEP_MAX_EDGES` edges unless forced.
+    and ``A`` carries a certificate exactly when every ``A∩E_i`` carries
+    one on its factor, the side-genus sums adding up.  One table per
+    factor (:func:`_factor_tables`) holds both for each subset of ``E_i``,
+    from the walk and component counts of the graph's indexed view, so a
+    row costs one lookup per factor.  A row's class is ``none`` if a factor
+    has no certificate, else ``plane``, ``rp2`` or ``other(t)`` for the
+    total ``t`` of the side genera, marked trivial for ``∅`` and ``E``, as
+    :class:`decomposition.BiseparationClass` prints it.  Classes are defined
+    for connected graphs only.  ``genus`` filters the rows.  Enumerating
+    ``2^e`` subsets is refused above :data:`SWEEP_MAX_EDGES` edges unless
+    forced.
     """
     if not force:
         refuse_large_sweep(g, "spectrum", "; pass force=True to run anyway")
     idx = g._indexed()
-    full = (1 << idx.ne) - 1
-    base = 2 * len(idx.components) + idx.ne
+    if classes and len(idx.components) > 1:
+        raise InvalidGraph("biseparations are defined for connected graphs")
+    tables = _factor_tables(g, _prime_factor_masks(g), classes)
+    labels = idx.labels
+    # each edge's factor and its bit in that factor's local index
+    place = {labels[i]: (j, 1 << b) for j, t in enumerate(tables) for b, i in enumerate(t[0])}
+    genera = [t[1] for t in tables]
+    certs = [t[2] for t in tables]
     orientable = is_orientable(g)
+    n_edges = len(labels)
+    texts: dict[tuple[int, bool], str] = {}
     rows = []
-    for sub in subsets_sorted(g.edge_labels):
-        mask = idx.mask(sub)
-        gamma = base - len(idx.walk_homes(mask)) - len(idx.walk_homes(full ^ mask))
+    for sub in subsets_sorted(labels):
+        loc = [0] * len(tables)
+        for lab in sub:
+            j, bit = place[lab]
+            loc[j] |= bit
+        gamma = 0
+        for table, l in zip(genera, loc):
+            gamma += table[l]
         if genus is not None and gamma != genus:
             continue
-        rows.append(
-            SpectrumEntry(
-                subset=sub,
-                euler_genus=gamma,
-                orientable=orientable,
-                biseparation=classify(g, sub) if classify else None,
-            )
-        )
+        text = None
+        if classes:
+            total = 0
+            for table, l in zip(certs, loc):
+                if table[l] < 0:
+                    total = -1
+                    break
+                total += table[l]
+            key = (total, len(sub) in (0, n_edges))
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = str(
+                    BiseparationClass(False, False, None, None) if total < 0
+                    else BiseparationClass(True, key[1], _label_of_total(total), total)
+                )
+        rows.append(SpectrumEntry(sub, gamma, orientable, text))
     return rows
+
+
+def genus_polynomial(g: RibbonGraph) -> dict[int, int]:
+    """The partial-dual Euler-genus polynomial ``Σ_A z^γ(G^A)`` of ``g``, as
+    a map from Euler genus to the number of subsets reaching it.
+
+    Euler genus adds over the prime factors (see :func:`spectrum`), so the
+    polynomial is the product of the factors' polynomials, each the
+    histogram of its genus table (Gross, Mansour and Tucker, "Partial
+    duality for ribbon graphs, I: Distributions", European J. Combin. 86,
+    2020).  Only ``Σ_i 2^|E_i|`` subsets are counted, so a join of many
+    small factors needs no ``2^e`` sweep; a prime factor above
+    :data:`SWEEP_MAX_EDGES` edges is refused.
+    """
+    masks = _prime_factor_masks(g)
+    largest = max((m.bit_count() for m in masks), default=0)
+    if largest > SWEEP_MAX_EDGES:
+        raise RibbonGraphError(
+            f"genus polynomial over a prime factor of {largest} edges means "
+            f"2^{largest} subsets, above the limit of {SWEEP_MAX_EDGES} edges"
+        )
+    poly = {0: 1}
+    for _, table, _ in _factor_tables(g, masks, False):
+        counts = Counter(table)
+        product: Counter = Counter()
+        for a, x in poly.items():
+            for b, y in counts.items():
+                product[a + b] += x * y
+        poly = product
+    return dict(sorted(poly.items()))
 
 
 def partial_dual_subsets(g: RibbonGraph, h: RibbonGraph) -> list[frozenset]:

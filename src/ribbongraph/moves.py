@@ -27,7 +27,7 @@ from .decomposition import (
     join_summand_splits,
     summand_edge_sets,
 )
-from .duality import geometric_dual, partial_dual
+from .duality import geometric_dual, partial_dual, refuse_large_sweep
 from .topology import surface_stats
 
 
@@ -148,7 +148,9 @@ def move_related(
     whether the search saw its whole reachable set before hitting the depth
     bound, so a missing trace is a proof of unrelatedness only when
     ``closed`` is true.  Moves keep the edge count, so graphs with
-    different edge counts are unrelated without a search.
+    different edge counts are unrelated without a search.  A search that
+    would range over the subsets of more than ``duality.SWEEP_MAX_EDGES``
+    edges is refused.
     """
     if bound < 0:
         raise ValueError(f"move search depth bound must be at least 0, not {bound}")
@@ -160,6 +162,7 @@ def move_related(
     start_code = g.canonical_code()
     if start_code == target:
         return MoveSearchResult(MoveTrace((), (start_code,)), True, 0, 0, 1)
+    refuse_large_sweep(g, "move search")
     idx = g._indexed()
     full = frozenset(g.edge_labels)
     all_edges = idx.mask(full)

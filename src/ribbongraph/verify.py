@@ -21,7 +21,9 @@ uniqueness of the prime factorization.  The partial-dual subsets of a pair
 come from building and coding every subset
 (:func:`partial_dual_subsets_by_codes`), and the move closure from a
 search over built graphs (:func:`_move_closure`), where the library keys
-its search by edge subset.
+its search by edge subset.  The spectrum's classes, which the library reads
+from one table per prime factor, are checked against the whole-graph
+certificate of every subset (``count-route-agreement``).
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .core import (
 )
 from .decomposition import (
     BiseparationCertificate,
+    BiseparationClass,
     _join_splits,
     all_interleave_patterns,
     biseparation_data,
@@ -235,6 +238,8 @@ def enumerate_raw(max_edges: int) -> list[RibbonGraph]:
 
 
 def _random_graph(rng: random.Random, n_edges: int) -> RibbonGraph:
+    if not n_edges:
+        return RibbonGraph({"v0": []}, {})  # no darts to arrange: one bare vertex
     darts = list(range(2 * n_edges))
     rng.shuffle(darts)
     perm = {i: darts[i] for i in range(2 * n_edges)}
@@ -674,13 +679,14 @@ def _check_count_routes(res: CheckResult, ana: _Analysis) -> None:
     """The boundary-count routes against built graphs: each walk count
     ``f(A)`` and ``f(Aᶜ)`` against the built dual's vertex and traced
     boundary counts, every spectrum row against the built dual's traced
-    statistics, the integer :func:`surface_stats` of every built dual
-    against the same traced statistics, every side list of a certificate
-    against :func:`side_components_by_subgraphs`."""
+    statistics and its class, read from the prime factors' tables, against
+    the whole-graph certificate, the integer :func:`surface_stats` of every
+    built dual against the same traced statistics, every side list of a
+    certificate against :func:`side_components_by_subgraphs`."""
     g = ana.g
     full = frozenset(g.edge_labels)
     idx = g._indexed()
-    rows = {r.subset: r for r in spectrum(g)}
+    rows = {r.subset: r for r in spectrum(g, classes=True)}
     # a subset and its complement share their side lists, so each edge
     # set's oracle list is built once
     built = {sub: side_components_by_subgraphs(g, sub) for sub in ana.subsets}
@@ -694,6 +700,9 @@ def _check_count_routes(res: CheckResult, ana: _Analysis) -> None:
             res.fail(graph=_serial(g), subset=sub, property="f(Aᶜ) vs built dual boundary")
         if row is None or (row.euler_genus, row.orientable) != (st.euler_genus, st.orientable):
             res.fail(graph=_serial(g), subset=sub, property="spectrum row vs built dual")
+        elif row.biseparation != str(BiseparationClass.of(ana.cert[sub])):
+            res.fail(graph=_serial(g), subset=sub,
+                     property="factor-table class vs whole-graph certificate")
         if surface_stats(ana.dual[sub]) != st:
             res.fail(graph=_serial(g), subset=sub,
                      property="integer surface stats vs traced walks")
@@ -1076,16 +1085,22 @@ def _check_join_dual_distribution(res: CheckResult, corpus: Corpus) -> None:
 
 
 def _check_corpus_counts(res: CheckResult, corpus: Corpus) -> None:
+    """An exhaustive corpus has exactly the classes of the raw enumeration
+    up to three edges; a random one is a sample, so its connected graphs
+    need only be among them."""
     limit = min(3, corpus.params.get("max_edges", 0))
     raw = enumerate_raw(limit)
     raw_codes = {g.canonical_code() for g in raw}
     aug_codes = {
-        g.canonical_code() for g in corpus.graphs if g.n_edges <= limit
+        g.canonical_code() for g in corpus.graphs
+        if g.n_edges <= limit and is_connected(g)
     }
+    sample = corpus.params.get("mode") == "random"
+    only_raw = 0 if sample else len(raw_codes - aug_codes)
     res.checked += 1
-    if raw_codes != aug_codes:
+    if only_raw or aug_codes - raw_codes:
         res.fail(property="augmentation vs raw enumeration",
-                 only_raw=len(raw_codes - aug_codes),
+                 only_raw=only_raw,
                  only_augmented=len(aug_codes - raw_codes))
     res.notes["classes"] = {e: sum(1 for g in corpus.graphs if g.n_edges == e)
                             for e in range(limit + 1)}

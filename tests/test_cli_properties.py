@@ -4,8 +4,9 @@ Every command exits 0 or 2 and never raises, ``--json`` output parses, two
 runs print the same bytes, and ``info --json`` agrees with the traced
 surface statistics.  Inputs are random graphs of up to six edges, often
 disconnected and with edgeless vertices, so that the multi-component paths
-run too; pairs of them for ``relate``, edge counts often different; and
-files made malformed by mutating the bytes of a valid one.
+run too; pairs of them for ``relate``, edge counts often different; files
+made malformed by mutating the bytes of a valid one; and for ``verify
+--stable``, small random corpora.
 """
 
 import contextlib
@@ -134,6 +135,18 @@ def test_cli_relate_different_edge_counts_needs_no_search(tmp_path):
     code, out, _ = _run(["relate", str(long), str(short), "--json"])
     data = json.loads(out)
     assert code == 0 and data["moves"] is None and data["search_closed"] is True
+
+
+# each run enumerates the raw rotation systems and runs the corpus-wide
+# checks, about 0.7 s, so only a few cases
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), max_edges=st.integers(0, 3), count=st.integers(0, 3))
+@example(seed=101, max_edges=3, count=3)
+def test_cli_verify_contract(seed, max_edges, count):
+    _check_contract([
+        ["verify", "--mode", "random", "--max-edges", str(max_edges), "--count", str(count),
+         "--seed", str(seed), "--stable"],
+    ])
 
 
 # bytes that a mutation writes: the format's own syntax, some letters and

@@ -15,7 +15,7 @@ from ribbongraph import (
     spectrum,
     surface_stats,
 )
-from ribbongraph.duality import partial_dual_via_marks, subsets_sorted
+from ribbongraph.duality import genus_polynomial, partial_dual_via_marks, subsets_sorted
 from ribbongraph.topology import euler_genus
 
 
@@ -186,11 +186,7 @@ def test_spectrum_complement_symmetry(corpus3):
 
 
 def test_spectrum_classification_hook(fixtures):
-    from ribbongraph import classify_biseparation
-
-    rows = spectrum(
-        fixtures["T1"], classify=lambda g, s: str(classify_biseparation(g, s))
-    )
+    rows = spectrum(fixtures["T1"], classes=True)
     by = {frozenset(r.subset): r.biseparation for r in rows}
     assert by[frozenset({"a"})] == "plane"
     assert by[frozenset()] == "other(2) (trivial)"
@@ -199,11 +195,10 @@ def test_spectrum_classification_hook(fixtures):
 def test_spectrum_classes_keep_no_memo_per_subset():
     # a certificate per subset used to be memoised on the graph: 2^e entries
     # that no caller read twice
-    from ribbongraph import classify_biseparation
     from ribbongraph.verify import generate
 
     g = generate(10, mode="random", seed=3, count=1).graphs[0]
-    rows = spectrum(g, classify=classify_biseparation)
+    rows = spectrum(g, classes=True)
     assert len(rows) == 2**10
     # whole-graph values only: the integer view, and the canonical code that
     # generate's deduplication asked for
@@ -234,6 +229,118 @@ def test_spectrum_refuses_seventeen_edges():
     from ribbongraph.duality import refuse_large_sweep
 
     refuse_large_sweep(small, "spectrum")  # 16 edges are admitted
+
+
+def test_spectrum_classes_match_whole_graph_route():
+    # the factor tables against the whole-graph route: genus from the walk
+    # counts of A and its complement, class from the whole-graph certificate
+    from ribbongraph import classify_biseparation
+    from ribbongraph.verify import generate
+
+    for e in (6, 7, 8, 9):
+        for g in generate(e, mode="random", seed=17, count=10).graphs:
+            idx = g._indexed()
+            full = (1 << g.n_edges) - 1
+            rows = spectrum(g, classes=True)
+            assert [r.subset for r in rows] == list(subsets_sorted(g.edge_labels))
+            for r in rows:
+                mask = idx.mask(r.subset)
+                gamma = 2 + g.n_edges - len(idx.walk_homes(mask)) - len(idx.walk_homes(full ^ mask))
+                assert r.euler_genus == gamma, r.subset
+                assert r.biseparation == str(classify_biseparation(g, r.subset)), r.subset
+
+
+def _joined(*graphs):
+    """The one-point join of the graphs, each at its first vertex."""
+    from ribbongraph.decomposition import join
+
+    out = graphs[0]
+    for g in graphs[1:]:
+        out = join(out, out.vertex_names[0], g, g.vertex_names[0])
+    return out
+
+
+def test_spectrum_classes_of_a_join_need_no_whole_graph_certificate(monkeypatch):
+    import ribbongraph.decomposition as decomposition
+    from ribbongraph import classify_biseparation
+
+    def make():
+        # prime factors {a, b}, {c, d, e}, {f}, {g} and {h}
+        return _joined(
+            single_vertex("a b a b", "++"),
+            single_vertex("c d c e d e", "+-+"),
+            single_vertex("f f", "-"),
+            single_vertex("g h h g", "++"),
+        )
+
+    g = make()
+    want = [str(classify_biseparation(g, sub)) for sub in subsets_sorted(g.edge_labels)]
+    calls = []
+    original = decomposition.biseparation_data
+
+    def counting(graph, edges):
+        calls.append(frozenset(edges))
+        return original(graph, edges)
+
+    monkeypatch.setattr(decomposition, "biseparation_data", counting)
+    fresh = make()
+    homes = fresh._indexed()._homes
+    before = set(homes)  # join counted the whole graph's walks
+    rows = spectrum(fresh, classes=True)
+    assert [r.biseparation for r in rows] == want
+    assert calls == []
+    # walks are counted for the subsets of each factor, 4 + 8 + 2 + 2 + 2
+    # masks with the empty one shared, not for the 2^8 subsets of the join
+    assert len(set(homes) - before) == 14
+
+
+def test_cli_spectrum_classes_refuse_disconnected_graphs(tmp_path, capsys):
+    from ribbongraph.cli import main
+    from ribbongraph.io_text import serialize_graph
+
+    path = tmp_path / "two.txt"
+    path.write_text(serialize_graph(COUNT_ROUTE_GRAPHS["bare-vertex"]))
+    assert main(["spectrum", str(path), "--classes"]) == 2
+    assert capsys.readouterr().err == "error: biseparations are defined for connected graphs\n"
+    assert main(["spectrum", str(path)]) == 0
+
+
+def _histogram(g):
+    hist = {}
+    for r in spectrum(g):
+        hist[r.euler_genus] = hist.get(r.euler_genus, 0) + 1
+    return dict(sorted(hist.items()))
+
+
+def test_genus_polynomial_is_the_spectrum_histogram(corpus4):
+    for g in corpus4.graphs + list(COUNT_ROUTE_GRAPHS.values()):
+        assert genus_polynomial(g) == _histogram(g)
+
+
+def test_genus_polynomial_gap():
+    # a twisted loop (2z) joined to the torus bouquet (2 + 2z^2): no subset
+    # reaches Euler genus 2
+    g = _joined(single_vertex("c c", "-"), single_vertex("a b a b"))
+    assert genus_polynomial(g) == {1: 4, 3: 4}
+
+
+def test_genus_polynomial_of_a_large_join():
+    import time
+
+    t0 = time.perf_counter()
+    g = _joined(*(single_vertex(f"a{i} b{i} c{i} a{i} b{i} c{i}") for i in range(8)))
+    assert g.n_edges == 24
+    assert genus_polynomial(g) == {16: 2**24}
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_genus_polynomial_refuses_a_large_prime_factor():
+    g = build_graph(
+        [(f"v{i}", [f"e{i}.1", f"e{(i + 1) % 17}.2"]) for i in range(17)],
+        {f"e{i}": "+" for i in range(17)},
+    )
+    with pytest.raises(RibbonGraphError, match="prime factor of 17 edges"):
+        genus_polynomial(g)
 
 
 def test_partial_dual_subsets_build_only_matching_counts(monkeypatch):

@@ -191,3 +191,22 @@ def test_search_counts():
 def test_negative_bound_is_refused(fixtures):
     with pytest.raises(ValueError, match="bound"):
         move_related(fixtures["C"], fixtures["C"], bound=-1)
+
+
+def test_large_search_is_refused():
+    # the 21-edge cycle and its dual (two vertices, 21 parallel edges) are
+    # both plane and inequivalent, so a search over 2^21 subsets would run
+    import time
+
+    from ribbongraph import RibbonGraphError
+
+    n = 21
+    g = build_graph(
+        [(f"v{i}", [f"e{i}.1", f"e{(i + 1) % n}.2"]) for i in range(n)],
+        {f"e{i}": "+" for i in range(n)},
+    )
+    h = geometric_dual(g)
+    t0 = time.perf_counter()
+    with pytest.raises(RibbonGraphError, match="move search over 21 edges"):
+        move_related(g, h)
+    assert time.perf_counter() - t0 < 1.0

@@ -164,3 +164,17 @@ def test_failure_cap():
         res.fail(index=i)
     assert len(res.failures) == 25
     assert res.notes["more_failures"] == 15
+
+
+def test_corpus_counts_of_a_random_sample():
+    # a random corpus is a sample of the classes, so it passes with classes
+    # missing; an exhaustive corpus with a class missing still fails
+    from ribbongraph.verify import Corpus
+
+    for e in (0, 2, 3):
+        sample = generate(e, mode="random", seed=1, count=3)
+        assert check_suite(sample, which=["corpus-counts"]).ok
+    full = generate(3)
+    short = Corpus(params=full.params, graphs=full.graphs[:-1])
+    assert check_suite(full, which=["corpus-counts"]).ok
+    assert not check_suite(short, which=["corpus-counts"]).ok
