@@ -1,13 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 success; 1 a promised property failed to hold (verification
-failures, a relation the command was asked to establish not found, a
-package invariant violated); 2 usage, parse or input validation errors.
+Exit codes: 0 success; 1 a promised property failed to hold (a
+verification check failed, or a package invariant was violated); 2 usage,
+parse or input validation errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import io_text
@@ -23,7 +24,13 @@ from .decomposition import (
     _certified_subsets,
     prime_factorization,
 )
-from .duality import geometric_dual, partial_dual, partial_dual_subsets, spectrum
+from .duality import (
+    genus_polynomial,
+    geometric_dual,
+    partial_dual,
+    partial_dual_subsets,
+    spectrum,
+)
 from .moves import move_related
 from .topology import surface_stats
 from .verify import ALL_CHECKS, check_suite, generate
@@ -73,6 +80,15 @@ def cmd_dual(args) -> int:
 
 def cmd_spectrum(args) -> int:
     g = _load(args.file)
+    if args.polynomial:
+        if args.genus is not None or args.classes:
+            raise ValueError("--polynomial takes neither --genus nor --classes")
+        poly = genus_polynomial(g)
+        if args.json:
+            print(io_text.emit({"command": "spectrum", "polynomial": poly}), end="")
+        else:
+            print(io_text.polynomial_text(poly))
+        return 0
     rows = spectrum(g, genus=args.genus, classes=args.classes, force=args.force)
     if args.json:
         print(io_text.emit({"command": "spectrum", "spectrum": io_text.spectrum_json(rows)}), end="")
@@ -83,8 +99,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_biseparations(args) -> int:
     g = _load(args.file)
-    label = {"plane": "plane", "rp2": "rp2", "all": "all"}[args.klass]
-    found = list(_certified_subsets(g, label))
+    found = list(_certified_subsets(g, args.klass))
     if args.json:
         out = [io_text.certificate_json(cert) for _, cert in found]
         print(io_text.emit({"command": "biseparations", "biseparations": out}), end="")
@@ -160,7 +175,11 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused:
+    each ``parse_args`` fills a fresh namespace, so no call sees another's
+    arguments."""
     top = argparse.ArgumentParser(
         prog="ribbongraph",
         description="Ribbon graphs: genus, partial duality, separability, moves.",
@@ -187,6 +206,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, help="only subsets reaching this Euler genus")
     p.add_argument("--classes", action="store_true", help="annotate certificates")
     p.add_argument("--force", action="store_true", help="ignore the edge-count guard")
+    p.add_argument(
+        "--polynomial",
+        action="store_true",
+        help="count subsets by Euler genus (refused only above 16 edges in a prime factor)",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 

@@ -22,9 +22,9 @@ holds bit-exactly for canonical serializations.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring  # the C string encoder when built
 from typing import Optional
 
 from .core import (
@@ -265,6 +265,11 @@ def spectrum_text(rows) -> str:
     return "\n".join(lines)
 
 
+def polynomial_text(poly: dict) -> str:
+    """One line per Euler genus reached: ``γ=k: n`` for ``n`` subsets."""
+    return "\n".join(f"γ={k}: {n}" for k, n in sorted(poly.items()))
+
+
 def spectrum_json(rows) -> list:
     return [
         {
@@ -333,5 +338,102 @@ def move_trace_json(trace) -> dict:
     }
 
 
-def emit(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+def emit(data) -> str:
+    """``data`` as a JSON document: keys sorted, two-space indent, non-ASCII
+    characters kept, and a final newline.
+
+    The bytes are those of ``json.dumps`` with ``sort_keys``, an indent of 2
+    and ``ensure_ascii=False``, plus ``"\\n"``.  ``json`` drops from its C
+    encoder to the pure-Python one whenever it indents; here one recursive
+    writer fills one list, and strings go through ``json``'s C string
+    encoder.  Keys are sorted on their original values, then written as
+    ``json`` writes them (``1`` as ``"1"``, ``True`` as ``"true"``).  A value
+    or key of another type raises :class:`TypeError`, as in ``json``; a
+    reference cycle is not detected and ends in :class:`RecursionError`.
+    """
+    out: list[str] = []
+    _write_json(data, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == -float("inf"):
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(k) -> str:
+    """The text of a dict key that is not a string, checked in ``json``'s
+    order: float, the singletons, int."""
+    if isinstance(k, float):
+        return '"' + _json_float(k) + '"'
+    if k is True:
+        return '"true"'
+    if k is False:
+        return '"false"'
+    if k is None:
+        return '"null"'
+    if isinstance(k, int):
+        return '"' + int.__repr__(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _write_json(o, out: list, newline: str) -> None:
+    """Append the JSON text of ``o`` to ``out``; ``newline`` is the line
+    break and indent of ``o``'s own level.  A container writes its string,
+    bool and int members in its own loop, without a call, as ``json``'s
+    pure-Python encoder does."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        head = "[" + inner
+        for v in o:
+            if isinstance(v, str):
+                out.append(head + encode_basestring(v))
+            elif v is True or v is False:
+                out.append(head + ("true" if v else "false"))
+            elif isinstance(v, int):
+                out.append(head + int.__repr__(v))
+            else:
+                out.append(head)
+                _write_json(v, out, inner)
+            head = "," + inner
+        out.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            head = sep + (encode_basestring(k) if isinstance(k, str) else _json_key(k)) + ": "
+            if isinstance(v, str):
+                out.append(head + encode_basestring(v))
+            elif v is True or v is False:
+                out.append(head + ("true" if v else "false"))
+            elif isinstance(v, int):
+                out.append(head + int.__repr__(v))
+            else:
+                out.append(head)
+                _write_json(v, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(o, str):
+        out.append(encode_basestring(o))
+    elif o is None:
+        out.append("null")
+    elif o is True or o is False:
+        out.append("true" if o else "false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_json_float(o))
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")

@@ -117,6 +117,7 @@ def test_criterion_02_partial_dual_anchors():
              f" ({elapsed*1000:.0f}ms)")
 
 
+@pytest.mark.slow
 def test_criterion_03_dual_identities(sweep):
     names = ["partial-dual-identities", "dual-composition", "component-duality",
              "dual-route-agreement"]
@@ -128,24 +129,28 @@ def test_criterion_03_dual_identities(sweep):
              f" ({total} checks, {secs:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_04_genus_decomposition(sweep):
     r = _result(sweep, "genus-decomposition")
     _verdict(4, "certificate iff dual genus adds, with orientability clause",
              r.ok and r.checked > 0, f" ({r.checked} checks, {r.seconds:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_05_sum_genus_excess(sweep):
     r = _result(sweep, "sum-genus-excess")
     _verdict(5, "vertex-gluing characteristic identity and genus excess",
              r.ok and r.checked > 0, f" ({r.checked} sums)")
 
 
+@pytest.mark.slow
 def test_criterion_06_low_genus_characterization(sweep):
     r = _result(sweep, "low-genus-duals")
     _verdict(6, "plane and crosscap duals characterized by certificates",
              r.ok and r.checked > 0, f" ({r.checked} checks)")
 
 
+@pytest.mark.slow
 def test_criterion_07_toggle_orbits(sweep):
     orbit = _result(sweep, "toggle-orbit")
     prime = _result(sweep, "prime-split-count")
@@ -154,6 +159,7 @@ def test_criterion_07_toggle_orbits(sweep):
              f" ({orbit.checked}+{prime.checked} checks)")
 
 
+@pytest.mark.slow
 def test_criterion_08_same_genus_and_moves(sweep):
     names = ["same-genus-characterization", "join-structure", "join-upgrade",
              "join-dual-distribution", "move-completeness"]
@@ -166,12 +172,14 @@ def test_criterion_08_same_genus_and_moves(sweep):
              f" ({total} checks, max move depth {depth})")
 
 
+@pytest.mark.slow
 def test_criterion_09_construction_agreement(sweep):
     r = _result(sweep, "dual-route-agreement")
     _verdict(9, "trace, one-edge and marked constructions agree",
              r.ok and r.checked > 0, f" ({r.checked} subsets)")
 
 
+@pytest.mark.slow
 def test_criterion_10_documented_discrepancy(sweep):
     r = _result(sweep, "interlaced-bouquet-discrepancy")
     g_fix = single_vertex("a b a c b c", "+++")
@@ -187,6 +195,7 @@ def test_criterion_10_documented_discrepancy(sweep):
              r.ok and values_ok and documented)
 
 
+@pytest.mark.slow
 def test_sweep_is_globally_clean(sweep):
     for r in sweep.results:
         assert r.ok, f"{r.name}: {r.failures[:2]}"

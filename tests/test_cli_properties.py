@@ -6,7 +6,8 @@ surface statistics.  Inputs are random graphs of up to six edges, often
 disconnected and with edgeless vertices, so that the multi-component paths
 run too; pairs of them for ``relate``, edge counts often different; files
 made malformed by mutating the bytes of a valid one; and for ``verify
---stable``, small random corpora.
+--stable``, small random corpora.  ``io_text.emit`` is checked against
+``json.dumps`` on random JSON-like values.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import io
 import json
 import random
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -88,8 +90,51 @@ def test_cli_contract(tmp_path, case):
     _check_contract(commands)
     code, out, _ = _run(["info", f, "--json"])
     graph = parse(path.read_text()).graph()
-    want = emit({"command": "info", **stats_json(surface_stats_by_walks(graph))})
+    want = _dumps({"command": "info", **stats_json(surface_stats_by_walks(graph))})
     assert code == 0 and out == want
+
+
+def _dumps(data):
+    """What ``--json`` prints, from ``json`` itself: the oracle of ``emit``."""
+    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 1e300, 5e-324, 1e16, 0.1])
+_INTS = st.integers() | st.integers(-(10**40), 10**40) | st.sampled_from([2**63, -(2**64)])
+_TEXT = st.text() | st.text(st.sampled_from("aé\x00\x1f\x7f\"\\\n\t\u2028😀γ∅"))
+
+
+def _json_values(children):
+    # keys of one kind per dict, so that json can sort them; bool keys sort
+    # among int and float ones, as json sorts them
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, children, max_size=4)
+        | st.dictionaries(_INTS | st.booleans() | _FLOATS, children, max_size=4)
+        | st.dictionaries(st.none(), children, max_size=1)
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.recursive(st.none() | st.booleans() | _INTS | _FLOATS | _TEXT, _json_values,
+                         max_leaves=20))
+@example(data={10: "a", 2: "b", True: [], False: {}})
+@example(data={"γ": ("∅", -0.0, float("nan"), float("-inf")), "": [[[]]]})
+def test_emit_is_json_dumps(data):
+    assert emit(data) == _dumps(data)
+
+
+@pytest.mark.parametrize("data", [
+    object(), {1, 2}, b"ab", 1j, [1, {"a": range(2)}],
+    {(1, 2): 0}, {"a": {frozenset(): 1}},
+    {1: 0, "a": 0}, {None: 0, 0: 1},
+])
+def test_emit_rejects_what_json_rejects(data):
+    with pytest.raises(TypeError):
+        _dumps(data)
+    with pytest.raises(TypeError):
+        emit(data)
 
 
 def _path(n):

@@ -370,3 +370,85 @@ def test_cli_biseparations_certifies_each_subset_once(fixtures, tmp_path, monkey
         assert main(["biseparations", str(path)] + extra) == 0
         assert len(calls) == 2 ** g.n_edges == len(set(calls)), extra
     capsys.readouterr()
+
+
+def _path_graph(n):
+    """The path with ``n`` edges ``e0 .. e{n-1}``."""
+    from ribbongraph import build_graph
+
+    return build_graph(
+        [("v0", ["e0.1"])]
+        + [(f"v{i}", [f"e{i - 1}.2", f"e{i}.1"]) for i in range(1, n)]
+        + [(f"v{n}", [f"e{n - 1}.2"])],
+        {f"e{i}": "+" for i in range(n)},
+    )
+
+
+def test_cli_parser_is_built_once_and_keeps_no_arguments(files, tmp_path, capsys):
+    from ribbongraph import cli
+
+    cli.make_parser.cache_clear()
+    # a narrower call first, then the default: every row comes back
+    assert main(["spectrum", files["t1"], "--genus", "2"]) == 0
+    assert capsys.readouterr().out == "∅ γ=2 orientable\n{a,b} γ=2 orientable\n"
+    assert main(["spectrum", files["t1"]]) == 0
+    assert capsys.readouterr().out.count("\n") == 4
+    # the move search from the path P4 to its partial dual on {e0,e2}
+    # needs two moves: a depth bound of 1 must not stick
+    g = _path_graph(4)
+    f, h = tmp_path / "p4.txt", tmp_path / "p4_dual.txt"
+    f.write_text(serialize_graph(g))
+    h.write_text(serialize_graph(partial_dual(g, {"e0", "e2"})))
+    assert main(["relate", str(f), str(h), "--max-depth", "1"]) == 0
+    assert "move sequence: none (depth bound hit)" in capsys.readouterr().out
+    assert main(["relate", str(f), str(h)]) == 0
+    out = capsys.readouterr().out
+    assert "step 2: dual-join-summand on {e2}" in out
+    # a usage error leaves nothing behind for the next call
+    assert main(["spectrum", files["t1"], "--genus", "two"]) == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert main(["info", files["c"]]) == 0
+    assert capsys.readouterr().out.startswith("vertices=2 edges=2 boundary=2")
+    assert cli.make_parser.cache_info().misses == 1
+
+
+def test_cli_spectrum_polynomial(files, capsys):
+    assert main(["spectrum", files["t1"], "--polynomial"]) == 0
+    assert capsys.readouterr().out == "γ=0: 2\nγ=2: 2\n"
+    assert main(["spectrum", files["t1"], "--polynomial", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"command": "spectrum", "polynomial": {"0": 2, "2": 2}}
+    for extra in (["--genus", "0"], ["--classes"]):
+        assert main(["spectrum", files["t1"], "--polynomial"] + extra) == 2
+        assert capsys.readouterr().err.startswith("error: --polynomial takes neither")
+
+
+def test_cli_spectrum_polynomial_of_a_large_join(tmp_path, capsys):
+    # eight genus-2 triple bouquets joined at one vertex: 24 edges, so the
+    # rows are refused, but every prime factor has 3 edges
+    from ribbongraph.decomposition import join
+
+    g = single_vertex("a0 b0 c0 a0 b0 c0")
+    for i in range(1, 8):
+        q = single_vertex(f"a{i} b{i} c{i} a{i} b{i} c{i}")
+        g = join(g, g.vertex_names[0], q, q.vertex_names[0])
+    path = tmp_path / "join24.txt"
+    path.write_text(serialize_graph(g))
+    assert main(["spectrum", str(path)]) == 2
+    assert "2^24 subsets" in capsys.readouterr().err
+    assert main(["spectrum", str(path), "--polynomial"]) == 0
+    assert capsys.readouterr().out == f"γ=16: {2**24}\n"
+    assert main(["spectrum", str(path), "--polynomial", "--json"]) == 0
+    poly = json.loads(capsys.readouterr().out)["polynomial"]
+    assert poly == {"16": 2**24} and sum(poly.values()) == 2**24
+
+
+def test_cli_spectrum_polynomial_refuses_a_large_prime_factor(tmp_path, capsys):
+    n = 17
+    text = "ribbon v1\n" + "".join(f"edge e{i} +\n" for i in range(n)) + "".join(
+        f"vertex v{i}: e{i}.1 e{(i + 1) % n}.2\n" for i in range(n)
+    )
+    path = tmp_path / "cycle17.txt"
+    path.write_text(text)
+    assert main(["spectrum", str(path), "--polynomial"]) == 2
+    assert capsys.readouterr().err.startswith("error: genus polynomial over a prime factor of 17")
