@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import re
-from collections import deque
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 
@@ -759,93 +758,139 @@ _SEP_VERTEX = -1
 _SEP_SIGNS = -2
 
 
-def _trace(idx: _Indexed, start_dart: int, start_flip: int, best):
+def _trace(idx: _Indexed, start_dart: int, start_flip: int, best, labelled: bool = False):
     """Breadth-first code of the component of ``start_dart``.
 
     Vertices are numbered in discovery order; each vertex's rotation is read
     from its arrival dart, forwards or backwards according to the vertex's
     flip state; flips propagate so that every tree edge normalises to an
-    untwisted band.  Returns the emitted token tuple, or ``None`` as soon as
-    it compares greater than ``best``.
+    untwisted band.  An edge's token is its discovery number, or with
+    ``labelled`` its label index; the signs follow in discovery order.
+    Returns the token list, or ``None`` as soon as a row compares greater
+    than ``best``.
     """
-    rot = idx.rot
     dart_vertex = idx.dart_vertex
     dart_pos = idx.dart_pos
     esign = idx.sign
 
-    vmap: dict[int, int] = {}
-    vflip: dict[int, int] = {}
-    emap: dict[int, int] = {}
+    vflip = [0] * idx.nv  # 0 until discovered, then the flip state
+    emap = [-1] * idx.ne  # edge token, -1 until discovered
     eorder: list[int] = []
     v0 = dart_vertex[start_dart]
-    vmap[v0] = 0
     vflip[v0] = start_flip
-    queue = deque([(v0, dart_pos[start_dart])])
+    queue = [(v0, dart_pos[start_dart])]  # grows while it is read
     tokens: list[int] = []
-    nbest = len(best) if best is not None else -1
-    ti = 0
+    emit = tokens.append
 
-    while queue:
-        v, p0 = queue.popleft()
-        r = rot[v]
-        deg = len(r)
-        step = 1 if vflip[v] > 0 else -1
-        for k in range(deg):
-            d = r[(p0 + step * k) % deg]
+    for v, p0 in queue:
+        r = idx.rot[v]
+        flip = vflip[v]
+        n = len(tokens)
+        for d in r[p0:] + r[:p0] if flip > 0 else r[p0::-1] + r[:p0:-1]:
             e = d >> 1
-            en = emap.get(e)
-            if en is None:
-                en = len(eorder)
-                emap[e] = en
+            t = emap[e]
+            if t < 0:
+                t = emap[e] = e if labelled else len(eorder)
                 eorder.append(e)
                 w = dart_vertex[d ^ 1]
-                if w not in vmap:
-                    vmap[w] = len(vmap)
-                    vflip[w] = vflip[v] * esign[e]
+                if not vflip[w]:
+                    vflip[w] = flip * esign[e]
                     queue.append((w, dart_pos[d ^ 1]))
-            tokens.append(en)
-            if nbest >= 0:
-                if ti < nbest:
-                    b = best[ti]
-                    if en > b:
-                        return None
-                    if en < b:
-                        nbest = -1
-                ti += 1
-        tokens.append(_SEP_VERTEX)
-        if nbest >= 0:
-            if ti < nbest:
-                b = best[ti]
-                if _SEP_VERTEX > b:
+            emit(t)
+        emit(_SEP_VERTEX)
+        if best is not None:
+            mine, theirs = tokens[n:], best[n : len(tokens)]
+            if mine != theirs:
+                if mine > theirs:
                     return None
-                if _SEP_VERTEX < b:
-                    nbest = -1
-            ti += 1
+                best = None
 
     tokens.append(_SEP_SIGNS)
     for e in eorder:
-        u = dart_vertex[2 * e]
-        w = dart_vertex[2 * e + 1]
-        tokens.append(esign[e] * vflip[u] * vflip[w])
-    return tuple(tokens)
+        tokens.append(esign[e] * vflip[dart_vertex[2 * e]] * vflip[dart_vertex[2 * e + 1]])
+    return tokens
 
 
-def _component_code(idx: _Indexed, members: list[int]) -> tuple:
-    """Minimum trace over every start dart and chirality of one component."""
-    best = None
+def _first_row(idx: _Indexed, d: int, flip: int) -> list[int]:
+    """The rotation at dart ``d`` read from ``d`` in direction ``flip``,
+    each edge numbered in order of first appearance: a trace's first row
+    without its separator."""
+    r = idx.rot[idx.dart_vertex[d]]
+    p0 = idx.dart_pos[d]
+    seen: dict[int, int] = {}
+    return [
+        seen.setdefault(x >> 1, len(seen))
+        for x in (r[p0:] + r[:p0] if flip > 0 else r[p0::-1] + r[:p0:-1])
+    ]
+
+
+def _component_code(idx: _Indexed, members: list[int]) -> list:
+    """Minimum trace over the starts of one component whose first row is
+    least.
+
+    A trace opens with its first row, and the vertex separator is below
+    every edge token, so a start with a larger first row never gives the
+    minimum: the filter leaves the minimum over every start unchanged.
+
+    The first row of a loopless vertex of degree ``n`` is ``0..n-1`` then
+    the separator, from every start.  At a vertex with loops a row first
+    repeats a token at step ``s``, and is least only if ``s`` is the least
+    span of a loop there and the start is an end of such a loop, read
+    towards the other end.  So rows are keyed by ``(n, 0)`` or ``(s, 1)``,
+    and only the starts of the least key have their rows compared.
+    """
+    dart_vertex, dart_pos = idx.dart_vertex, idx.dart_pos
+    least = None
+    starts: list[tuple[int, int]] = []
     for v in members:
-        for d in idx.rot[v]:
-            for flip in (1, -1):
-                t = _trace(idx, d, flip, best)
-                if t is not None and (best is None or t < best):
-                    best = t
-    if best is None:
+        r = idx.rot[v]
+        n = len(r)
+        span, at = n, []
+        for d in r:
+            if not d & 1 and dart_vertex[d + 1] == v:
+                ahead = (dart_pos[d + 1] - dart_pos[d]) % n
+                # read forwards from d or backwards from d + 1, the loop
+                # closes after ``ahead`` steps; the other way, after n - ahead
+                for s, pair in (
+                    (ahead, [(d, 1), (d + 1, -1)]),
+                    (n - ahead, [(d + 1, 1), (d, -1)]),
+                ):
+                    if s < span:
+                        span, at = s, pair
+                    elif s == span:
+                        at += pair
+        if at:
+            key = (span, 1)
+        elif n:
+            key, at = (n, 0), [(d, flip) for d in r for flip in (1, -1)]
+        else:
+            continue
+        if least is None or key < least:
+            least, starts = key, at
+        elif key == least:
+            starts += at
+    if least is None:
         # edgeless component: a single bare vertex
-        return (_SEP_VERTEX, _SEP_SIGNS)
+        return [_SEP_VERTEX, _SEP_SIGNS]
+    if least[1]:
+        # rows without the separator keep their order: a proper prefix is less
+        rows = [_first_row(idx, d, flip) for d, flip in starts]
+        row = min(rows)
+        starts = [start for start, other in zip(starts, rows) if other == row]
+    return _least_trace(idx, starts)
+
+
+def _least_trace(idx: _Indexed, starts: list[tuple[int, int]], labelled: bool = False) -> list:
+    """The least trace from the given ``(dart, flip)`` starts."""
+    best = None
+    for d, flip in starts:
+        t = _trace(idx, d, flip, best, labelled)
+        if t is not None and (best is None or t < best):
+            best = t
     return best
 
 
-def _render_component(tokens: tuple, nv: int, ne: int) -> str:
+def _render_component(tokens: Sequence[int], nv: int, ne: int) -> str:
     rows = []
     row: list[str] = []
     i = 0
@@ -877,6 +922,30 @@ def canonical_form(g: RibbonGraph) -> str:
     return "&".join(sorted(parts))
 
 
+@per_graph
+def labelled_code(g: RibbonGraph) -> tuple:
+    """A code equal for two graphs exactly when they are equivalent as
+    edge-labelled graphs: by flips, rotations, vertex order and the naming
+    of each edge's two ends, every label kept in place.
+
+    Stronger than :func:`canonical_form`, which lets an equivalence permute
+    the labels, and cheaper: each component is traced with label indices as
+    tokens from both ends of its smallest label in both directions, four
+    traces per component.  The code is the label tuple and the sorted
+    component minima.
+    """
+    idx = g._indexed()
+    parts = []
+    for _, edges, _ in idx.components:
+        if edges:
+            e = (edges & -edges).bit_length() - 1  # the smallest label
+            starts = [(d, flip) for d in (2 * e, 2 * e + 1) for flip in (1, -1)]
+            parts.append(tuple(_least_trace(idx, starts, labelled=True)))
+        else:
+            parts.append((_SEP_VERTEX, _SEP_SIGNS))  # a bare vertex
+    return tuple(idx.labels), tuple(sorted(parts))
+
+
 def is_equivalent(g: RibbonGraph, h: RibbonGraph) -> bool:
     """Whether two ribbon graphs are equivalent as embedded graphs."""
     return g.canonical_code() == h.canonical_code()
@@ -889,6 +958,8 @@ def from_canonical_code(code: str) -> RibbonGraph:
     """Rebuild a representative graph from a canonical code."""
     vertices = []
     signs = {}
+    if not code:
+        return RibbonGraph(vertices, signs)  # the empty graph's code
     for ci, part in enumerate(code.split("&")):
         m = _COMP_RE.match(part)
         if not m:

@@ -24,6 +24,18 @@ search over built graphs (:func:`_move_closure`), where the library keys
 its search by edge subset.  The spectrum's classes, which the library reads
 from one table per prime factor, are checked against the whole-graph
 certificate of every subset (``count-route-agreement``).
+
+Canonical codes are checked against the kernel the library replaced
+(:func:`canonical_form_by_all_starts`), which traces every start dart in
+both directions where the library traces only the starts whose first row
+is least.  Unlike the oracles above, it reads the integer view, as the
+library's kernel does; what it checks is the start filter and the trace.
+Constructions that keep every edge label (the empty and full subsets, the
+double dual, dual composition, the three dual routes, the arrow and mark
+round trips) are compared by :func:`core.labelled_code`, which a
+construction that permutes labels does not pass; unlabelled codes remain
+where classes are meant, in the corpus, the move closure and the
+partial-dual subsets.
 """
 
 from __future__ import annotations
@@ -32,18 +44,24 @@ import itertools
 import json
 import random
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .core import (
     End,
     RibbonGraph,
+    _Indexed,
+    _SEP_SIGNS,
+    _SEP_VERTEX,
+    _render_component,
     build_graph,
     disjoint_union,
     from_arrow_presentation,
     from_canonical_code,
     induced_subgraph,
     is_equivalent,
+    labelled_code,
     mark_and_remove,
     restore,
     single_vertex,
@@ -411,6 +429,105 @@ def side_components_by_subgraphs(g: RibbonGraph, edges: Iterable[str]) -> tuple:
     return tuple(out)
 
 
+def _all_starts_trace(idx: _Indexed, start_dart: int, start_flip: int, best):
+    """Breadth-first code of the component of ``start_dart``.
+
+    Vertices are numbered in discovery order; each vertex's rotation is read
+    from its arrival dart, forwards or backwards according to the vertex's
+    flip state; flips propagate so that every tree edge normalises to an
+    untwisted band.  Returns the emitted token tuple, or ``None`` as soon as
+    it compares greater than ``best``.
+    """
+    rot = idx.rot
+    dart_vertex = idx.dart_vertex
+    dart_pos = idx.dart_pos
+    esign = idx.sign
+
+    vmap: dict[int, int] = {}
+    vflip: dict[int, int] = {}
+    emap: dict[int, int] = {}
+    eorder: list[int] = []
+    v0 = dart_vertex[start_dart]
+    vmap[v0] = 0
+    vflip[v0] = start_flip
+    queue = deque([(v0, dart_pos[start_dart])])
+    tokens: list[int] = []
+    nbest = len(best) if best is not None else -1
+    ti = 0
+
+    while queue:
+        v, p0 = queue.popleft()
+        r = rot[v]
+        deg = len(r)
+        step = 1 if vflip[v] > 0 else -1
+        for k in range(deg):
+            d = r[(p0 + step * k) % deg]
+            e = d >> 1
+            en = emap.get(e)
+            if en is None:
+                en = len(eorder)
+                emap[e] = en
+                eorder.append(e)
+                w = dart_vertex[d ^ 1]
+                if w not in vmap:
+                    vmap[w] = len(vmap)
+                    vflip[w] = vflip[v] * esign[e]
+                    queue.append((w, dart_pos[d ^ 1]))
+            tokens.append(en)
+            if nbest >= 0:
+                if ti < nbest:
+                    b = best[ti]
+                    if en > b:
+                        return None
+                    if en < b:
+                        nbest = -1
+                ti += 1
+        tokens.append(_SEP_VERTEX)
+        if nbest >= 0:
+            if ti < nbest:
+                b = best[ti]
+                if _SEP_VERTEX > b:
+                    return None
+                if _SEP_VERTEX < b:
+                    nbest = -1
+            ti += 1
+
+    tokens.append(_SEP_SIGNS)
+    for e in eorder:
+        u = dart_vertex[2 * e]
+        w = dart_vertex[2 * e + 1]
+        tokens.append(esign[e] * vflip[u] * vflip[w])
+    return tuple(tokens)
+
+
+def _all_starts_component_code(idx: _Indexed, members: list[int]) -> tuple:
+    """Minimum trace over every start dart and chirality of one component."""
+    best = None
+    for v in members:
+        for d in idx.rot[v]:
+            for flip in (1, -1):
+                t = _all_starts_trace(idx, d, flip, best)
+                if t is not None and (best is None or t < best):
+                    best = t
+    if best is None:
+        # edgeless component: a single bare vertex
+        return (_SEP_VERTEX, _SEP_SIGNS)
+    return best
+
+
+def canonical_form_by_all_starts(g: RibbonGraph) -> str:
+    """:func:`core.canonical_form` by the kernel it replaced: a trace from
+    every start dart in both directions, with per-token pruning against the
+    best so far and dict-keyed state.  Oracle for the library's first-row
+    start filter and list-based trace, which must give the same codes."""
+    idx = g._indexed()
+    parts = []
+    for members, edges, _ in idx.components:
+        tokens = _all_starts_component_code(idx, members)
+        parts.append(_render_component(tokens, len(members), edges.bit_count()))
+    return "&".join(sorted(parts))
+
+
 def partial_dual_subsets_by_codes(g: RibbonGraph, h: RibbonGraph) -> list[frozenset]:
     """Every edge subset of ``g`` whose built partial dual has ``h``'s
     canonical code, smallest subsets first: every subset is built and
@@ -627,14 +744,14 @@ def _check_dual_identities(res: CheckResult, ana: _Analysis) -> None:
     g = ana.g
     full = frozenset(g.edge_labels)
     res.checked += 1
-    if not is_equivalent(ana.dual[frozenset()], g):
+    if labelled_code(ana.dual[frozenset()]) != labelled_code(g):
         res.fail(graph=_serial(g), property="empty-subset identity")
-    if not is_equivalent(ana.dual[full], geometric_dual(g)):
-        res.fail(graph=_serial(g), property="full-subset geometric dual")
     gstar = geometric_dual(g)
-    if surface_stats(gstar).n_boundary != g.n_vertices or not is_equivalent(
-        geometric_dual(gstar), g
-    ):
+    if labelled_code(ana.dual[full]) != labelled_code(gstar):
+        res.fail(graph=_serial(g), property="full-subset geometric dual")
+    if surface_stats(gstar).n_boundary != g.n_vertices or labelled_code(
+        geometric_dual(gstar)
+    ) != labelled_code(g):
         res.fail(graph=_serial(g), property="double dual / boundary count")
     for sub in ana.subsets:
         d = ana.dual[sub]
@@ -660,7 +777,7 @@ def _check_symmetric_difference(res: CheckResult, ana: _Analysis, rng: random.Ra
         res.checked += 1
         lhs = partial_dual(ana.dual[a], b)
         rhs = ana.dual[a ^ b]
-        if not is_equivalent(lhs, rhs):
+        if labelled_code(lhs) != labelled_code(rhs):
             res.fail(graph=_serial(g), a=a, b=b, property="dual composition")
 
 
@@ -668,10 +785,10 @@ def _check_route_agreement(res: CheckResult, ana: _Analysis) -> None:
     g = ana.g
     for sub in ana.subsets:
         res.checked += 1
-        ref = ana.dual[sub]
+        ref = labelled_code(ana.dual[sub])
         one_edge = partial_dual_by_edges(g, sub)
         marked = partial_dual_via_marks(g, sub)
-        if not is_equivalent(ref, one_edge) or not is_equivalent(ref, marked):
+        if labelled_code(one_edge) != ref or labelled_code(marked) != ref:
             res.fail(graph=_serial(g), subset=sub, property="construction agreement")
 
 
@@ -903,13 +1020,16 @@ def _check_orientability_oracle(res: CheckResult, ana: _Analysis) -> None:
 def _check_representation_roundtrip(res: CheckResult, ana: _Analysis) -> None:
     g = ana.g
     res.checked += 1
-    if not is_equivalent(from_arrow_presentation(to_arrow_presentation(g)), g):
+    code = labelled_code(g)
+    if labelled_code(from_arrow_presentation(to_arrow_presentation(g))) != code:
         res.fail(graph=_serial(g), property="arrow presentation round trip")
+    if canonical_form_by_all_starts(g) != g.canonical_code():
+        res.fail(graph=_serial(g), property="first-row start filter vs every start")
     reconstructed = from_canonical_code(g.canonical_code())
     if surface_stats(reconstructed).euler_genus != ana.stats.euler_genus:
         res.fail(graph=_serial(g), property="genus stable under canonical rebuild")
     for sub in ana.subsets:
-        if not is_equivalent(restore(mark_and_remove(g, sub)), g):
+        if labelled_code(restore(mark_and_remove(g, sub))) != code:
             res.fail(graph=_serial(g), subset=sub, property="mark/restore round trip")
 
 

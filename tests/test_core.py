@@ -21,7 +21,7 @@ from ribbongraph import (
     single_vertex,
     to_arrow_presentation,
 )
-from ribbongraph.core import equivalence_orbit
+from ribbongraph.core import equivalence_orbit, labelled_code
 from ribbongraph.topology import euler_genus
 
 
@@ -255,6 +255,74 @@ def test_canonical_code_decodes(corpus3):
         h = from_canonical_code(g.canonical_code())
         assert is_equivalent(g, h)
         assert euler_genus(g) == euler_genus(h)
+
+
+def test_empty_and_edgeless_codes_decode():
+    empty = RibbonGraph([], {})
+    assert canonical_form(empty) == ""
+    assert from_canonical_code("") == empty
+    for code in ("1v0e:;", "1v0e:;&1v0e:;", "1v0e:;&1v0e:;&1v0e:;"):
+        g = from_canonical_code(code)
+        assert g.n_vertices == code.count("&") + 1 and g.n_edges == 0
+        assert canonical_form(g) == code
+
+
+# -- labelled codes ---------------------------------------------------------------
+
+
+def _ends_renamed(g, labels):
+    """``g`` with the two ends of each edge in ``labels`` named the other
+    way round: the same labelled graph."""
+    swap = {End(lab, s): End(lab, 3 - s) for lab in labels for s in (1, 2)}
+    return RibbonGraph(
+        [(n, [swap.get(e, e) for e in rot]) for n, rot in zip(g.vertex_names, g.rotations)],
+        g.signs,
+    )
+
+
+def test_labelled_code_constant_on_orbit(fixtures):
+    for name, g in fixtures.items():
+        want = labelled_code(g)
+        assert labelled_code(_ends_renamed(g, g.edge_labels)) == want, name
+        for h in equivalence_orbit(g, max_size=600):
+            assert labelled_code(h) == want, name
+
+
+def test_labelled_code_keeps_labels(fixtures):
+    g = fixtures["G2"]
+    assert labelled_code(g.relabeled({"a": "x"})) != labelled_code(g)
+    assert labelled_code(g)[0] == ("a", "b", "c")
+    assert labelled_code(RibbonGraph([], {})) == ((), ())
+    two = from_canonical_code("1v0e:;&1v0e:;")
+    assert labelled_code(two) != labelled_code(from_canonical_code("1v0e:;"))
+
+
+def _slot_free(g):
+    """The storage of ``g`` with vertex names and end slots forgotten."""
+    return tuple(tuple(e.label for e in rot) for rot in g.rotations), sorted(g.signs.items())
+
+
+def test_labelled_code_separates_label_swaps(corpus5):
+    # swapping the two smallest labels is an equivalence, so canonical_form
+    # cannot see it; the labelled code changes unless an automorphism of
+    # the graph exchanges those two edges
+    changed = kept = 0
+    for g in corpus5.graphs:
+        if g.n_edges < 2:
+            continue
+        a, b = g.edge_labels[:2]
+        h = g.relabeled({a: b, b: a})
+        assert canonical_form(h) == canonical_form(g)
+        same = labelled_code(h) == labelled_code(g)
+        changed += not same
+        kept += same
+        if g.n_vertices <= 2 and (same or changed <= 200):
+            # an automorphism exchanging a and b is a storage variant of g
+            # that reads like h once names and end slots are forgotten
+            want = _slot_free(h)
+            found = any(_slot_free(v) == want for v in equivalence_orbit(g))
+            assert found == same, g
+    assert (changed, kept) == (6605, 325)
 
 
 def test_is_equivalent_disconnected():

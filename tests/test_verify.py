@@ -178,3 +178,42 @@ def test_corpus_counts_of_a_random_sample():
     short = Corpus(params=full.params, graphs=full.graphs[:-1])
     assert check_suite(full, which=["corpus-counts"]).ok
     assert not check_suite(short, which=["corpus-counts"]).ok
+
+
+def test_canonical_form_matches_the_all_starts_oracle(corpus4):
+    from ribbongraph import canonical_form, partial_dual
+    from ribbongraph.duality import subsets_sorted
+    from ribbongraph.verify import canonical_form_by_all_starts
+
+    graphs = [
+        partial_dual(g, sub) for g in corpus4.graphs for sub in subsets_sorted(g.edge_labels)
+    ]
+    for e in range(1, 15):
+        graphs += generate(e, mode="random", seed=11, count=150, connected=False).graphs
+    assert any(len(g._indexed().components) > 1 for g in graphs)
+    for g in graphs:
+        assert canonical_form(g) == canonical_form_by_all_starts(g), g
+
+
+def test_dual_route_agreement_sees_a_label_swap(corpus3, monkeypatch):
+    # a construction that permutes labels still gives an equivalent graph,
+    # so only the labelled comparison catches it
+    import ribbongraph.verify as verify
+    from ribbongraph import is_equivalent
+
+    honest = verify.partial_dual_by_edges
+
+    def swapping(g, edges):
+        d = honest(g, edges)
+        if g.n_edges < 2:
+            return d
+        a, b = g.edge_labels[:2]
+        return d.relabeled({a: b, b: a})
+
+    assert check_suite(corpus3, which=["dual-route-agreement"]).ok
+    monkeypatch.setattr(verify, "partial_dual_by_edges", swapping)
+    report = check_suite(corpus3, which=["dual-route-agreement"])
+    assert not report.ok
+    assert report.results[0].failures[0]["property"] == "construction agreement"
+    graph = corpus3.by_edges(3)[-1]
+    assert is_equivalent(swapping(graph, {"e1"}), honest(graph, {"e1"}))
