@@ -21,8 +21,6 @@ from .core import (
     from_canonical_code,
     induced_subgraph,
     is_equivalent,
-    mark_and_remove,
-    restore,
     single_vertex,
     to_arrow_presentation,
 )
@@ -49,8 +47,6 @@ from .duality import (
     genus_polynomial,
     geometric_dual,
     partial_dual,
-    partial_dual_by_edges,
-    partial_dual_one_edge,
     spectrum,
 )
 from .io_text import GraphDocument, ParseError, parse, serialize, serialize_graph

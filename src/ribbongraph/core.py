@@ -320,16 +320,21 @@ class _Indexed:
     subgraph built.  :meth:`parts` finds the components of the spanning
     subgraph on a mask and their orientability in one traversal;
     :attr:`components` and :attr:`component_of` hold its answer for the
-    whole graph.  :meth:`walk_homes` counts boundary walks: dart ``d`` has
-    the arc endpoints ``2*d`` (in) and ``2*d + 1`` (out), numbered as
+    whole graph.  :meth:`walk_arrows` runs the boundary walks: dart ``d``
+    has the arc endpoints ``2*d`` (in) and ``2*d + 1`` (out), numbered as
     :func:`topology.trace_walks` reads them; the free corners of the
     rotations pair endpoints once and for all, and every edge adds either
     its band pairings or its free-arc pairings, by its bit in the mask.
+    Each walk records the arrow of every band side and free arc it
+    crosses: the walks are the vertices of the partial dual on the mask,
+    which :func:`duality.partial_dual` builds from them.
+    :meth:`walk_homes` counts the same walks and places each in its
+    component.
     """
 
     __slots__ = (
         "labels", "eindex", "nv", "ne", "rot", "dart_vertex", "dart_pos", "sign",
-        "components", "component_of", "_pairings", "_homes",
+        "components", "component_of", "_pairings", "_arrows", "_homes",
     )
 
     def __init__(self, g: RibbonGraph):
@@ -352,6 +357,7 @@ class _Indexed:
             self.rot.append(darts)
         self.components, self.component_of = self.parts((1 << self.ne) - 1)
         self._pairings = None
+        self._arrows = None
         self._homes: dict[int, tuple[int, ...]] = {}
 
     def _endpoint_pairings(self) -> tuple[list[int], list[int], list[int]]:
@@ -432,34 +438,72 @@ class _Indexed:
             m |= 1 << self.eindex[lab]
         return m
 
+    def _arrow_table(self) -> list[tuple[int, bool]]:
+        """The arrow ``(edge index, forward)`` a walk records when it leaves
+        arc endpoint ``q`` across a band side or a free arc.
+
+        ``forward`` tells whether a walk leaving ``q`` along its free arc
+        runs with the arc's arrow: end 1's points in rotation direction,
+        from in to out, and end 2's the same way exactly when the edge is
+        untwisted (the convention of :func:`to_arrow_presentation`).  A band
+        side records the same flag.  An edge's sign compares its two arrows
+        only, and those are both band sides or both free arcs, so the
+        band's own sense, the opposite one, would give the same graph.
+        """
+        if self._arrows is None:
+            self._arrows = [
+                # leaving an in endpoint runs in rotation direction, which
+                # end 2 of a twisted edge points against
+                (q >> 2, (not q & 1) != (q & 2 > 0 and self.sign[q >> 2] < 0))
+                for q in range(4 * self.ne)
+            ]
+        return self._arrows
+
+    def walk_arrows(self, mask: int) -> list[tuple[int, list[tuple[int, bool]]]]:
+        """Every boundary walk of the spanning subgraph on the edges in
+        ``mask`` that meets an edge, as ``(vertex, arrows)``.
+
+        Edges in the mask are bands, the others free arcs, exactly as in
+        :func:`topology.trace_walks`.  A walk starts at the first corner it
+        passes in storage order, a corner of ``vertex``, leaving the out
+        endpoint of the end before it; walks are listed in that order.  Each
+        band side or free arc crossed records the arrow ``(edge index,
+        forward)`` of :meth:`_arrow_table`, so every edge is recorded twice.
+        An edgeless vertex has no walk here.
+        """
+        corner, band, arc = self._endpoint_pairings()
+        arrow = self._arrow_table()
+        seen = bytearray(4 * self.ne)
+        walks = []
+        for v, darts in enumerate(self.rot):
+            for d in darts:
+                p = 2 * d + 1
+                if seen[p]:
+                    continue
+                arrows = []
+                while not seen[p]:
+                    q = corner[p]
+                    seen[p] = seen[q] = 1
+                    p = band[q] if mask >> (q >> 2) & 1 else arc[q]
+                    arrows.append(arrow[q])
+                walks.append((v, arrows))
+        return walks
+
     def walk_homes(self, mask: int) -> tuple[int, ...]:
         """Home vertex of every boundary walk of the spanning subgraph on the
         edges in ``mask``, one entry per walk, memoised per mask.
 
-        Edges in the mask are bands, the others free arcs, exactly as in
-        :func:`topology.trace_walks`; an edgeless vertex is one bare walk.
-        A walk never leaves a component of the spanning subgraph, so its
-        home (the vertex where it starts) places it in that component.
+        The walks are those of :meth:`walk_arrows`, each homed at the vertex
+        where it starts, and an edgeless vertex is one bare walk.  A walk
+        never leaves a component of the spanning subgraph, so its home
+        places it in that component.
         """
         homes = self._homes.get(mask)
-        if homes is not None:
-            return homes
-        corner, band, arc = self._endpoint_pairings()
-        mate = [band[p] if mask >> (p >> 2) & 1 else arc[p] for p in range(len(corner))]
-        seen = bytearray(len(corner))
-        out = [v for v, darts in enumerate(self.rot) if not darts]
-        dart_vertex = self.dart_vertex
-        for p0 in range(len(corner)):
-            if seen[p0]:
-                continue
-            p = p0
-            while not seen[p]:
-                q = corner[p]
-                seen[p] = seen[q] = 1
-                p = mate[q]
-            out.append(dart_vertex[p0 >> 1])
-        homes = tuple(out)
-        self._homes[mask] = homes
+        if homes is None:
+            homes = self._homes[mask] = tuple(
+                [v for v, darts in enumerate(self.rot) if not darts]
+                + [v for v, _ in self.walk_arrows(mask)]
+            )
         return homes
 
 
@@ -704,52 +748,6 @@ class MarkedRibbonGraph:
         for name, row in zip(self._names, self._items):
             parts.append(f"{name}:({' '.join(map(str, row))})")
         return f"MarkedRibbonGraph({'; '.join(parts)})"
-
-
-def mark_and_remove(g: RibbonGraph, edges: Iterable[str]) -> MarkedRibbonGraph:
-    """Replace each edge of the subset by a pair of marking arrows occupying
-    the same rotation slots, directions following the edge boundary."""
-    sub = g.check_subset(edges)
-    vertices = []
-    for name in g.vertex_names:
-        row = []
-        for e in g.rotation(name):
-            if e.label in sub:
-                fwd = True if e.slot == 1 else g.sign(e.label) > 0
-                row.append(Mark(e.label, fwd))
-            else:
-                row.append(e)
-        vertices.append((name, row))
-    signs = {k: v for k, v in g.signs.items() if k not in sub}
-    return MarkedRibbonGraph(vertices, signs, validate=False)
-
-
-def restore(m: MarkedRibbonGraph) -> RibbonGraph:
-    """Reattach one edge per mark pair, inverting :func:`mark_and_remove`."""
-    counts: dict[str, int] = {}
-    first_dir: dict[str, bool] = {}
-    signs = m.signs
-    vertices = []
-    for name in m.vertex_names:
-        rot = []
-        for x in m.items(name):
-            if isinstance(x, Mark):
-                counts[x.label] = counts.get(x.label, 0) + 1
-                slot = counts[x.label]
-                if slot == 1:
-                    first_dir[x.label] = x.forward
-                elif slot == 2:
-                    signs[x.label] = 1 if x.forward == first_dir[x.label] else -1
-                else:
-                    raise InvalidGraph(f"mark label {x.label!r} appears more than twice")
-                rot.append(End(x.label, slot))
-            else:
-                rot.append(x)
-        vertices.append((name, rot))
-    for lab, n in counts.items():
-        if n != 2:
-            raise InvalidGraph(f"unmatched mark label {lab!r} ({n} marks)")
-    return RibbonGraph(vertices, signs)
 
 
 # -- canonical form ---------------------------------------------------------

@@ -1,17 +1,16 @@
 """Geometric duality, partial duality and the partial-dual genus spectrum.
 
-Three independent constructions of the partial dual are provided and are
-cross-checked against each other throughout the test suite:
-
-* :func:`partial_dual` retraces the boundary of the spanning subgraph on the
-  chosen edge set inside the host graph, records a directed labelled arrow
-  on every arc where that boundary meets an edge, and rebuilds the result
-  from the arrow presentation so obtained.  This is the reference route.
-* :func:`partial_dual_one_edge` performs a local surgery on the arrow
-  presentation (merge two cycles, split one, or reverse a stretch); partial
-  duals compose, so folding it over a subset must agree with the reference.
-* :func:`partial_dual_via_marks` removes the complementary edges leaving
-  marks, takes the geometric dual of the marked graph and reattaches them.
+One construction of the partial dual serves the library.
+:func:`partial_dual` runs the boundary walks of the spanning subgraph on
+``A``, the vertices of ``G^A``, on the integer endpoint pairings of the
+graph's indexed view that also count them, records an arrow for every band
+side and free arc a walk crosses, and builds ``G^A`` from the arrows;
+:func:`geometric_dual` is the partial dual on every edge.  The
+constructions it replaced are oracles in ``verify`` and must agree with it
+on every subset (``dual-route-agreement``): the traced arrow presentation
+(``partial_dual_by_arrows``, equal graph for graph), the one-edge surgery
+folded over the subset and the mark-and-remove route (equal as
+edge-labelled graphs).
 
 The spectrum builds no partial dual.  Write ``f(A)`` for the number of
 boundary walks of the spanning subgraph on ``A``.  The vertices of ``G^A``
@@ -48,55 +47,50 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import (
-    Arrow,
-    ArrowPresentation,
-    End,
-    InvalidGraph,
-    InvariantViolation,
-    Mark,
-    MarkedRibbonGraph,
-    RibbonGraph,
-    RibbonGraphError,
-    from_arrow_presentation,
-    to_arrow_presentation,
-)
+from .core import End, InvalidGraph, InvariantViolation, RibbonGraph, RibbonGraphError
 from .decomposition import BiseparationClass, _label_of_total, _prime_factor_masks
-from .topology import is_orientable, trace_walks
-
-
-def _walks_to_presentation(walks) -> ArrowPresentation:
-    cycles = []
-    for walk in walks:
-        cyc = []
-        for step in walk:
-            if step[0] in ("side", "arc"):
-                cyc.append(Arrow(step[1], step[3]))
-            elif step[0] == "mark":
-                cyc.append(Arrow(step[1], step[2]))
-        cycles.append(cyc)
-    return ArrowPresentation(cycles, validate=False)
+from .topology import is_orientable
 
 
 def partial_dual(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     """The partial dual of ``g`` with respect to an edge subset.
 
-    The boundary of the spanning ribbon subgraph on the subset is traced
-    inside ``g``; band sides of subset edges and free attachment arcs of the
-    remaining edges each receive an arrow, and the marked walks form the
-    arrow presentation of the result.  Edge labels are preserved; vertices
-    get fresh names.
+    The vertices of ``G^A`` are the boundary walks of the spanning subgraph
+    on ``A``, read from the integer view (:meth:`core._Indexed.walk_arrows`):
+    band sides of subset edges and free arcs of the others each record an
+    arrow, and each walk's arrows, in order, are the rotation of one new
+    vertex.  An edge's two ends are numbered in order of appearance, and it
+    is untwisted exactly when its two arrows point the same way.  Walks are
+    ordered by the name of the vertex where they start, then by the start
+    corner's position, and the bare walks of edgeless vertices come last;
+    the new vertices are named ``v0``, ``v1``, ... in that order.  Edge
+    labels are preserved.
     """
-    sub = g.check_subset(edges)
-    walks = trace_walks(g, sub).walks
-    result = from_arrow_presentation(_walks_to_presentation(walks))
+    idx = g._indexed()
+    mask = idx.mask(g.check_subset(edges))
+    names = g.vertex_names
+    labels = idx.labels
+    walks = idx.walk_arrows(mask)
+    walks.sort(key=lambda walk: names[walk[0]])  # stable: corners keep their order
+    bare = sum(1 for darts in idx.rot if not darts)
+    first: list = [None] * idx.ne
+    signs: dict[str, int] = {}
+    vertices = []
+    for i, (_, arrows) in enumerate(walks):
+        rot = []
+        for e, forward in arrows:
+            if first[e] is None:
+                first[e] = forward
+                rot.append(End(labels[e], 1))
+            else:
+                signs[labels[e]] = 1 if forward == first[e] else -1
+                rot.append(End(labels[e], 2))
+        vertices.append((f"v{i}", rot))
+    vertices += [(f"v{i}", ()) for i in range(len(walks), len(walks) + bare)]
+    result = RibbonGraph(vertices, signs, _validate=False)
     # a vertex without subset edges keeps its own boundary walk, so it
     # survives as a vertex of the dual
-    isolated = sum(
-        1
-        for name in g.vertex_names
-        if not any(e.label in sub for e in g.rotation(name))
-    )
+    isolated = sum(1 for darts in idx.rot if not any(mask >> (d >> 1) & 1 for d in darts))
     if result.n_vertices < isolated:
         raise InvariantViolation(
             f"partial dual has {result.n_vertices} vertices, fewer than the "
@@ -106,156 +100,9 @@ def partial_dual(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
 
 
 def geometric_dual(g: RibbonGraph) -> RibbonGraph:
-    """The geometric dual: boundary components become the new vertices.
-
-    Each boundary walk yields one dual vertex whose rotation lists the edge
-    bands in crossing order; an edge stays untwisted exactly when its two
-    sides are crossed in the same sense of its band boundary.
-    """
-    walks = trace_walks(g, None).walks
-    counts: dict[str, int] = {}
-    flags: dict[str, bool] = {}
-    vertices = []
-    signs: dict[str, int] = {}
-    for i, walk in enumerate(walks):
-        rot = []
-        for step in walk:
-            if step[0] != "side":
-                continue
-            label, with_flag = step[1], step[3]
-            counts[label] = counts.get(label, 0) + 1
-            slot = counts[label]
-            if slot == 1:
-                flags[label] = with_flag
-            else:
-                signs[label] = 1 if with_flag == flags[label] else -1
-            rot.append(End(label, slot))
-        vertices.append((f"v{i}", rot))
-    return RibbonGraph(vertices, signs)
-
-
-def geometric_dual_marked(m: MarkedRibbonGraph) -> MarkedRibbonGraph:
-    """Geometric dual of a marked ribbon graph; marking arrows ride along
-    onto the boundary walks that become the dual vertices."""
-    walks = trace_walks(m, None).walks
-    counts: dict[str, int] = {}
-    flags: dict[str, bool] = {}
-    vertices = []
-    signs: dict[str, int] = {}
-    for i, walk in enumerate(walks):
-        row = []
-        for step in walk:
-            if step[0] == "side":
-                label, with_flag = step[1], step[3]
-                counts[label] = counts.get(label, 0) + 1
-                slot = counts[label]
-                if slot == 1:
-                    flags[label] = with_flag
-                else:
-                    signs[label] = 1 if with_flag == flags[label] else -1
-                row.append(End(label, slot))
-            elif step[0] == "mark":
-                row.append(Mark(step[1], step[2]))
-        vertices.append((f"v{i}", row))
-    return MarkedRibbonGraph(vertices, signs)
-
-
-# -- one-edge surgery on arrow presentations ---------------------------------
-
-
-def _reverse_cycle(cyc: list[Arrow]) -> list[Arrow]:
-    return [Arrow(a.label, not a.forward) for a in reversed(cyc)]
-
-
-def _rotate_to(cyc: list[Arrow], pos: int) -> list[Arrow]:
-    return cyc[pos:] + cyc[:pos]
-
-
-def _positions(cyc, label) -> list[int]:
-    return [i for i, a in enumerate(cyc) if a.label == label]
-
-
-def dual_one_edge_cycles(cycles: list[list[Arrow]], label: str) -> list[list[Arrow]]:
-    """Apply the single-edge partial-dual surgery to arrow-presentation cycles.
-
-    With the cycles normalised so the two ``label`` arrows point forward
-    where possible, the rule is:
-
-    * arrows on two cycles ``(e, α)`` and ``(e, β)``: merge into
-      ``(α, e, β, e)`` with both new arrows reversed;
-    * one cycle, aligned arrows ``(e, α, e, β)``: split into ``(α, e)`` and
-      ``(β, e)`` with the new arrows reversed;
-    * one cycle, opposed arrows ``(e, α, <e, β)``: keep one cycle
-      ``(α, e, rev(β), <e)`` where ``rev`` reverses the stretch and flips
-      its arrows.
-    """
-    homes = [i for i, c in enumerate(cycles) if any(a.label == label for a in c)]
-    out = [list(c) for i, c in enumerate(cycles) if i not in homes]
-    if len(homes) == 2:
-        c1, c2 = list(cycles[homes[0]]), list(cycles[homes[1]])
-        p1, p2 = _positions(c1, label)[0], _positions(c2, label)[0]
-        if not c1[p1].forward:
-            c1 = _reverse_cycle(c1)
-            p1 = _positions(c1, label)[0]
-        if not c2[p2].forward:
-            c2 = _reverse_cycle(c2)
-            p2 = _positions(c2, label)[0]
-        alpha = _rotate_to(c1, p1)[1:]
-        beta = _rotate_to(c2, p2)[1:]
-        merged = alpha + [Arrow(label, False)] + beta + [Arrow(label, False)]
-        out.append(merged)
-        return out
-
-    cyc = list(cycles[homes[0]])
-    i, j = _positions(cyc, label)
-    if not cyc[i].forward and not cyc[j].forward:
-        cyc = _reverse_cycle(cyc)
-        i, j = _positions(cyc, label)
-    if cyc[i].forward and cyc[j].forward:
-        alpha = cyc[i + 1 : j]
-        beta = cyc[j + 1 :] + cyc[:i]
-        out.append(alpha + [Arrow(label, False)])
-        out.append(beta + [Arrow(label, False)])
-        return out
-    # opposed arrows: rotate so the forward arrow comes first
-    if cyc[i].forward:
-        cyc = _rotate_to(cyc, i)
-    else:
-        cyc = _rotate_to(cyc, j)
-    i, j = _positions(cyc, label)
-    alpha = cyc[i + 1 : j]
-    beta = cyc[j + 1 :]
-    out.append(alpha + [Arrow(label, True)] + _reverse_cycle(beta) + [Arrow(label, False)])
-    return out
-
-
-def partial_dual_one_edge(g: RibbonGraph, label: str) -> RibbonGraph:
-    """The partial dual with respect to a single edge, by local surgery on
-    the arrow presentation.  Equivalent to ``partial_dual(g, {label})``."""
-    g.sign(label)
-    cycles = [list(c) for c in to_arrow_presentation(g).cycles]
-    new_cycles = dual_one_edge_cycles(cycles, label)
-    return from_arrow_presentation(ArrowPresentation(new_cycles, validate=False))
-
-
-def partial_dual_by_edges(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
-    """Fold the one-edge surgery over a subset, in sorted label order."""
-    sub = g.check_subset(edges)
-    cycles = [list(c) for c in to_arrow_presentation(g).cycles]
-    for label in sorted(sub):
-        cycles = dual_one_edge_cycles(cycles, label)
-    return from_arrow_presentation(ArrowPresentation(cycles, validate=False))
-
-
-def partial_dual_via_marks(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
-    """Partial dual by the mark-and-remove route: remove the complementary
-    edges leaving marks, dualise the marked graph, reattach.  A third,
-    independent assembly used for cross-checking."""
-    from .core import mark_and_remove, restore
-
-    sub = g.check_subset(edges)
-    marked = mark_and_remove(g, g.complement(sub))
-    return restore(geometric_dual_marked(marked))
+    """The geometric dual, the partial dual on every edge: boundary
+    components become the new vertices."""
+    return partial_dual(g, g.edge_labels)
 
 
 # -- spectrum -----------------------------------------------------------------

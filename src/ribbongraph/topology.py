@@ -9,17 +9,19 @@ edge is untwisted (``out`` to the other ``in``) and like-to-like when it is
 twisted.  Counting the resulting closed walks gives the number of boundary
 components, hence the Euler characteristic and the Euler genus.
 
-:func:`trace_walks` spells every walk out as named steps.  It serves the
-callers that read those steps: the arrows of :func:`duality.partial_dual`,
-the rotations of the geometric duals and the walks of marked graphs.  Edges
-outside its band set keep their attachment arcs as free, traversable arcs
-that carry direction arrows.
+:func:`trace_walks` spells every walk out as named steps, for
+:func:`boundary_components` and the ``verify`` oracles that read those
+steps: the arrow route of the partial dual (``partial_dual_by_arrows``),
+the marked geometric dual of the mark-and-remove route and the traced
+surface statistics (``surface_stats_by_walks``).  Edges outside its band
+set keep their attachment arcs as free, traversable arcs that carry
+direction arrows, and marks ride along the corners they sit on.
 
-The counts come from the graph's integer view instead (``core._Indexed``):
-:func:`connected_components`, :func:`is_orientable` and
-:func:`surface_stats` read its one component pass and its boundary-walk
-counter, and build no subgraph.  The traced route survives as the
-``verify`` oracle ``surface_stats_by_walks``.
+The library reads the same walks from the graph's integer view instead
+(``core._Indexed``): :func:`connected_components`, :func:`is_orientable`
+and :func:`surface_stats` read its one component pass and its
+boundary-walk counter, and :func:`duality.partial_dual` its walks with
+their arrows; none of them builds a subgraph or a step.
 """
 
 from __future__ import annotations

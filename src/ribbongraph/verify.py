@@ -25,14 +25,24 @@ its search by edge subset.  The spectrum's classes, which the library reads
 from one table per prime factor, are checked against the whole-graph
 certificate of every subset (``count-route-agreement``).
 
+The library builds a partial dual one way, from the integer walks of
+:meth:`core._Indexed.walk_arrows`.  Three constructions check it on every
+subset (``dual-route-agreement``): the route it replaced
+(:func:`partial_dual_by_arrows`: the step tracer, an arrow presentation
+and a rebuilt graph), which must give the same graph by ``==``, vertex
+names and end slots included; the one-edge surgery on arrow presentations
+folded over the subset (:func:`partial_dual_by_edges`); and the
+mark-and-remove route (:func:`partial_dual_via_marks`: the complement
+removed leaving marks, the marked graph dualised, the edges restored).
+
 Canonical codes are checked against the kernel the library replaced
 (:func:`canonical_form_by_all_starts`), which traces every start dart in
 both directions where the library traces only the starts whose first row
 is least.  Unlike the oracles above, it reads the integer view, as the
 library's kernel does; what it checks is the start filter and the trace.
 Constructions that keep every edge label (the empty and full subsets, the
-double dual, dual composition, the three dual routes, the arrow and mark
-round trips) are compared by :func:`core.labelled_code`, which a
+double dual, dual composition, the one-edge and marks routes, the arrow
+and mark round trips) are compared by :func:`core.labelled_code`, which a
 construction that permutes labels does not pass; unlabelled codes remain
 where classes are meant, in the corpus, the move closure and the
 partial-dual subsets.
@@ -49,7 +59,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .core import (
+    Arrow,
+    ArrowPresentation,
     End,
+    InvalidGraph,
+    Mark,
+    MarkedRibbonGraph,
     RibbonGraph,
     _Indexed,
     _SEP_SIGNS,
@@ -62,8 +77,6 @@ from .core import (
     induced_subgraph,
     is_equivalent,
     labelled_code,
-    mark_and_remove,
-    restore,
     single_vertex,
     to_arrow_presentation,
 )
@@ -83,8 +96,6 @@ from .decomposition import (
 from .duality import (
     geometric_dual,
     partial_dual,
-    partial_dual_by_edges,
-    partial_dual_via_marks,
     refuse_large_sweep,
     spectrum,
     subsets_sorted,
@@ -97,6 +108,7 @@ from .topology import (
     is_orientable,
     stats_from_components,
     surface_stats,
+    trace_walks,
 )
 
 # -- named fixtures -----------------------------------------------------------
@@ -291,8 +303,14 @@ def generate(
     edges, one representative per equivalence class (``connected`` and
     ``dedup`` are inherent to this mode).  ``random`` draws ``count``
     graphs of exactly ``max_edges`` edges, uniform over dart arrangements
-    then signs (not over classes), honouring both flags.
+    then signs (not over classes), honouring both flags.  A negative
+    ``max_edges``, or in ``random`` mode a negative ``count``, raises
+    :class:`ValueError`.
     """
+    if max_edges < 0:
+        raise ValueError(f"max_edges must be at least 0, got {max_edges}")
+    if mode == "random" and count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
     params = {
         "max_edges": max_edges,
         "mode": mode,
@@ -526,6 +544,186 @@ def canonical_form_by_all_starts(g: RibbonGraph) -> str:
         tokens = _all_starts_component_code(idx, members)
         parts.append(_render_component(tokens, len(members), edges.bit_count()))
     return "&".join(sorted(parts))
+
+
+# -- partial-dual oracles ---------------------------------------------------------
+
+
+def partial_dual_by_arrows(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
+    """:func:`duality.partial_dual` by the route it replaced: the boundary of
+    the spanning subgraph on the subset traced as named steps
+    (:func:`topology.trace_walks`), an arrow for every band side and free
+    arc crossed, and the graph rebuilt from that arrow presentation
+    (:func:`core.from_arrow_presentation`).  The library's integer route
+    must give the same graph, ``==``, vertex names and end slots included."""
+    walks = trace_walks(g, g.check_subset(edges)).walks
+    cycles = [[Arrow(step[1], step[3]) for step in walk if step[0] in ("side", "arc")]
+              for walk in walks]
+    return from_arrow_presentation(ArrowPresentation(cycles, validate=False))
+
+
+def _reverse_cycle(cyc: list[Arrow]) -> list[Arrow]:
+    return [Arrow(a.label, not a.forward) for a in reversed(cyc)]
+
+
+def _rotate_to(cyc: list[Arrow], pos: int) -> list[Arrow]:
+    return cyc[pos:] + cyc[:pos]
+
+
+def _positions(cyc, label) -> list[int]:
+    return [i for i, a in enumerate(cyc) if a.label == label]
+
+
+def dual_one_edge_cycles(cycles: list[list[Arrow]], label: str) -> list[list[Arrow]]:
+    """Apply the single-edge partial-dual surgery to arrow-presentation cycles.
+
+    With the cycles normalised so the two ``label`` arrows point forward
+    where possible, the rule is:
+
+    * arrows on two cycles ``(e, α)`` and ``(e, β)``: merge into
+      ``(α, e, β, e)`` with both new arrows reversed;
+    * one cycle, aligned arrows ``(e, α, e, β)``: split into ``(α, e)`` and
+      ``(β, e)`` with the new arrows reversed;
+    * one cycle, opposed arrows ``(e, α, <e, β)``: keep one cycle
+      ``(α, e, rev(β), <e)`` where ``rev`` reverses the stretch and flips
+      its arrows.
+    """
+    homes = [i for i, c in enumerate(cycles) if any(a.label == label for a in c)]
+    out = [list(c) for i, c in enumerate(cycles) if i not in homes]
+    if len(homes) == 2:
+        c1, c2 = list(cycles[homes[0]]), list(cycles[homes[1]])
+        p1, p2 = _positions(c1, label)[0], _positions(c2, label)[0]
+        if not c1[p1].forward:
+            c1 = _reverse_cycle(c1)
+            p1 = _positions(c1, label)[0]
+        if not c2[p2].forward:
+            c2 = _reverse_cycle(c2)
+            p2 = _positions(c2, label)[0]
+        alpha = _rotate_to(c1, p1)[1:]
+        beta = _rotate_to(c2, p2)[1:]
+        merged = alpha + [Arrow(label, False)] + beta + [Arrow(label, False)]
+        out.append(merged)
+        return out
+
+    cyc = list(cycles[homes[0]])
+    i, j = _positions(cyc, label)
+    if not cyc[i].forward and not cyc[j].forward:
+        cyc = _reverse_cycle(cyc)
+        i, j = _positions(cyc, label)
+    if cyc[i].forward and cyc[j].forward:
+        alpha = cyc[i + 1 : j]
+        beta = cyc[j + 1 :] + cyc[:i]
+        out.append(alpha + [Arrow(label, False)])
+        out.append(beta + [Arrow(label, False)])
+        return out
+    # opposed arrows: rotate so the forward arrow comes first
+    if cyc[i].forward:
+        cyc = _rotate_to(cyc, i)
+    else:
+        cyc = _rotate_to(cyc, j)
+    i, j = _positions(cyc, label)
+    alpha = cyc[i + 1 : j]
+    beta = cyc[j + 1 :]
+    out.append(alpha + [Arrow(label, True)] + _reverse_cycle(beta) + [Arrow(label, False)])
+    return out
+
+
+def partial_dual_one_edge(g: RibbonGraph, label: str) -> RibbonGraph:
+    """The partial dual with respect to a single edge, by local surgery on
+    the arrow presentation.  Equivalent to ``partial_dual(g, {label})``."""
+    g.sign(label)
+    cycles = [list(c) for c in to_arrow_presentation(g).cycles]
+    new_cycles = dual_one_edge_cycles(cycles, label)
+    return from_arrow_presentation(ArrowPresentation(new_cycles, validate=False))
+
+
+def partial_dual_by_edges(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
+    """Fold the one-edge surgery over a subset, in sorted label order."""
+    sub = g.check_subset(edges)
+    cycles = [list(c) for c in to_arrow_presentation(g).cycles]
+    for label in sorted(sub):
+        cycles = dual_one_edge_cycles(cycles, label)
+    return from_arrow_presentation(ArrowPresentation(cycles, validate=False))
+
+
+def mark_and_remove(g: RibbonGraph, edges: Iterable[str]) -> MarkedRibbonGraph:
+    """Replace each edge of the subset by a pair of marking arrows occupying
+    the same rotation slots, directions following the edge boundary."""
+    sub = g.check_subset(edges)
+    vertices = []
+    for name in g.vertex_names:
+        row = []
+        for e in g.rotation(name):
+            if e.label in sub:
+                fwd = True if e.slot == 1 else g.sign(e.label) > 0
+                row.append(Mark(e.label, fwd))
+            else:
+                row.append(e)
+        vertices.append((name, row))
+    signs = {k: v for k, v in g.signs.items() if k not in sub}
+    return MarkedRibbonGraph(vertices, signs, validate=False)
+
+
+def restore(m: MarkedRibbonGraph) -> RibbonGraph:
+    """Reattach one edge per mark pair, inverting :func:`mark_and_remove`."""
+    counts: dict[str, int] = {}
+    first_dir: dict[str, bool] = {}
+    signs = m.signs
+    vertices = []
+    for name in m.vertex_names:
+        rot = []
+        for x in m.items(name):
+            if isinstance(x, Mark):
+                counts[x.label] = counts.get(x.label, 0) + 1
+                slot = counts[x.label]
+                if slot == 1:
+                    first_dir[x.label] = x.forward
+                elif slot == 2:
+                    signs[x.label] = 1 if x.forward == first_dir[x.label] else -1
+                else:
+                    raise InvalidGraph(f"mark label {x.label!r} appears more than twice")
+                rot.append(End(x.label, slot))
+            else:
+                rot.append(x)
+        vertices.append((name, rot))
+    for lab, n in counts.items():
+        if n != 2:
+            raise InvalidGraph(f"unmatched mark label {lab!r} ({n} marks)")
+    return RibbonGraph(vertices, signs)
+
+
+def geometric_dual_marked(m: MarkedRibbonGraph) -> MarkedRibbonGraph:
+    """Geometric dual of a marked ribbon graph; marking arrows ride along
+    onto the boundary walks that become the dual vertices."""
+    walks = trace_walks(m, None).walks
+    counts: dict[str, int] = {}
+    flags: dict[str, bool] = {}
+    vertices = []
+    signs: dict[str, int] = {}
+    for i, walk in enumerate(walks):
+        row = []
+        for step in walk:
+            if step[0] == "side":
+                label, with_flag = step[1], step[3]
+                counts[label] = counts.get(label, 0) + 1
+                slot = counts[label]
+                if slot == 1:
+                    flags[label] = with_flag
+                else:
+                    signs[label] = 1 if with_flag == flags[label] else -1
+                row.append(End(label, slot))
+            elif step[0] == "mark":
+                row.append(Mark(step[1], step[2]))
+        vertices.append((f"v{i}", row))
+    return MarkedRibbonGraph(vertices, signs)
+
+
+def partial_dual_via_marks(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
+    """Partial dual by the mark-and-remove route: remove the complementary
+    edges leaving marks, dualise the marked graph, reattach."""
+    sub = g.check_subset(edges)
+    marked = mark_and_remove(g, g.complement(sub))
+    return restore(geometric_dual_marked(marked))
 
 
 def partial_dual_subsets_by_codes(g: RibbonGraph, h: RibbonGraph) -> list[frozenset]:
@@ -785,6 +983,8 @@ def _check_route_agreement(res: CheckResult, ana: _Analysis) -> None:
     g = ana.g
     for sub in ana.subsets:
         res.checked += 1
+        if partial_dual_by_arrows(g, sub) != ana.dual[sub]:
+            res.fail(graph=_serial(g), subset=sub, property="integer route vs arrow route")
         ref = labelled_code(ana.dual[sub])
         one_edge = partial_dual_by_edges(g, sub)
         marked = partial_dual_via_marks(g, sub)

@@ -175,7 +175,7 @@ def test_criterion_08_same_genus_and_moves(sweep):
 @pytest.mark.slow
 def test_criterion_09_construction_agreement(sweep):
     r = _result(sweep, "dual-route-agreement")
-    _verdict(9, "trace, one-edge and marked constructions agree",
+    _verdict(9, "integer, arrow, one-edge and marked constructions agree",
              r.ok and r.checked > 0, f" ({r.checked} subsets)")
 
 

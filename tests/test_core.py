@@ -16,13 +16,12 @@ from ribbongraph import (
     from_canonical_code,
     induced_subgraph,
     is_equivalent,
-    mark_and_remove,
-    restore,
     single_vertex,
     to_arrow_presentation,
 )
 from ribbongraph.core import equivalence_orbit, labelled_code
 from ribbongraph.topology import euler_genus
+from ribbongraph.verify import mark_and_remove, restore
 
 
 def test_build_plane_two_cycle(fixtures):

@@ -3,20 +3,24 @@ import itertools
 import pytest
 
 from ribbongraph import (
+    RibbonGraph,
     RibbonGraphError,
     build_graph,
     disjoint_union,
     geometric_dual,
     is_equivalent,
     partial_dual,
-    partial_dual_by_edges,
-    partial_dual_one_edge,
     single_vertex,
     spectrum,
     surface_stats,
 )
-from ribbongraph.duality import genus_polynomial, partial_dual_via_marks, subsets_sorted
+from ribbongraph.duality import genus_polynomial, subsets_sorted
 from ribbongraph.topology import euler_genus
+from ribbongraph.verify import (
+    partial_dual_by_edges,
+    partial_dual_one_edge,
+    partial_dual_via_marks,
+)
 
 
 def test_geometric_dual_of_bare_vertex():
@@ -114,6 +118,43 @@ def test_isolated_vertices_preserved():
     g = build_graph({"u": ["a.1", "a.2"], "w": []}, {"a": "+"})
     d = partial_dual(g, {"a"})
     assert d.n_vertices == surface_stats(single_vertex("a a", "+")).n_boundary + 1
+
+
+def _with_bare_vertices(g, rng):
+    """``g`` with two edgeless vertices inserted at random storage positions."""
+    rows = list(zip(g.vertex_names, g.rotations))
+    for name in ("bare0", "bare1"):
+        rows.insert(rng.randrange(len(rows) + 1), (name, ()))
+    return RibbonGraph(rows, g.signs)
+
+
+def _scrambled_names(g, rng):
+    """``g`` with vertex names whose string order differs from storage order:
+    ``v0``..``v12`` drawn at random, so ``v10`` sorts before ``v2``."""
+    names = [f"v{i}" for i in rng.sample(range(13), g.n_vertices)]
+    return RibbonGraph(zip(names, g.rotations), g.signs)
+
+
+def test_integer_partial_dual_is_the_arrow_route_exactly(corpus4):
+    # the integer walks must rebuild the traced arrow route graph for graph:
+    # vertex names, rotations, end slots and signs, on every subset
+    import random
+
+    from ribbongraph import generate
+    from ribbongraph.verify import partial_dual_by_arrows
+
+    rng = random.Random(5)
+    graphs = list(corpus4.graphs)
+    for e in range(1, 8):
+        for g in generate(e, mode="random", seed=7, count=12, connected=False).graphs:
+            graphs += [_with_bare_vertices(g, rng), _scrambled_names(g, rng),
+                       _scrambled_names(_with_bare_vertices(g, rng), rng)]
+    assert any("v10" in g.vertex_names and "v2" in g.vertex_names for g in graphs)
+    assert any(len(g._indexed().components) > 3 for g in graphs)
+    for g in graphs:
+        for sub in subsets_sorted(g.edge_labels):
+            assert partial_dual(g, sub) == partial_dual_by_arrows(g, sub), (g, sub)
+        assert geometric_dual(g) == partial_dual(g, g.edge_labels)
 
 
 def test_dual_acts_on_components_independently(fixtures):

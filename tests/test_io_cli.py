@@ -253,7 +253,9 @@ def test_cli_exit_codes(files, tmp_path, capsys):
 
 # outputs of the two certificate-bearing commands recorded from the route that
 # built every partial dual and every side subgraph; the boundary-count route
-# must reproduce them byte for byte, component order included
+# must reproduce them byte for byte, component order included.  The `dual`
+# outputs were recorded from the traced arrow route (now the oracle
+# `verify.partial_dual_by_arrows`): vertex names, rotations and signs.
 FIXTURE_OUTPUTS = Path(__file__).resolve().parent / "data" / "fixture_cli_outputs.json"
 
 
@@ -286,10 +288,10 @@ def test_cli_invariant_violation_exits_1(files, monkeypatch, capsys):
     import ribbongraph.duality
 
     with monkeypatch.context() as m:
-        # a rebuilt dual without vertices breaks "a vertex without subset
+        # a built dual without vertices breaks "a vertex without subset
         # edges survives as a vertex of the dual"
-        m.setattr(ribbongraph.duality, "from_arrow_presentation",
-                  lambda presentation: RibbonGraph({}, {}))
+        m.setattr(ribbongraph.duality, "RibbonGraph",
+                  lambda *args, **kwargs: RibbonGraph({}, {}))
         with pytest.raises(InvariantViolation):
             partial_dual(parse(C_TEXT).graph(), set())
         assert main(["dual", files["c"], "--edges", ""]) == 1
@@ -304,7 +306,7 @@ def test_cli_invariant_violation_survives_optimize(files):
         "import ribbongraph.duality as duality\n"
         "from ribbongraph import RibbonGraph\n"
         "from ribbongraph.cli import main\n"
-        "duality.from_arrow_presentation = lambda p: RibbonGraph({}, {})\n"
+        "duality.RibbonGraph = lambda *args, **kwargs: RibbonGraph({}, {})\n"
         f"sys.exit(main(['dual', {files['c']!r}, '--edges', '']))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -342,6 +344,26 @@ def test_cli_verify_refuses_large_graphs(capsys):
     assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: verify over 24 edges means 2^24 subsets"), err
+
+
+def test_cli_verify_refuses_negative_sizes(capsys):
+    # a negative size is an input error, not an empty corpus that passes
+    # or a corpus-counts failure
+    from ribbongraph.verify import generate
+
+    for mode, size in (("exhaustive", ["--max-edges", "-1"]),
+                       ("random", ["--max-edges", "-1"]),
+                       ("random", ["--max-edges", "3", "--count", "-3"])):
+        for extra in ([], ["--json"]):
+            argv = ["verify", "--mode", mode, *size, *extra]
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith("error: ") and "at least 0" in captured.err, argv
+    with pytest.raises(ValueError):
+        generate(-1)
+    with pytest.raises(ValueError):
+        generate(3, mode="random", count=-3)
 
 
 def test_cli_relate_refuses_negative_depth(files, capsys):
