@@ -285,9 +285,8 @@ class RibbonGraph:
         """Permute vertex storage order (no geometric effect)."""
         if sorted(order) != sorted(self._names):
             raise InvalidGraph("reordering must permute the vertex names")
-        return RibbonGraph(
-            [(n, self.rotation(n)) for n in order], self._signs, _validate=False
-        )
+        rots = dict(zip(self._names, self._rots))
+        return RibbonGraph([(n, rots[n]) for n in order], self._signs, _validate=False)
 
     def relabeled(self, mapping: Mapping[str, str]) -> "RibbonGraph":
         """Rename edges by the given injective mapping."""
@@ -550,10 +549,8 @@ def disjoint_union(*graphs: RibbonGraph) -> RibbonGraph:
     signs = {}
     for i, g in enumerate(graphs):
         p = f"g{i}." if len(graphs) > 1 else ""
-        for name in g.vertex_names:
-            vertices.append(
-                (p + name, [End(p + e.label, e.slot) for e in g.rotation(name)])
-            )
+        for name, rot in zip(g.vertex_names, g.rotations):
+            vertices.append((p + name, [End(p + e.label, e.slot) for e in rot]))
         for lab, s in g.signs.items():
             signs[p + lab] = s
     return RibbonGraph(vertices, signs)
@@ -567,8 +564,8 @@ def induced_subgraph(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     vertices incident to them, rotations restricted in cyclic order."""
     sub = g.check_subset(edges)
     vertices = []
-    for name in g.vertex_names:
-        rot = tuple(e for e in g.rotation(name) if e.label in sub)
+    for name, rot in zip(g.vertex_names, g.rotations):
+        rot = tuple(e for e in rot if e.label in sub)
         if rot:
             vertices.append((name, rot))
     return RibbonGraph(vertices, {k: g.sign(k) for k in sub}, _validate=False)
@@ -578,8 +575,8 @@ def delete_edges(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     """Delete an edge subset, keeping every vertex (isolated ones included)."""
     sub = g.check_subset(edges)
     vertices = [
-        (name, tuple(e for e in g.rotation(name) if e.label not in sub))
-        for name in g.vertex_names
+        (name, tuple(e for e in rot if e.label not in sub))
+        for name, rot in zip(g.vertex_names, g.rotations)
     ]
     signs = {k: v for k, v in g.signs.items() if k not in sub}
     return RibbonGraph(vertices, signs, _validate=False)
@@ -623,9 +620,9 @@ def to_arrow_presentation(g: RibbonGraph) -> ArrowPresentation:
     untwisted.
     """
     cycles = []
-    for name in g.vertex_names:
+    for rot in g.rotations:
         cyc = []
-        for e in g.rotation(name):
+        for e in rot:
             fwd = True if e.slot == 1 else g.sign(e.label) > 0
             cyc.append(Arrow(e.label, fwd))
         cycles.append(cyc)

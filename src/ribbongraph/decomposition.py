@@ -10,17 +10,24 @@ certificates, classifies them by the topology of the components, factors
 graphs into prime join summands and relates certificate subsets by toggling
 summands.
 
-Every count here comes from the graph's integer view (``core._Indexed``)
-and an edge bitmask, with no subgraph built.  Its one component pass on a
-side's mask yields the side's components, in the order of their first
-vertex, with their orientability.  The boundary walks of the spanning
-subgraph on the side, counted once per edge set by the same counter the
-spectrum uses, each stay in one component; walks per component give its
+Everything here works on the graph's integer view (``core._Indexed``) and
+edge bitmasks, with no subgraph built; vertex names and edge labels are
+filled in only in the values returned.  One component pass on a side's
+mask yields the side's components, in the order of their first vertex,
+with their orientability and the component count ``c`` of the spanning
+subgraph, edgeless vertices included.  A subset ``A`` carries a
+certificate exactly when ``c(A) + c(Aᶜ) = v + 1``, the criterion
+``duality.spectrum`` applies to every prime factor.  The boundary walks of
+the spanning subgraph on a side, counted once per edge set by the counter
+the spectrum uses, each stay in one component; walks per component give its
 boundary count ``f_C`` and its Euler genus ``2 - v_C + e_C - f_C``.  The
 same pass finds the components of the graph minus a vertex for the join
-splits, and the connectedness and genus of the prime factors.  The route
-through built induced subgraphs is kept as the ``verify`` oracle
-``side_components_by_subgraphs``.
+splits, and the connectedness and genus of the prime factors; the prime
+factors, the summand sets and the join-split sides are edge masks, and the
+move search reads them as such.  The routes they replaced are ``verify``
+oracles: side components from built induced subgraphs
+(``side_components_by_subgraphs``) and the incidence tree from a
+union-find over vertex names (``incidence_tree_by_union_find``).
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .core import (
     InvariantViolation,
     RibbonGraph,
     RibbonGraphError,
+    _Indexed,
     per_graph,
 )
 from .topology import is_connected, surface_stats
@@ -75,6 +83,13 @@ def all_interleave_patterns(deg_p: int, deg_q: int):
             yield word, off
 
 
+def _vertex_index(g: RibbonGraph, name: str) -> int:
+    try:
+        return g.vertex_names.index(name)
+    except ValueError:
+        raise InvalidGraph(f"no vertex named {name!r}") from None
+
+
 def n_sum(
     p: RibbonGraph,
     q: RibbonGraph,
@@ -97,35 +112,27 @@ def n_sum(
     if set(p.edge_labels) & set(q.edge_labels):
         clash = sorted(set(p.edge_labels) & set(q.edge_labels))
         raise InvalidGraph(f"edge labels shared between summands: {clash}")
-    vp_seen: set[str] = set()
-    vq_seen: set[str] = set()
-    merged: dict[str, tuple] = {}
+    # the q vertex, pattern and offset merged into each vertex of p, by index
+    merged: list[Optional[tuple]] = [None] * p.n_vertices
+    taken = [False] * q.n_vertices
     for entry in pairing:
         vp, vq, pattern = entry[0], entry[1], entry[2]
-        off = entry[3] if len(entry) > 3 else 0
-        if vp in vp_seen or vq in vq_seen:
+        i, j = _vertex_index(p, vp), _vertex_index(q, vq)
+        if merged[i] is not None or taken[j]:
             raise InvalidGraph(f"vertex reused within the pairing: {vp!r}/{vq!r}")
-        vp_seen.add(vp)
-        vq_seen.add(vq)
-        merged[vp] = (vq, pattern, off)
-    q_names = {n for n in q.vertex_names}
-    rename_q = {
-        n: (f"q.{n}" if n in set(p.vertex_names) else n)
-        for n in q_names
-        if n not in vq_seen
-    }
+        merged[i] = (j, pattern, entry[3] if len(entry) > 3 else 0)
+        taken[j] = True
     vertices = []
-    for name in p.vertex_names:
-        if name in merged:
-            vq, pattern, off = merged[name]
-            rot = _merge_rotation(p.rotation(name), q.rotation(vq), pattern, off)
-            vertices.append((name, rot))
-        else:
-            vertices.append((name, p.rotation(name)))
-    for name in q.vertex_names:
-        if name in vq_seen:
-            continue
-        vertices.append((rename_q[name], q.rotation(name)))
+    for name, rot, m in zip(p.vertex_names, p.rotations, merged):
+        if m is not None:
+            rot = _merge_rotation(rot, q.rotations[m[0]], m[1], m[2])
+        vertices.append((name, rot))
+    # a kept q vertex whose name p also uses is renamed
+    vertices += [
+        (f"q.{name}" if name in p.vertex_names else name, rot)
+        for name, rot, t in zip(q.vertex_names, q.rotations, taken)
+        if not t
+    ]
     signs = dict(p.signs)
     signs.update(q.signs)
     return RibbonGraph(vertices, signs)
@@ -185,35 +192,37 @@ class BiseparationCertificate:
     genus_sum: int
 
 
-def _side_components(g: RibbonGraph, edges: frozenset, side: str) -> list[SideComponent]:
-    """Components of the subgraph induced by ``edges``, ordered by their
-    first vertex, with their surface data, from the graph's integer view.
+def _bits(mask: int) -> list[int]:
+    """The indices of the bits set in ``mask``, ascending: for an edge
+    mask, its edges in the order of their sorted labels."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
-    These are the parts of the spanning subgraph on the mask that carry an
-    edge.  Every boundary walk of the spanning subgraph stays in one part,
-    so counting walks by home vertex gives each component's boundary count
-    ``f_C`` and its Euler genus ``2 - v_C + e_C - f_C``.
+
+def _side_parts(idx: _Indexed, mask: int) -> tuple[list[tuple], list[int], int]:
+    """The side components of the edges in ``mask``, per vertex the index
+    of its side component, and the component count ``c`` of the spanning
+    subgraph on ``mask``.
+
+    Side components are the parts of the spanning subgraph that carry an
+    edge, in order of first vertex, as ``(vertex indices, edge mask, Euler
+    genus, orientable)``; a vertex that no edge of the mask meets has index
+    ``-1``, and ``c`` counts it as a part of its own.  Every boundary walk
+    of the spanning subgraph stays in one part, so counting walks by home
+    vertex gives each part's boundary count ``f_C`` and its Euler genus
+    ``2 - v_C + e_C - f_C``.
     """
-    if not edges:
-        return []
-    idx = g._indexed()
-    mask = idx.mask(edges)
     parts, comp_of = idx.parts(mask)
     n_walks = [0] * len(parts)
-    for v in idx.walk_homes(mask):
-        n_walks[comp_of[v]] += 1
-    names = g.vertex_names
-    return [
-        SideComponent(
-            side=side,
-            vertices=frozenset(names[v] for v in members),
-            edges=idx.edge_set(es),
-            euler_genus=2 - len(members) + es.bit_count() - n_walks[ci],
-            orientable=orientable,
-        )
-        for ci, (members, es, orientable) in enumerate(parts)
-        if es
-    ]
+    if mask:
+        for v in idx.walk_homes(mask):
+            n_walks[comp_of[v]] += 1
+    sides: list[tuple] = []
+    where = [-1] * len(parts)
+    for ci, (members, es, orientable) in enumerate(parts):
+        if es:
+            where[ci] = len(sides)
+            sides.append((members, es, 2 - len(members) + es.bit_count() - n_walks[ci], orientable))
+    return sides, [where[ci] for ci in comp_of], len(parts)
 
 
 def _label_of_total(total: int) -> str:
@@ -223,66 +232,56 @@ def _label_of_total(total: int) -> str:
     return {0: "plane", 1: "rp2"}.get(total, "other")
 
 
-def _incidence_tree(g: RibbonGraph, comp_a, comp_b) -> Optional[tuple]:
-    """The incidence edges ``(A component, B component, shared vertex)``, in
-    vertex order, when they form a tree over all the components; else
-    ``None``."""
-    where_a = {v: i for i, c in enumerate(comp_a) for v in c.vertices}
-    where_b = {v: len(comp_a) + i for i, c in enumerate(comp_b) for v in c.vertices}
-    parent = list(range(len(comp_a) + len(comp_b)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree_edges = []
-    for v in g.vertex_names:
-        if v in where_a and v in where_b:
-            i, j = where_a[v], where_b[v]
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                return None  # a cycle or two shared vertices: not a tree
-            parent[ri] = rj
-            tree_edges.append((i, j, v))
-    # an acyclic graph on n nodes is a tree exactly when it has n - 1 edges
-    return tuple(tree_edges) if len(tree_edges) == len(parent) - 1 else None
-
-
 def biseparation_data(
     g: RibbonGraph, edges: Iterable[str]
 ) -> tuple[tuple[SideComponent, ...], Optional[BiseparationCertificate]]:
-    """Side components of a subset plus the certificate when one exists."""
-    if len(g._indexed().components) > 1:
+    """Side components of a subset plus the certificate when one exists.
+
+    A vertex met by edges of both sides joins their two side components by
+    one incidence edge.  As ``g`` is connected, so is the incidence graph,
+    and it is a tree exactly when it has one edge fewer than nodes.  With
+    ``c(S)`` the component count of the spanning subgraph on ``S``, that
+    is ``c(A) + c(Aᶜ) = v + 1``, and the tree edges are the vertices met
+    by both sides, in vertex order.  The empty and the full subset always
+    qualify.
+    """
+    idx = g._indexed()
+    if len(idx.components) > 1:
         raise InvalidGraph("biseparations are defined for connected graphs")
     sub = g.check_subset(edges)
-    comp_a = _side_components(g, sub, "A")
-    comp_b = _side_components(g, g.complement(sub), "B")
-    comps = tuple(comp_a + comp_b)
+    mask = idx.mask(sub)
+    full = (1 << idx.ne) - 1
+    side_a, where_a, c_a = _side_parts(idx, mask)
+    side_b, where_b, c_b = _side_parts(idx, full ^ mask)
+    names = g.vertex_names
+    comps = tuple(
+        SideComponent(side, frozenset(names[v] for v in members), idx.edge_set(es), genus, orientable)
+        for side, parts in (("A", side_a), ("B", side_b))
+        for members, es, genus, orientable in parts
+    )
+    if c_a + c_b != idx.nv + 1:
+        return comps, None
     total = sum(c.euler_genus for c in comps)
-    trivial = not sub or sub == frozenset(g.edge_labels)
-    tree = () if trivial else _incidence_tree(g, comp_a, comp_b)
-    cert = None if tree is None else BiseparationCertificate(
+    return comps, BiseparationCertificate(
         subset=sub,
-        trivial=trivial,
+        trivial=mask in (0, full),
         components=comps,
-        tree_edges=tree,
+        tree_edges=tuple(
+            (i, len(side_a) + j, names[v])
+            for v, (i, j) in enumerate(zip(where_a, where_b))
+            if i >= 0 and j >= 0
+        ),
         label=_label_of_total(total),
         genus_sum=total,
     )
-    return comps, cert
 
 
 def is_biseparation(g: RibbonGraph, edges: Iterable[str]) -> Optional[BiseparationCertificate]:
-    """Certificate that the subset splits ``g`` along 1-sums, or ``None``.
-
-    The full and the empty subset always qualify (trivially).  Otherwise a
-    vertex shared by a component of each side contributes one incidence
-    edge, and the certificate exists exactly when those incidence edges form
-    a tree over all the components: connected, acyclic, no two components
-    sharing more than one vertex.
-    """
+    """Certificate that the subset splits ``g`` along 1-sums, or ``None``:
+    the incidence edges of the side components, one per vertex shared by a
+    component of each side, form a tree over all the components (see
+    :func:`biseparation_data`).  The full and the empty subset always
+    qualify (trivially)."""
     return biseparation_data(g, edges)[1]
 
 
@@ -384,24 +383,9 @@ def _split_masks(g: RibbonGraph, mask: int) -> Iterator[tuple[int, int]]:
                 yield v, x
 
 
-def _join_splits(g: RibbonGraph, mask: int) -> list[tuple[str, frozenset]]:
-    """The join splits of the subgraph induced by the edges in ``mask``,
-    by vertex name and edge set, sorted."""
-    idx = g._indexed()
-    names = g.vertex_names
-    return sorted(
-        ((names[v], idx.edge_set(x)) for v, x in set(_split_masks(g, mask))),
-        key=lambda t: (t[0], sorted(t[1])),
-    )
-
-
-@per_graph
-def _whole_graph_splits(g: RibbonGraph) -> tuple[tuple[str, frozenset], ...]:
-    return tuple(_join_splits(g, (1 << g.n_edges) - 1))
-
-
 def join_summand_splits(g: RibbonGraph) -> list[tuple[str, frozenset]]:
-    """All ways to split ``g`` as a join at a vertex.
+    """All ways to split ``g`` as a join at a vertex, sorted by vertex name
+    and edge labels.
 
     A returned pair ``(v, X)`` means the ends of the ``X`` edges occupy a
     contiguous arc of the rotation at ``v``, every loop at ``v`` stays on
@@ -411,7 +395,22 @@ def join_summand_splits(g: RibbonGraph) -> list[tuple[str, frozenset]]:
     """
     if not is_connected(g):
         raise InvalidGraph("join splits are defined for connected graphs")
-    return list(_whole_graph_splits(g))
+    idx = g._indexed()
+    names = g.vertex_names
+    return sorted(
+        ((names[v], idx.edge_set(x)) for v, x in set(_split_masks(g, (1 << idx.ne) - 1))),
+        key=lambda t: (t[0], sorted(t[1])),
+    )
+
+
+@per_graph
+def _split_sides(g: RibbonGraph) -> tuple[int, ...]:
+    """Edge masks of the sides of the join splits of ``g``, each once, in
+    the order of their sorted labels: the sets a single
+    dual-of-a-join-summand move may act on."""
+    if not is_connected(g):
+        raise InvalidGraph("join splits are defined for connected graphs")
+    return tuple(sorted({x for _, x in _split_masks(g, (1 << g.n_edges) - 1)}, key=_bits))
 
 
 @dataclass(frozen=True)
@@ -450,67 +449,70 @@ def _prime_factor_masks(g: RibbonGraph) -> list[int]:
 
 
 @per_graph
-def prime_factorization(g: RibbonGraph) -> JoinTree:
-    """Split at join vertices until no split remains."""
+def _factor_masks(g: RibbonGraph) -> tuple[int, ...]:
+    """Edge masks of the prime factors of connected ``g``, in the order of
+    their sorted labels."""
     if not is_connected(g):
         raise InvalidGraph("prime factorization is defined for connected graphs")
-    idx = g._indexed()
-    factors = sorted((idx.edge_set(m) for m in _prime_factor_masks(g)), key=sorted)
-    # the vertices of a factor are the ends of its edges
-    names, dart_vertex = g.vertex_names, idx.dart_vertex
-    vert_sets = [
-        {names[dart_vertex[2 * idx.eindex[lab] + s]] for lab in f for s in (0, 1)}
-        for f in factors
-    ]
-    joints = []
-    for v in g.vertex_names:
-        owners = tuple(i for i, vs in enumerate(vert_sets) if v in vs)
-        if len(owners) > 1:
-            joints.append((v, owners))
-    return JoinTree(factors=tuple(factors), joints=tuple(joints))
+    return tuple(sorted(_prime_factor_masks(g), key=_bits))
 
 
 @per_graph
-def _summand_sets(g: RibbonGraph) -> tuple[frozenset, ...]:
+def prime_factorization(g: RibbonGraph) -> JoinTree:
+    """Split at join vertices until no split remains."""
+    masks = _factor_masks(g)
     idx = g._indexed()
-    masks = [idx.mask(f) for f in prime_factorization(g).factors]
+    # the factors whose edges end at each vertex, by vertex index
+    owners: list[list[int]] = [[] for _ in range(idx.nv)]
+    for i, m in enumerate(masks):
+        for e in _bits(m):
+            for d in (2 * e, 2 * e + 1):
+                at = owners[idx.dart_vertex[d]]
+                if not at or at[-1] != i:
+                    at.append(i)
+    names = g.vertex_names
+    return JoinTree(
+        factors=tuple(idx.edge_set(m) for m in masks),
+        joints=tuple((names[v], tuple(at)) for v, at in enumerate(owners) if len(at) > 1),
+    )
+
+
+@per_graph
+def _summand_masks(g: RibbonGraph) -> tuple[int, ...]:
+    """Edge masks of the connected unions of prime factors of ``g``, the
+    whole edge set included, by size and then in the order of their sorted
+    labels."""
+    idx = g._indexed()
+    masks = _factor_masks(g)
     out = []
     for r in range(1, len(masks) + 1):
         for combo in itertools.combinations(masks, r):
-            m = 0
-            for f in combo:
-                m |= f
+            m = sum(combo)  # the factors are disjoint
             if sum(1 for _, es, _ in idx.parts(m)[0] if es) == 1:
-                out.append(idx.edge_set(m))
-    return tuple(sorted(set(out), key=lambda s: (len(s), sorted(s))))
+                out.append(m)
+    return tuple(sorted(out, key=lambda m: (m.bit_count(), _bits(m))))
 
 
 def summand_edge_sets(g: RibbonGraph) -> list[frozenset]:
     """Edge sets that can appear as a single join summand: the unions of
     prime factors whose union is connected (the whole edge set included)."""
-    return list(_summand_sets(g))
+    idx = g._indexed()
+    return [idx.edge_set(m) for m in _summand_masks(g)]
 
 
 def is_join_biseparation(g: RibbonGraph, edges: Iterable[str]) -> bool:
     """Whether the subset is a union of join-summand edge sets of ``g``
     (equivalently, of prime factors)."""
-    sub = g.check_subset(edges)
-    tree = prime_factorization(g)
-    rest = set(sub)
-    for f in tree.factors:
-        if f <= rest:
-            rest -= f
-        elif f & rest:
-            return False
-    return not rest
+    mask = g._indexed().mask(g.check_subset(edges))
+    return all(mask & f in (0, f) for f in _factor_masks(g))
 
 
 @per_graph
 def factor_genera(g: RibbonGraph) -> tuple[int, ...]:
     """Euler genus of every prime factor, in factor order."""
+    idx = g._indexed()
     return tuple(
-        sum(c.euler_genus for c in _side_components(g, f, "A"))
-        for f in prime_factorization(g).factors
+        sum(side[2] for side in _side_parts(idx, f)[0]) for f in _factor_masks(g)
     )
 
 

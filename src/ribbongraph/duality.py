@@ -162,11 +162,9 @@ def _factor_tables(g: RibbonGraph, masks: list[int], classes: bool) -> list[tupl
     The side components of ``S`` on ``P`` are the parts of the spanning
     subgraphs on ``S`` and ``F∖S`` that carry an edge; their genera sum to
     the Euler genus ``2 c_P(S) − v_P + |S| − f_P(S)`` of the spanning
-    subgraph on ``S``, plus the same for ``F∖S``.  Their incidence graph,
-    one edge per vertex on both sides, is connected because ``P`` is, so it
-    is a tree exactly when it has one edge fewer than nodes, which reduces
-    to ``c_P(S) + c_P(F∖S) = v_P + 1``.  ``S = ∅`` and ``S = F`` always
-    qualify.
+    subgraph on ``S``, plus the same for ``F∖S``, and ``S`` has a
+    certificate on ``P`` exactly when ``c_P(S) + c_P(F∖S) = v_P + 1``, the
+    criterion of :func:`decomposition.biseparation_data`.
     """
     idx = g._indexed()
     out = []

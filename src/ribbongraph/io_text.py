@@ -167,7 +167,7 @@ def document_of(g: RibbonGraph, name: Optional[str] = None) -> GraphDocument:
         kind="ribbon",
         name=name,
         edges=[(lab, g.sign(lab)) for lab in g.edge_labels],
-        vertices=[(n, [str(e) for e in g.rotation(n)]) for n in g.vertex_names],
+        vertices=[(n, [str(e) for e in rot]) for n, rot in zip(g.vertex_names, g.rotations)],
     )
 
 

@@ -23,9 +23,10 @@ from typing import Iterable, Optional
 from .core import InvariantViolation, RibbonGraph, induced_subgraph, is_equivalent
 from .decomposition import (
     NotAJoinSummand,
+    _split_sides,
+    _summand_masks,
     is_connected,
     join_summand_splits,
-    summand_edge_sets,
 )
 from .duality import geometric_dual, partial_dual, refuse_large_sweep
 from .topology import surface_stats
@@ -75,7 +76,8 @@ class MoveSearchResult:
 def binary_summand_sets(g: RibbonGraph) -> list[frozenset]:
     """Edge sets of the two-sided join splits of ``g``: exactly the sets a
     single dual-of-a-join-summand move may act on."""
-    return sorted({x for _, x in join_summand_splits(g)}, key=sorted)
+    idx = g._indexed()
+    return [idx.edge_set(x) for x in _split_sides(g)]
 
 
 def dual_join_summand_move(g: RibbonGraph, factor: Iterable[str]) -> RibbonGraph:
@@ -90,7 +92,7 @@ def dual_join_summand_move(g: RibbonGraph, factor: Iterable[str]) -> RibbonGraph
     summand's dual, and genus and orientability are preserved.
     """
     fac = g.check_subset(factor)
-    if fac not in set(binary_summand_sets(g)):
+    if fac not in {x for _, x in join_summand_splits(g)}:
         raise NotAJoinSummand(
             f"{sorted(fac)} is not one side of a join split of the graph"
         )
@@ -118,23 +120,25 @@ def dual_join_summand_move(g: RibbonGraph, factor: Iterable[str]) -> RibbonGraph
     return result
 
 
-def _step_sets(g: RibbonGraph, policy: str) -> list[frozenset]:
-    """The edge sets a search step from ``g`` may dual, in label order.
+def _step_sets(g: RibbonGraph, policy: str) -> list[int]:
+    """The edge masks a search step from ``g`` may dual, in label order.
 
     ``splits`` duals one side of a two-sided join split (each step is a
     single legal move).  ``unions`` duals any connected union of prime
     factors; a step may be a shortcut for a short sequence of legal moves,
     never leaving the set of partial duals, and reaches the same graphs.
-    The whole edge set is left to the geometric-dual step.
+    The whole edge set is left to the geometric-dual step.  A partial dual
+    keeps its edge labels, so its masks are masks of every graph it is a
+    partial dual of.
     """
     if policy == "unions":
-        factor_sets = summand_edge_sets(g)
+        masks = _summand_masks(g)
     elif policy == "splits":
-        factor_sets = binary_summand_sets(g)
+        masks = _split_sides(g)
     else:
         raise ValueError(f"unknown move policy {policy!r}")
-    full = frozenset(g.edge_labels)
-    return [edges for edges in factor_sets if edges != full]
+    full = (1 << g.n_edges) - 1
+    return [m for m in masks if m != full]
 
 
 def move_related(
@@ -164,8 +168,7 @@ def move_related(
         return MoveSearchResult(MoveTrace((), (start_code,)), True, 0, 0, 1)
     refuse_large_sweep(g, "move search")
     idx = g._indexed()
-    full = frozenset(g.edge_labels)
-    all_edges = idx.mask(full)
+    full = (1 << idx.ne) - 1
     duals = {0: g}  # every subset built so far, by edge mask
 
     def dual(mask: int) -> RibbonGraph:
@@ -174,10 +177,8 @@ def move_related(
             d = duals[mask] = partial_dual(g, idx.edge_set(mask))
         return d
 
-    # code -> (parent code, step, edge mask of its first representative)
-    seen: dict[str, tuple[Optional[str], Optional[MoveStep], int]] = {
-        start_code: (None, None, 0)
-    }
+    # code -> (parent code, flipped mask, edge mask of its first representative)
+    seen: dict[str, tuple[Optional[str], int, int]] = {start_code: (None, 0, 0)}
     queue = deque([(start_code, 0)])
     closed = True
     max_depth = 0
@@ -189,25 +190,22 @@ def move_related(
             continue
         expanded += 1
         node = seen[code][2]
-        flips = [
-            (MoveStep("dual-join-summand", edges), idx.mask(edges))
-            for edges in _step_sets(dual(node), policy)
-        ]
-        flips.append((MoveStep("geometric-dual", full), all_edges))
-        for step, flip in flips:
+        for flip in _step_sets(dual(node), policy) + [full]:
             mask = node ^ flip
             ncode = dual(mask).canonical_code()
             if ncode in seen:
                 continue
-            seen[ncode] = (code, step, mask)
+            seen[ncode] = (code, flip, mask)
             max_depth = max(max_depth, depth + 1)
             if ncode == target:
                 steps = []
                 codes = [ncode]
                 at = ncode
                 while seen[at][0] is not None:
-                    steps.append(seen[at][1])
-                    at = seen[at][0]
+                    at, flip, _ = seen[at]
+                    # a summand step never flips the whole edge set
+                    kind = "geometric-dual" if flip == full else "dual-join-summand"
+                    steps.append(MoveStep(kind, idx.edge_set(flip)))
                     codes.append(at)
                 return MoveSearchResult(
                     MoveTrace(tuple(reversed(steps)), tuple(reversed(codes))),

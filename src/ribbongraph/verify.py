@@ -13,17 +13,19 @@ any failure is reported with a replayable serialized instance.
 The oracles are independent constructions the fast routes are checked
 against: components by name-keyed search (:func:`components_by_names`),
 orientability by the parity double cover, surface statistics from the
-step tracer (:func:`surface_stats_by_walks`), and side components from
-built induced subgraphs.  None of them reads the integer view.  The join
-oracle (:func:`join_biseparations_by_splits`) shares the library's split
-finder but searches recursive binary join splits instead of using the
-uniqueness of the prime factorization.  The partial-dual subsets of a pair
-come from building and coding every subset
+step tracer (:func:`surface_stats_by_walks`), side components from
+built induced subgraphs, and the incidence tree of a certificate from a
+union-find over vertex names (:func:`incidence_tree_by_union_find`),
+where the library counts components.  None of them reads the integer
+view.  The join oracle (:func:`join_biseparations_by_splits`) shares the
+library's split finder but searches recursive binary join splits instead
+of using the uniqueness of the prime factorization.  The partial-dual
+subsets of a pair come from building and coding every subset
 (:func:`partial_dual_subsets_by_codes`), and the move closure from a
 search over built graphs (:func:`_move_closure`), where the library keys
-its search by edge subset.  The spectrum's classes, which the library reads
-from one table per prime factor, are checked against the whole-graph
-certificate of every subset (``count-route-agreement``).
+its search by edge subset.  The spectrum's classes, which the library
+reads from one table per prime factor, are checked against the
+whole-graph certificate of every subset (``count-route-agreement``).
 
 The library builds a partial dual one way, from the integer walks of
 :meth:`core._Indexed.walk_arrows`.  Three constructions check it on every
@@ -83,7 +85,7 @@ from .core import (
 from .decomposition import (
     BiseparationCertificate,
     BiseparationClass,
-    _join_splits,
+    _split_masks,
     all_interleave_patterns,
     biseparation_data,
     classify_join_biseparation,
@@ -447,6 +449,41 @@ def side_components_by_subgraphs(g: RibbonGraph, edges: Iterable[str]) -> tuple:
     return tuple(out)
 
 
+def incidence_tree_by_union_find(
+    g: RibbonGraph, sides_a: list[frozenset], sides_b: list[frozenset]
+) -> Optional[tuple]:
+    """The incidence edges ``(A component, B component, shared vertex)``, in
+    vertex order, when they form a tree over all the side components; else
+    ``None``.  The sides are given by their vertex-name sets, A's then B's
+    indexed in order.  A union-find over the components, keyed by vertex
+    name, stops at the first cycle.  A subset with an empty side is
+    trivial, and its tree has no edges.  Oracle for the count criterion of
+    :func:`decomposition.biseparation_data`."""
+    if not sides_a or not sides_b:
+        return ()
+    where_a = {v: i for i, vs in enumerate(sides_a) for v in vs}
+    where_b = {v: len(sides_a) + i for i, vs in enumerate(sides_b) for v in vs}
+    parent = list(range(len(sides_a) + len(sides_b)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree_edges = []
+    for v in g.vertex_names:
+        if v in where_a and v in where_b:
+            i, j = where_a[v], where_b[v]
+            ri, rj = find(i), find(j)
+            if ri == rj:
+                return None  # a cycle or two shared vertices: not a tree
+            parent[ri] = rj
+            tree_edges.append((i, j, v))
+    # an acyclic graph on n nodes is a tree exactly when it has n - 1 edges
+    return tuple(tree_edges) if len(tree_edges) == len(parent) - 1 else None
+
+
 def _all_starts_trace(idx: _Indexed, start_dart: int, start_flip: int, best):
     """Breadth-first code of the component of ``start_dart``.
 
@@ -754,8 +791,7 @@ def join_biseparations_by_splits(g: RibbonGraph) -> set[frozenset]:
         hit = accepted.get(mask)
         if hit is None:
             hit = {0, mask}
-            for _, x in _join_splits(g, mask):
-                side = idx.mask(x)
+            for side in {x for _, x in _split_masks(g, mask)}:
                 rest = search(mask & ~side)
                 hit.update(a | b for a in search(side) for b in rest)
             accepted[mask] = hit
@@ -999,7 +1035,9 @@ def _check_count_routes(res: CheckResult, ana: _Analysis) -> None:
     statistics and its class, read from the prime factors' tables, against
     the whole-graph certificate, the integer :func:`surface_stats` of every
     built dual against the same traced statistics, every side list of a
-    certificate against :func:`side_components_by_subgraphs`."""
+    certificate against :func:`side_components_by_subgraphs`, and every
+    certificate's existence and tree edges against
+    :func:`incidence_tree_by_union_find` over the built sides."""
     g = ana.g
     full = frozenset(g.edge_labels)
     idx = g._indexed()
@@ -1030,6 +1068,13 @@ def _check_count_routes(res: CheckResult, ana: _Analysis) -> None:
         if got != want:
             res.fail(graph=_serial(g), subset=sub,
                      property="side components vs built induced subgraphs")
+        cert = ana.cert[sub]
+        tree = incidence_tree_by_union_find(
+            g, [c[0] for c in built[sub]], [c[0] for c in built[full - sub]]
+        )
+        if tree != (None if cert is None else cert.tree_edges):
+            res.fail(graph=_serial(g), subset=sub,
+                     property="count criterion vs union-find incidence tree")
 
 
 def _check_genus_decomposition(res: CheckResult, ana: _Analysis) -> None:
@@ -1238,7 +1283,8 @@ def _neighbours(g: RibbonGraph, policy: str) -> list[RibbonGraph]:
     the summand duals of the policy's step sets, then the geometric dual.
     The move search reaches the same graphs as partial duals of its start
     graph, keyed by edge subset."""
-    return [partial_dual(g, edges) for edges in _step_sets(g, policy)] + [geometric_dual(g)]
+    idx = g._indexed()
+    return [partial_dual(g, idx.edge_set(m)) for m in _step_sets(g, policy)] + [geometric_dual(g)]
 
 
 def _move_closure(g: RibbonGraph, bound: int, policy: str) -> dict[str, int]:
@@ -1524,7 +1570,6 @@ def check_suite(
     corpus: Corpus,
     which: Optional[Iterable[str]] = None,
     seed: int = 0,
-    progress: Optional[Callable[[str], None]] = None,
 ) -> VerificationReport:
     """Run the selected checks over a corpus and report failures.
 
@@ -1553,8 +1598,6 @@ def check_suite(
                 else:
                     PER_GRAPH_CHECKS[n](results[n], ana)
                 results[n].seconds += time.perf_counter() - t0
-            if progress:
-                progress(f"analysed {g.canonical_code()}")
 
     for n in names:
         if n in CORPUS_CHECKS:

@@ -58,6 +58,9 @@ def test_n_sum_validation():
         n_sum(loop_a, single_vertex("a a", "-"), [("v", "v", "PQPQ")])
     with pytest.raises(InvalidGraph, match="pattern"):
         n_sum(loop_a, loop_b, [("v", "v", "PQ")])
+    for pair in (("x", "v"), ("v", "x")):
+        with pytest.raises(InvalidGraph, match="no vertex named 'x'"):
+            n_sum(loop_a, loop_b, [pair + ("PQPQ",)])
 
 
 def test_join_adds_genus(fixtures):
@@ -149,6 +152,32 @@ def test_sequence_oracle_matches_tree_criterion(fixtures):
     assert biseparation_sequence_oracle(fixtures["C"], {"a"}) is None
     # a trivial subset has the whole graph as its single summand
     assert biseparation_sequence_oracle(fixtures["C"], set()) == [0]
+
+
+def test_count_criterion_matches_the_union_find_and_sequence_oracles(corpus4):
+    # c(A) + c(Aᶜ) = v + 1 against a union-find over the sides' vertex names
+    # (the sides from built induced subgraphs) and against the search over
+    # gluing orders, on every subset of every graph with up to 4 edges
+    from ribbongraph.decomposition import biseparation_data
+    from ribbongraph.duality import subsets_sorted
+    from ribbongraph.verify import incidence_tree_by_union_find, side_components_by_subgraphs
+
+    checked = certified = 0
+    for g in corpus4.graphs:
+        full = frozenset(g.edge_labels)
+        subs = list(subsets_sorted(full))
+        # a subset and its complement share their sides
+        sides = {sub: [c[0] for c in side_components_by_subgraphs(g, sub)] for sub in subs}
+        for sub in subs:
+            checked += 1
+            cert = biseparation_data(g, sub)[1]
+            tree = incidence_tree_by_union_find(g, sides[sub], sides[full - sub])
+            assert (None if cert is None else cert.tree_edges) == tree, (g, sub)
+            assert (cert is None) == (biseparation_sequence_oracle(g, sub) is None), (g, sub)
+            certified += cert is not None
+    # 8,778 subsets of the graphs with an edge, and the edgeless graph's one
+    assert checked == 8779
+    assert 0 < certified < checked
 
 
 # -- joins: splits, factors --------------------------------------------------------

@@ -49,6 +49,39 @@ def test_parse_two_cycle():
     assert g.n_vertices == 2 and euler_genus(g) == 0
 
 
+def test_whole_graph_writes_read_no_rotation_by_name(monkeypatch):
+    # looking a rotation up by name scans the vertex names, so a per-vertex
+    # lookup makes writing or rebuilding a graph quadratic in its vertices
+    from ribbongraph.core import delete_edges, disjoint_union, induced_subgraph
+
+    n = 40
+    text = "ribbon v1\n" + "".join(f"edge e{i} {'+-'[i % 2]}\n" for i in range(n)) + "".join(
+        f"vertex v{i}: e{i}.1 e{(i + 1) % n}.2\n" for i in range(n)
+    )
+    g = parse(text).graph()
+    order = list(reversed(g.vertex_names))
+    some = {f"e{i}" for i in range(0, n, 3)}
+
+    def built():
+        return (
+            serialize_graph(g),
+            g.reordered(order),
+            disjoint_union(g, g),
+            induced_subgraph(g, some),
+            delete_edges(g, some),
+            to_arrow_presentation(g),
+        )
+
+    want = built()
+    assert parse(want[0]).graph() == g
+
+    def refuse(self, name):
+        raise AssertionError(f"rotation of {name!r} looked up by name")
+
+    monkeypatch.setattr(RibbonGraph, "rotation", refuse)
+    assert built() == want
+
+
 def test_parse_comments_and_metadata():
     doc = parse("ribbon v1\n# a comment\nname demo\nnote first note\nedge a +\nvertex u: a.1 a.2\n")
     assert doc.name == "demo"
@@ -255,7 +288,10 @@ def test_cli_exit_codes(files, tmp_path, capsys):
 # built every partial dual and every side subgraph; the boundary-count route
 # must reproduce them byte for byte, component order included.  The `dual`
 # outputs were recorded from the traced arrow route (now the oracle
-# `verify.partial_dual_by_arrows`): vertex names, rotations and signs.
+# `verify.partial_dual_by_arrows`): vertex names, rotations and signs.  The
+# `factor` and plain `biseparations` outputs were recorded from the named
+# factor sets and the union-find over vertex names (now the oracle
+# `verify.incidence_tree_by_union_find`).
 FIXTURE_OUTPUTS = Path(__file__).resolve().parent / "data" / "fixture_cli_outputs.json"
 
 
@@ -268,6 +304,26 @@ def test_cli_certificate_outputs_unchanged(fixtures, tmp_path, capsys):
         for command, want in recorded[name].items():
             argv = command.split()
             assert main(argv[:1] + [str(path)] + argv[1:]) == 0
+            assert capsys.readouterr().out == want, (name, command)
+
+
+# `relate` of each fixture against its partial dual on its first edge label,
+# recorded while certificates were still decided by a union-find over vertex
+# names and the move search read named summand sets.
+RELATE_OUTPUTS = Path(__file__).resolve().parent / "data" / "fixture_relate_outputs.json"
+
+
+def test_cli_relate_outputs_unchanged(fixtures, tmp_path, capsys):
+    recorded = json.loads(RELATE_OUTPUTS.read_text(encoding="utf-8"))
+    assert sorted(recorded) == sorted(fixtures)
+    for name, g in fixtures.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(serialize_graph(g))
+        assert main(["dual", str(path), "--edges", g.edge_labels[0]]) == 0
+        dual_path = tmp_path / f"{name}.dual.txt"
+        dual_path.write_text(capsys.readouterr().out)
+        for command, want in recorded[name].items():
+            assert main(["relate", str(path), str(dual_path)] + command.split()[1:]) == 0
             assert capsys.readouterr().out == want, (name, command)
 
 

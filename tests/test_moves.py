@@ -127,6 +127,22 @@ def test_interleaved_factor_is_not_a_single_move():
     assert is_equivalent(via, partial_dual(g, {"l"}))
 
 
+def test_step_masks_are_the_named_sets_in_label_order(corpus3):
+    # the search reads summand sets and split sides as edge masks; as labels
+    # they must be the named sets, in the label order its traces follow
+    from ribbongraph.decomposition import join_summand_splits, summand_edge_sets
+    from ribbongraph.moves import _step_sets, binary_summand_sets
+
+    for g in corpus3.graphs:
+        idx = g._indexed()
+        full = frozenset(g.edge_labels)
+        splits = sorted({x for _, x in join_summand_splits(g)}, key=sorted)
+        assert binary_summand_sets(g) == splits
+        for policy, named in (("splits", splits), ("unions", summand_edge_sets(g))):
+            got = [idx.edge_set(m) for m in _step_sets(g, policy)]
+            assert got == [x for x in named if x != full], (g, policy)
+
+
 def test_distributivity(fixtures):
     moebius = single_vertex("e e", "-")
     other = single_vertex("f f", "-")
