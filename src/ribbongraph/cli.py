@@ -30,6 +30,7 @@ from .duality import (
     partial_dual,
     partial_dual_subsets,
     spectrum,
+    spectrum_rows,
 )
 from .moves import move_related
 from .topology import surface_stats
@@ -89,25 +90,29 @@ def cmd_spectrum(args) -> int:
         else:
             print(io_text.polynomial_text(poly))
         return 0
-    rows = spectrum(g, genus=args.genus, classes=args.classes, force=args.force)
     if args.json:
-        print(io_text.emit({"command": "spectrum", "spectrum": io_text.spectrum_json(rows)}), end="")
+        io_text.write_spectrum_json(
+            spectrum_rows(g, genus=args.genus, classes=args.classes, force=args.force)
+        )
     else:
-        print(io_text.spectrum_text(rows))
+        print(io_text.spectrum_text(
+            spectrum(g, genus=args.genus, classes=args.classes, force=args.force)
+        ))
     return 0
 
 
 def cmd_biseparations(args) -> int:
     g = _load(args.file)
-    found = list(_certified_subsets(g, args.klass))
+    found = _certified_subsets(g, args.klass)
     if args.json:
-        out = [io_text.certificate_json(cert) for _, cert in found]
-        print(io_text.emit({"command": "biseparations", "biseparations": out}), end="")
+        io_text.write_certificates_json(cert for _, cert in found)
     else:
-        if not found:
-            print("none")
+        listed = False
         for sub, cert in found:
             print(f"{io_text.subset_text(sub)}: {BiseparationClass.of(cert)}")
+            listed = True
+        if not listed:
+            print("none")
     return 0
 
 

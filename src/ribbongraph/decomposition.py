@@ -20,12 +20,22 @@ certificate exactly when ``c(A) + c(Aᶜ) = v + 1``, the criterion
 ``duality.spectrum`` applies to every prime factor.  The boundary walks of
 the spanning subgraph on a side, counted once per edge set by the counter
 the spectrum uses, each stay in one component; walks per component give its
-boundary count ``f_C`` and its Euler genus ``2 - v_C + e_C - f_C``.  The
-same pass finds the components of the graph minus a vertex for the join
-splits, and the connectedness and genus of the prime factors; the prime
-factors, the summand sets and the join-split sides are edge masks, and the
-move search reads them as such.  The routes they replaced are ``verify``
-oracles: side components from built induced subgraphs
+boundary count ``f_C`` and its Euler genus ``2 - v_C + e_C - f_C``, which
+gives the genus of each prime factor too.
+
+Every join question reads one memo per graph, the factor tree
+(:func:`_factor_tree`).  One depth-first pass finds the blocks (Tarjan,
+SIAM J. Comput. 1, 1972), and one stack scan per vertex merges the blocks
+whose ends interleave in its rotation; the merged classes are the prime
+factors.  Factors and joints, the vertices met by two or more factors,
+form a tree.  The join splits at a joint are the cyclic arcs of its
+rotation that hold every end of each factor they touch, with everything
+behind those factors, and the summand sets are the connected sets of
+factors of the tree, listed by extension.  Factors, summand sets and
+join-split sides are edge masks, and the move search reads them as such.
+The routes they replaced are ``verify`` oracles: the join splits from
+trying every arc of every rotation (``join_splits_by_arcs``), side
+components from built induced subgraphs
 (``side_components_by_subgraphs``) and the incidence tree from a
 union-find over vertex names (``incidence_tree_by_union_find``).
 """
@@ -33,8 +43,9 @@ union-find over vertex names (``incidence_tree_by_union_find``).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     End,
@@ -318,16 +329,23 @@ def _certified_subsets(
 ) -> Iterator[tuple[frozenset, BiseparationCertificate]]:
     """Each subset whose certificate matches the filter, with that
     certificate, smallest subsets first; every certificate is computed
-    once.  The filters are those of :func:`enumerate_biseparations`."""
+    once.  The filters are those of :func:`enumerate_biseparations`.  The
+    refusals come at the call, before any subset."""
     from .duality import refuse_large_sweep, subsets_sorted
 
     refuse_large_sweep(g, "biseparations")
-    for sub in subsets_sorted(g.edge_labels):
-        cert = is_biseparation(g, sub)
-        if cert is None:
-            continue
-        if label == "all" or cert.label == label or (label == "nontrivial" and not cert.trivial):
-            yield sub, cert
+    if not is_connected(g):
+        raise InvalidGraph("biseparations are defined for connected graphs")
+
+    def matching():
+        for sub in subsets_sorted(g.edge_labels):
+            cert = is_biseparation(g, sub)
+            if cert is None:
+                continue
+            if label == "all" or cert.label == label or (label == "nontrivial" and not cert.trivial):
+                yield sub, cert
+
+    return matching()
 
 
 def enumerate_biseparations(
@@ -339,48 +357,218 @@ def enumerate_biseparations(
     return [sub for sub, _ in _certified_subsets(g, label)]
 
 
-# -- joins: detection, prime factorization -------------------------------------
+# -- joins: the factor tree -----------------------------------------------------
 
 
-def _split_masks(g: RibbonGraph, mask: int) -> Iterator[tuple[int, int]]:
-    """The join splits of the subgraph induced by the edges in ``mask``, as
-    ``(vertex index, edge mask)`` pairs read from the integer view of
-    ``g``, each one or more times, in no useful order."""
-    idx = g._indexed()
-    for v, darts in enumerate(idx.rot):
-        rot = [x for x in darts if mask >> (x >> 1) & 1]
-        d = len(rot)
-        if d < 2:
+def _blocks(idx: _Indexed) -> tuple[list[int], int]:
+    """The block of every edge, and the number of blocks, from one
+    iterative depth-first pass (Tarjan, SIAM J. Comput. 1, 1972).
+
+    A loop is a block of its own; parallel edges close a cycle and so share
+    a block.  A non-loop edge enters the edge stack when it is first met, as
+    a tree edge or as an edge back to an ancestor; when a child's low point
+    does not reach above its parent, the edges stacked since the tree edge
+    into the child form one block.
+    """
+    rot, dart_vertex = idx.rot, idx.dart_vertex
+    block = [-1] * idx.ne
+    n_blocks = 0
+    disc = [-1] * idx.nv
+    low = [0] * idx.nv
+    clock = 0
+    for root in range(idx.nv):
+        if disc[root] >= 0:
             continue
-        # components of the subgraph minus v, to check that none straddles
-        # the split; a loop end at v records its partner's position instead
-        at_v = 0
-        for x in rot:
-            at_v |= 1 << (x >> 1)
-        rest, comp_of = idx.parts(mask & ~at_v)
-        pos = {x: i for i, x in enumerate(rot)}
-        mate = [pos.get(x ^ 1, -1) for x in rot]
-        end_comp = [
-            -1 if mate[i] >= 0 else comp_of[idx.dart_vertex[x ^ 1]]
-            for i, x in enumerate(rot)
-        ]
-        for start in range(d):
-            for length in range(1, d):
-                block = [(start + k) % d for k in range(length)]
-                inside = set(block)
-                # loops must close inside or outside the block
-                if any(mate[i] >= 0 and mate[i] not in inside for i in block):
-                    continue
-                comps_in = {end_comp[i] for i in block} - {-1}
-                comps_out = {end_comp[i] for i in range(d) if i not in inside} - {-1}
-                if comps_in & comps_out:
-                    continue
-                x = 0
-                for i in block:
-                    x |= 1 << (rot[i] >> 1)
-                for ci in comps_in:
-                    x |= rest[ci][1]
-                yield v, x
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [[root, -1, 0]]  # vertex, edge into it, next rotation slot
+        pending: list[int] = []
+        while stack:
+            top = stack[-1]
+            v, into, i = top
+            if i < len(rot[v]):
+                top[2] = i + 1
+                d = rot[v][i]
+                e = d >> 1
+                w = dart_vertex[d ^ 1]
+                if w == v:
+                    if block[e] < 0:
+                        block[e] = n_blocks
+                        n_blocks += 1
+                elif disc[w] < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    pending.append(e)
+                    stack.append([w, e, 0])
+                elif disc[w] < disc[v] and e != into:
+                    pending.append(e)
+                    low[v] = min(low[v], disc[w])
+                continue
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    while True:
+                        e = pending.pop()
+                        block[e] = n_blocks
+                        if e == into:
+                            break
+                    n_blocks += 1
+    return block, n_blocks
+
+
+class _FactorTree(NamedTuple):
+    """The prime factors of a graph and the tree they form with their
+    joints, the vertices met by two or more factors.
+
+    ``masks`` are the factors' edge masks over every component, in the
+    order of their sorted labels, and ``factor_of`` the factor of every
+    edge.  ``joints`` lists each joint's vertex index with its factors,
+    ascending.  ``behind[(v, i)]`` is the edge mask of factor ``i`` and of
+    every factor reached from it in the tree without passing joint ``v``.
+    """
+
+    masks: tuple[int, ...]
+    factor_of: tuple[int, ...]
+    joints: tuple[tuple[int, tuple[int, ...]], ...]
+    behind: dict
+
+
+@per_graph
+def _factor_tree(g: RibbonGraph) -> _FactorTree:
+    """The factor tree of ``g``, over every component.
+
+    Two edge sets meeting at a vertex ``v`` alone, with the ends of one on
+    an arc of the rotation at ``v``, split ``g`` as a join, so a split
+    never cuts a block, nor separates two blocks whose ends interleave
+    (a…b…a…b) at a shared vertex.  Merging such blocks gives the prime
+    factors.  Two blocks share at most one vertex, so each pair is merged
+    at that vertex or nowhere: one stack scan per vertex suffices.  The
+    scan keeps the open classes, those with ends both before and after the
+    current slot, on a stack; reaching an end of an open class merges into
+    it every class stacked above it, which opened after that class's
+    previous end and closes after this one.  A class closes at its last
+    end.  The factors and joints form a forest, which gives each factor's
+    branch behind each of its joints.
+    """
+    idx = g._indexed()
+    block, n_blocks = _blocks(idx)
+    parent = list(range(n_blocks))
+
+    def find(b: int) -> int:
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        return b
+
+    for darts in idx.rot:
+        if len(darts) < 4:  # two classes interleave in four ends at least
+            continue
+        seq = [block[d >> 1] for d in darts]
+        last = {b: p for p, b in enumerate(seq)}
+        end: dict[int, int] = {}
+        open_: list[int] = []
+        for p, b in enumerate(seq):
+            r = find(b)
+            if r in end:
+                while open_[-1] != r:
+                    s = open_.pop()
+                    parent[s] = r
+                    end[r] = max(end[r], end[s])
+            else:
+                end[r] = last[b]
+                open_.append(r)
+            if end[r] == p:
+                open_.pop()
+
+    # factors numbered in order of their lowest edge, the order of their
+    # sorted labels
+    number: dict[int, int] = {}
+    masks = []
+    factor_of = []
+    for e, b in enumerate(block):
+        i = number.setdefault(find(b), len(masks))
+        if i == len(masks):
+            masks.append(0)
+        masks[i] |= 1 << e
+        factor_of.append(i)
+    joints = []
+    for v, darts in enumerate(idx.rot):
+        at = sorted({factor_of[d >> 1] for d in darts})
+        if len(at) > 1:
+            joints.append((v, tuple(at)))
+
+    # root each tree at a factor: a factor's branch behind the joint above
+    # it is its subtree, and behind a joint below it the rest of its
+    # component
+    at_joints: list[list[int]] = [[] for _ in masks]
+    for j, (_, at) in enumerate(joints):
+        for i in at:
+            at_joints[i].append(j)
+    up = [-1] * len(masks)  # the joint above each factor
+    top = [-1] * len(joints)  # the factor above each joint
+    placed = [False] * len(masks)
+    order = []
+    for root in range(len(masks)):
+        if placed[root]:
+            continue
+        placed[root] = True
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            for j in at_joints[i]:
+                if j != up[i]:
+                    top[j] = i
+                    for k in joints[j][1]:
+                        if k != i:
+                            up[k] = j
+                            placed[k] = True
+                            stack.append(k)
+    below = list(masks)  # each factor's subtree
+    hung = [0] * len(joints)  # each joint's subtrees
+    for i in reversed(order):
+        j = up[i]
+        if j >= 0:
+            hung[j] |= below[i]
+            below[top[j]] |= below[i]
+    behind: dict[tuple[int, int], int] = {}
+    for j, (v, at) in enumerate(joints):
+        component = idx.components[idx.component_of[v]][1]
+        for i in at:
+            behind[v, i] = below[i] if up[i] == j else component & ~hung[j]
+    return _FactorTree(tuple(masks), tuple(factor_of), tuple(joints), behind)
+
+
+def _join_splits(g: RibbonGraph) -> Iterator[tuple[int, int]]:
+    """The join splits of ``g``, as ``(vertex index, edge mask)`` pairs,
+    each once.
+
+    A split at ``v`` keeps each factor, with everything behind it, on one
+    side, so ``v`` is a joint.  Its sides are the cyclic arcs of the
+    rotation at ``v`` that hold every end of each factor they touch, with
+    the branches behind those factors.
+    """
+    tree = _factor_tree(g)
+    idx = g._indexed()
+    for v, _ in tree.joints:
+        seq = [tree.factor_of[d >> 1] for d in idx.rot[v]]
+        n = len(seq)
+        ends = Counter(seq)
+        for start in range(n):
+            inside: dict[int, int] = {}
+            cut = 0  # factors with some but not all of their ends in the arc
+            x = 0
+            for k in range(start, start + n - 1):
+                i = seq[k % n]
+                c = inside[i] = inside.get(i, 0) + 1
+                if c == 1:
+                    x |= tree.behind[(v, i)]
+                    cut += ends[i] > 1
+                elif c == ends[i]:
+                    cut -= 1
+                if not cut:
+                    yield v, x
 
 
 def join_summand_splits(g: RibbonGraph) -> list[tuple[str, frozenset]]:
@@ -391,14 +579,14 @@ def join_summand_splits(g: RibbonGraph) -> list[tuple[str, frozenset]]:
     contiguous arc of the rotation at ``v``, every loop at ``v`` stays on
     one side, no component of ``g`` minus ``v`` attaches to both sides, and
     both sides carry at least one edge.  Both ``(v, X)`` and ``(v, X^c)``
-    are listed.
+    are listed.  They are read from the factor tree (:func:`_join_splits`).
     """
     if not is_connected(g):
         raise InvalidGraph("join splits are defined for connected graphs")
     idx = g._indexed()
     names = g.vertex_names
     return sorted(
-        ((names[v], idx.edge_set(x)) for v, x in set(_split_masks(g, (1 << idx.ne) - 1))),
+        ((names[v], idx.edge_set(x)) for v, x in _join_splits(g)),
         key=lambda t: (t[0], sorted(t[1])),
     )
 
@@ -410,7 +598,7 @@ def _split_sides(g: RibbonGraph) -> tuple[int, ...]:
     dual-of-a-join-summand move may act on."""
     if not is_connected(g):
         raise InvalidGraph("join splits are defined for connected graphs")
-    return tuple(sorted({x for _, x in _split_masks(g, (1 << g.n_edges) - 1)}, key=_bits))
+    return tuple(sorted({x for _, x in _join_splits(g)}, key=_bits))
 
 
 @dataclass(frozen=True)
@@ -426,54 +614,24 @@ class JoinTree:
         return len(self.factors)
 
 
-def _prime_factor_masks(g: RibbonGraph) -> list[int]:
-    """Edge masks of the prime factors of every component of ``g``: each
-    component's edges are split at the first join split found until no
-    split remains.  Edgeless vertices have no factor.  The factor edge sets
-    are independent of the split order; the test suite asserts this by
-    trying every order on corpus graphs."""
-    out = []
-    stack = [es for _, es, _ in g._indexed().components]
-    while stack:
-        mask = stack.pop()
-        if not mask:
-            continue
-        split = next(_split_masks(g, mask), None)
-        if split is None:
-            out.append(mask)
-            continue
-        x = split[1]
-        stack.append(x)
-        stack.append(mask & ~x)
-    return out
-
-
-@per_graph
 def _factor_masks(g: RibbonGraph) -> tuple[int, ...]:
     """Edge masks of the prime factors of connected ``g``, in the order of
     their sorted labels."""
     if not is_connected(g):
         raise InvalidGraph("prime factorization is defined for connected graphs")
-    return tuple(sorted(_prime_factor_masks(g), key=_bits))
+    return _factor_tree(g).masks
 
 
 @per_graph
 def prime_factorization(g: RibbonGraph) -> JoinTree:
-    """Split at join vertices until no split remains."""
+    """Split at join vertices until no split remains: the factors and
+    joints of the factor tree (:func:`_factor_tree`)."""
     masks = _factor_masks(g)
     idx = g._indexed()
-    # the factors whose edges end at each vertex, by vertex index
-    owners: list[list[int]] = [[] for _ in range(idx.nv)]
-    for i, m in enumerate(masks):
-        for e in _bits(m):
-            for d in (2 * e, 2 * e + 1):
-                at = owners[idx.dart_vertex[d]]
-                if not at or at[-1] != i:
-                    at.append(i)
     names = g.vertex_names
     return JoinTree(
         factors=tuple(idx.edge_set(m) for m in masks),
-        joints=tuple((names[v], tuple(at)) for v, at in enumerate(owners) if len(at) > 1),
+        joints=tuple((names[v], at) for v, at in _factor_tree(g).joints),
     )
 
 
@@ -481,15 +639,40 @@ def prime_factorization(g: RibbonGraph) -> JoinTree:
 def _summand_masks(g: RibbonGraph) -> tuple[int, ...]:
     """Edge masks of the connected unions of prime factors of ``g``, the
     whole edge set included, by size and then in the order of their sorted
-    labels."""
-    idx = g._indexed()
+    labels.
+
+    Factors meeting at a joint are adjacent, and a union of factors is
+    connected exactly when its factors are; every connected set grows from
+    a smaller one by an adjacent factor, so the sets are listed by
+    extension, each once.
+    """
     masks = _factor_masks(g)
+    tree = _factor_tree(g)
+    adjacent = [0] * len(masks)
+    for _, at in tree.joints:
+        near = sum(1 << i for i in at)
+        for i in at:
+            adjacent[i] |= near
+    found = {1 << i for i in range(len(masks))}
+    grow = list(found)
+    while grow:
+        larger = []
+        for s in grow:
+            reach = 0
+            for i in _bits(s):
+                reach |= adjacent[i]
+            for i in _bits(reach & ~s):
+                t = s | 1 << i
+                if t not in found:
+                    found.add(t)
+                    larger.append(t)
+        grow = larger
     out = []
-    for r in range(1, len(masks) + 1):
-        for combo in itertools.combinations(masks, r):
-            m = sum(combo)  # the factors are disjoint
-            if sum(1 for _, es, _ in idx.parts(m)[0] if es) == 1:
-                out.append(m)
+    for s in found:
+        m = 0
+        for i in _bits(s):
+            m |= masks[i]
+        out.append(m)
     return tuple(sorted(out, key=lambda m: (m.bit_count(), _bits(m))))
 
 

@@ -29,10 +29,13 @@ joins and Euler genus adds over them, so
 
 and ``A`` carries a biseparation certificate exactly when every ``A∩E_i``
 carries one on its factor, with the side-genus sums adding up.
-:func:`spectrum` therefore fills one table per prime factor, genus and
-certificate class for each subset of ``E_i`` from the integer walk and
-component counts of the graph's indexed view, and reads each row off the
-tables; :func:`genus_polynomial` multiplies the tables' histograms.  The
+:func:`spectrum_rows` therefore fills one table per prime factor (the
+factors of ``decomposition._factor_tree``), genus and certificate class
+for each subset of ``E_i`` from the integer walk and component counts of
+the graph's indexed view, sums the tables over all subsets, and yields
+the rows one at a time; :func:`spectrum` lists them, and
+``io_text.write_spectrum_json`` writes them row by row.
+:func:`genus_polynomial` multiplies the tables' histograms.  The
 built route, ``surface_stats(partial_dual(g, A))``, and the whole-graph
 certificates are the oracles they are checked against in ``verify``
 (``count-route-agreement``).  The same two walk counts filter
@@ -42,13 +45,14 @@ target's vertex and boundary counts is built.
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import End, InvalidGraph, InvariantViolation, RibbonGraph, RibbonGraphError
-from .decomposition import BiseparationClass, _label_of_total, _prime_factor_masks
+from .decomposition import BiseparationClass, _factor_tree, _label_of_total
 from .topology import is_orientable
 
 
@@ -120,8 +124,6 @@ class SpectrumEntry:
 
 def subsets_sorted(labels: Iterable[str]):
     """All subsets of a label set, smallest first, lexicographic within size."""
-    import itertools
-
     labs = sorted(labels)
     for k in range(len(labs) + 1):
         for combo in itertools.combinations(labs, k):
@@ -195,6 +197,68 @@ def _factor_tables(g: RibbonGraph, masks: list[int], classes: bool) -> list[tupl
     return out
 
 
+def spectrum_rows(
+    g: RibbonGraph,
+    genus: Optional[int] = None,
+    classes: bool = False,
+    force: bool = False,
+) -> Iterator[tuple[tuple[str, ...], int, bool, Optional[str]]]:
+    """The rows of :func:`spectrum`, one at a time, each as ``(subset
+    labels in sorted order, Euler genus, orientable, class)``.
+
+    The refusals and the factor tables come at the call, before any row.
+    The edges are renumbered factor by factor, so that a subset's local
+    indices in the factor tables, side by side, index the sums of the
+    tables: one table over all ``2^e`` subsets for the genus and one for
+    the side-genus total of the certificate (``-1`` for none), and a row
+    costs one lookup in each.
+    """
+    if not force:
+        refuse_large_sweep(g, "spectrum", "; pass force=True to run anyway")
+    idx = g._indexed()
+    if classes and len(idx.components) > 1:
+        raise InvalidGraph("biseparations are defined for connected graphs")
+    bit = [0] * idx.ne  # each edge's bit in the renumbering
+    shift = 0
+    # one signed byte per subset, as in the factor tables
+    gammas = array("b", [0])
+    totals = array("b", [0])
+    for edges, genus_table, cert_table in _factor_tables(g, _factor_tree(g).masks, classes):
+        for b, i in enumerate(edges):
+            bit[i] = 1 << (shift + b)
+        shift += len(edges)
+        gammas = array("b", (x + y for y in genus_table for x in gammas))
+        if classes:
+            totals = array("b", (
+                -1 if x < 0 or y < 0 else x + y for y in cert_table for x in totals
+            ))
+    return _rows(idx.labels, bit, gammas, totals if classes else None, is_orientable(g), genus)
+
+
+def _rows(labels, bit, gammas, totals, orientable, genus):
+    """The spectrum's rows over the sum tables of :func:`spectrum_rows`,
+    smallest subsets first, lexicographic within size."""
+    n = len(labels)
+    texts: dict[tuple[int, bool], str] = {}
+    for k in range(n + 1):
+        trivial = k in (0, n)
+        for sub, bits in zip(itertools.combinations(labels, k), itertools.combinations(bit, k)):
+            m = sum(bits)
+            gamma = gammas[m]
+            if genus is not None and gamma != genus:
+                continue
+            text = None
+            if totals is not None:
+                total = totals[m]
+                text = texts.get((total, trivial))
+                if text is None:
+                    text = texts[total, trivial] = str(
+                        BiseparationClass(False, False, None, None) if total < 0
+                        else BiseparationClass(True, trivial, _label_of_total(total), total)
+                    )
+            yield sub, gamma, orientable, text
+
+
 def spectrum(
     g: RibbonGraph,
     genus: Optional[int] = None,
@@ -214,57 +278,20 @@ def spectrum(
     and ``A`` carries a certificate exactly when every ``A∩E_i`` carries
     one on its factor, the side-genus sums adding up.  One table per
     factor (:func:`_factor_tables`) holds both for each subset of ``E_i``,
-    from the walk and component counts of the graph's indexed view, so a
-    row costs one lookup per factor.  A row's class is ``none`` if a factor
-    has no certificate, else ``plane``, ``rp2`` or ``other(t)`` for the
-    total ``t`` of the side genera, marked trivial for ``∅`` and ``E``, as
-    :class:`decomposition.BiseparationClass` prints it.  Classes are defined
-    for connected graphs only.  ``genus`` filters the rows.  Enumerating
-    ``2^e`` subsets is refused above :data:`SWEEP_MAX_EDGES` edges unless
-    forced.
+    from the walk and component counts of the graph's indexed view, and
+    the rows are read off their sums (:func:`spectrum_rows`).  A row's
+    class is ``none`` if a factor has no certificate, else ``plane``,
+    ``rp2`` or ``other(t)`` for the total ``t`` of the side genera, marked
+    trivial for ``∅`` and ``E``, as
+    :class:`decomposition.BiseparationClass` prints it.  Classes are
+    defined for connected graphs only.  ``genus`` filters the rows.
+    Enumerating ``2^e`` subsets is refused above :data:`SWEEP_MAX_EDGES`
+    edges unless forced.
     """
-    if not force:
-        refuse_large_sweep(g, "spectrum", "; pass force=True to run anyway")
-    idx = g._indexed()
-    if classes and len(idx.components) > 1:
-        raise InvalidGraph("biseparations are defined for connected graphs")
-    tables = _factor_tables(g, _prime_factor_masks(g), classes)
-    labels = idx.labels
-    # each edge's factor and its bit in that factor's local index
-    place = {labels[i]: (j, 1 << b) for j, t in enumerate(tables) for b, i in enumerate(t[0])}
-    genera = [t[1] for t in tables]
-    certs = [t[2] for t in tables]
-    orientable = is_orientable(g)
-    n_edges = len(labels)
-    texts: dict[tuple[int, bool], str] = {}
-    rows = []
-    for sub in subsets_sorted(labels):
-        loc = [0] * len(tables)
-        for lab in sub:
-            j, bit = place[lab]
-            loc[j] |= bit
-        gamma = 0
-        for table, l in zip(genera, loc):
-            gamma += table[l]
-        if genus is not None and gamma != genus:
-            continue
-        text = None
-        if classes:
-            total = 0
-            for table, l in zip(certs, loc):
-                if table[l] < 0:
-                    total = -1
-                    break
-                total += table[l]
-            key = (total, len(sub) in (0, n_edges))
-            text = texts.get(key)
-            if text is None:
-                text = texts[key] = str(
-                    BiseparationClass(False, False, None, None) if total < 0
-                    else BiseparationClass(True, key[1], _label_of_total(total), total)
-                )
-        rows.append(SpectrumEntry(sub, gamma, orientable, text))
-    return rows
+    return [
+        SpectrumEntry(frozenset(sub), gamma, orientable, text)
+        for sub, gamma, orientable, text in spectrum_rows(g, genus, classes, force)
+    ]
 
 
 def genus_polynomial(g: RibbonGraph) -> dict[int, int]:
@@ -279,7 +306,7 @@ def genus_polynomial(g: RibbonGraph) -> dict[int, int]:
     small factors needs no ``2^e`` sweep; a prime factor above
     :data:`SWEEP_MAX_EDGES` edges is refused.
     """
-    masks = _prime_factor_masks(g)
+    masks = _factor_tree(g).masks
     largest = max((m.bit_count() for m in masks), default=0)
     if largest > SWEEP_MAX_EDGES:
         raise RibbonGraphError(

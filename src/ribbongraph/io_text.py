@@ -23,9 +23,10 @@ holds bit-exactly for canonical serializations.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring  # the C string encoder when built
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import (
     Arrow,
@@ -74,6 +75,8 @@ class GraphDocument:
 def parse(text: str) -> GraphDocument:
     """Parse either graph format; syntax errors carry line positions."""
     doc: Optional[GraphDocument] = None
+    labels: set[str] = set()  # edge labels seen so far
+    names: set[str] = set()  # vertex names seen so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -103,8 +106,9 @@ def parse(text: str) -> GraphDocument:
                 raise ParseError("expected: edge <label> <+|->", lineno)
             if not _LABEL_RE.match(words[1]):
                 raise ParseError(f"bad label {words[1]!r}", lineno)
-            if any(lab == words[1] for lab, _ in doc.edges):
+            if words[1] in labels:
                 raise ParseError(f"duplicate edge label {words[1]!r}", lineno)
+            labels.add(words[1])
             doc.edges.append((words[1], 1 if words[2] == "+" else -1))
         elif keyword == "vertex":
             if doc.kind != "ribbon":
@@ -118,8 +122,9 @@ def parse(text: str) -> GraphDocument:
                 if not re.match(rf"^{_LABEL}\.[12]$", tok):
                     raise ParseError(f"bad edge end {tok!r}", lineno)
                 ends.append(tok)
-            if any(n == name for n, _ in doc.vertices):
+            if name in names:
                 raise ParseError(f"duplicate vertex name {name!r}", lineno)
+            names.add(name)
             doc.vertices.append((name, ends))
         elif keyword == "cycle:" or keyword == "cycle":
             if doc.kind != "arrows":
@@ -280,6 +285,70 @@ def spectrum_json(rows) -> list:
         }
         for r in rows
     ]
+
+
+def _write_rows(head: str, items: Iterable[str], tail: str) -> None:
+    """Write a JSON document with one large list to stdout, in chunks.
+
+    ``head`` is the document up to the list and ``tail`` the rest after it;
+    the list is a value of the top-level object, so each item comes already
+    written at an indent of four.  Only one chunk of items is held at a
+    time, and an empty list is written ``[]``, as :func:`emit` writes it.
+    """
+    write = sys.stdout.write
+    chunk = [head]
+    sep = "[\n    "
+    for item in items:
+        chunk.append(sep + item)
+        sep = ",\n    "
+        if len(chunk) >= 512:
+            write("".join(chunk))
+            chunk.clear()
+    chunk.append("[]" if sep == "[\n    " else "\n  ]")
+    chunk.append(tail)
+    write("".join(chunk))
+
+
+def write_spectrum_json(rows) -> None:
+    """Write ``{"command": "spectrum", "spectrum": ...}`` for the rows of
+    :func:`duality.spectrum_rows` to stdout, row by row; the bytes are
+    those of :func:`emit` for :func:`spectrum_json` of the same rows.
+
+    A row has fixed keys, so it is one template filled with its genus and
+    its ``encode_basestring`` pieces, with no dict built.
+    """
+    texts: dict[Optional[str], str] = {None: ""}
+
+    def items():
+        for sub, gamma, orientable, text in rows:
+            klass = texts.get(text)
+            if klass is None:
+                klass = texts[text] = f'"biseparation": {encode_basestring(text)},\n      '
+            subset = (
+                "[\n        " + ",\n        ".join(map(encode_basestring, sub)) + "\n      ]"
+                if sub else "[]"
+            )
+            yield (
+                f'{{\n      {klass}"euler_genus": {gamma},\n      '
+                f'"orientable": {"true" if orientable else "false"},\n      '
+                f'"subset": {subset}\n    }}'
+            )
+
+    _write_rows('{\n  "command": "spectrum",\n  "spectrum": ', items(), "\n}\n")
+
+
+def write_certificates_json(certs) -> None:
+    """Write ``{"biseparations": [...], "command": "biseparations"}`` for
+    the certificates to stdout, one :func:`certificate_json` at a time;
+    the bytes are those of :func:`emit` for the whole document."""
+
+    def items():
+        for cert in certs:
+            out: list[str] = []
+            _write_json(certificate_json(cert), out, "\n    ")
+            yield "".join(out)
+
+    _write_rows('{\n  "biseparations": ', items(), ',\n  "command": "biseparations"\n}\n')
 
 
 def certificate_json(cert) -> Optional[dict]:

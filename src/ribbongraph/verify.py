@@ -17,13 +17,16 @@ step tracer (:func:`surface_stats_by_walks`), side components from
 built induced subgraphs, and the incidence tree of a certificate from a
 union-find over vertex names (:func:`incidence_tree_by_union_find`),
 where the library counts components.  None of them reads the integer
-view.  The join oracle (:func:`join_biseparations_by_splits`) shares the
-library's split finder but searches recursive binary join splits instead
-of using the uniqueness of the prime factorization.  The partial-dual
-subsets of a pair come from building and coding every subset
-(:func:`partial_dual_subsets_by_codes`), and the move closure from a
-search over built graphs (:func:`_move_closure`), where the library keys
-its search by edge subset.  The spectrum's classes, which the library
+view.  The join splits and prime factors, which the library reads off
+its factor tree of blocks, come from trying every arc of every rotation
+of the integer view (:func:`join_splits_by_arcs`,
+:func:`prime_factors_by_arcs`), and the join oracle
+(:func:`join_biseparations_by_splits`) searches recursive binary splits
+of that kind instead of using the uniqueness of the prime factorization.
+The partial-dual subsets of a pair come from building and coding every
+subset (:func:`partial_dual_subsets_by_codes`), and the move closure from
+a search over built graphs (:func:`_move_closure`), where the library
+keys its search by edge subset.  The spectrum's classes, which the library
 reads from one table per prime factor, are checked against the
 whole-graph certificate of every subset (``count-route-agreement``).
 
@@ -58,7 +61,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
     Arrow,
@@ -85,7 +88,8 @@ from .core import (
 from .decomposition import (
     BiseparationCertificate,
     BiseparationClass,
-    _split_masks,
+    _factor_tree,
+    _join_splits,
     all_interleave_patterns,
     biseparation_data,
     classify_join_biseparation,
@@ -775,6 +779,73 @@ def partial_dual_subsets_by_codes(g: RibbonGraph, h: RibbonGraph) -> list[frozen
     ]
 
 
+def join_splits_by_arcs(g: RibbonGraph, mask: int) -> Iterator[tuple[int, int]]:
+    """The join splits of the subgraph induced by the edges in ``mask``, as
+    ``(vertex index, edge mask)`` pairs read from the integer view of
+    ``g``, each one or more times, in no useful order.  Oracle for the
+    factor tree's splits (:func:`decomposition.join_summand_splits`).
+
+    It tries every arc of every rotation, and checks each against the
+    components of the subgraph minus the vertex's edges, which no arc may
+    straddle.  The factor tree reads blocks instead.
+    """
+    idx = g._indexed()
+    for v, darts in enumerate(idx.rot):
+        rot = [x for x in darts if mask >> (x >> 1) & 1]
+        d = len(rot)
+        if d < 2:
+            continue
+        # components of the subgraph minus v, to check that none straddles
+        # the split; a loop end at v records its partner's position instead
+        at_v = 0
+        for x in rot:
+            at_v |= 1 << (x >> 1)
+        rest, comp_of = idx.parts(mask & ~at_v)
+        pos = {x: i for i, x in enumerate(rot)}
+        mate = [pos.get(x ^ 1, -1) for x in rot]
+        end_comp = [
+            -1 if mate[i] >= 0 else comp_of[idx.dart_vertex[x ^ 1]]
+            for i, x in enumerate(rot)
+        ]
+        for start in range(d):
+            for length in range(1, d):
+                block = [(start + k) % d for k in range(length)]
+                inside = set(block)
+                # loops must close inside or outside the block
+                if any(mate[i] >= 0 and mate[i] not in inside for i in block):
+                    continue
+                comps_in = {end_comp[i] for i in block} - {-1}
+                comps_out = {end_comp[i] for i in range(d) if i not in inside} - {-1}
+                if comps_in & comps_out:
+                    continue
+                x = 0
+                for i in block:
+                    x |= 1 << (rot[i] >> 1)
+                for ci in comps_in:
+                    x |= rest[ci][1]
+                yield v, x
+
+
+def prime_factors_by_arcs(g: RibbonGraph) -> list[int]:
+    """Edge masks of the prime factors of every component of ``g``, in the
+    order of their sorted labels: each component's edges are split at the
+    first join split that :func:`join_splits_by_arcs` finds until no split
+    remains.  Oracle for the factor tree's factors."""
+    out = []
+    stack = [es for _, es, _ in g._indexed().components]
+    while stack:
+        mask = stack.pop()
+        if not mask:
+            continue
+        split = next(join_splits_by_arcs(g, mask), None)
+        if split is None:
+            out.append(mask)
+            continue
+        stack.append(split[1])
+        stack.append(mask & ~split[1])
+    return sorted(out, key=lambda m: m & -m)
+
+
 def join_biseparations_by_splits(g: RibbonGraph) -> set[frozenset]:
     """Every subset that the recursive join-split search accepts.  Oracle
     for :func:`decomposition.is_join_biseparation` that never uses the
@@ -791,7 +862,7 @@ def join_biseparations_by_splits(g: RibbonGraph) -> set[frozenset]:
         hit = accepted.get(mask)
         if hit is None:
             hit = {0, mask}
-            for side in {x for _, x in _split_masks(g, mask)}:
+            for side in {x for _, x in join_splits_by_arcs(g, mask)}:
                 rest = search(mask & ~side)
                 hit.update(a | b for a in search(side) for b in rest)
             accepted[mask] = hit
@@ -1254,6 +1325,12 @@ def _check_join_oracle(res: CheckResult, ana: _Analysis) -> None:
         if is_join_biseparation(g, sub) != (sub in accepted):
             res.fail(graph=_serial(g), subset=sub,
                      property="factor test vs brute-force join search")
+    res.checked += 1
+    if list(_factor_tree(g).masks) != prime_factors_by_arcs(g):
+        res.fail(graph=_serial(g), property="factor tree vs arc search: factors")
+    res.checked += 1
+    if set(_join_splits(g)) != set(join_splits_by_arcs(g, (1 << g.n_edges) - 1)):
+        res.fail(graph=_serial(g), property="factor tree vs arc search: join splits")
 
 
 def _check_orientability_oracle(res: CheckResult, ana: _Analysis) -> None:

@@ -7,7 +7,9 @@ disconnected and with edgeless vertices, so that the multi-component paths
 run too; pairs of them for ``relate``, edge counts often different; files
 made malformed by mutating the bytes of a valid one; and for ``verify
 --stable``, small random corpora.  ``io_text.emit`` is checked against
-``json.dumps`` on random JSON-like values.
+``json.dumps`` on random JSON-like values, and the streamed ``spectrum``
+and ``biseparations`` writers against ``emit`` on graphs of up to eight
+edges.
 """
 
 import contextlib
@@ -19,7 +21,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ribbongraph import End, build_graph, disjoint_union, parse, serialize_graph
+from ribbongraph import (
+    End,
+    RibbonGraphError,
+    build_graph,
+    disjoint_union,
+    parse,
+    serialize_graph,
+)
 from ribbongraph.cli import main
 from ribbongraph.io_text import emit, stats_json
 from ribbongraph.verify import _random_graph, surface_stats_by_walks
@@ -135,6 +144,69 @@ def test_emit_rejects_what_json_rejects(data):
         _dumps(data)
     with pytest.raises(TypeError):
         emit(data)
+
+
+@st.composite
+def spectrum_cases(draw):
+    """A graph of up to eight edges, of several parts only without
+    ``--classes``, with a ``--genus`` filter that may match no row.  A
+    random part may itself be disconnected."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    classes = draw(st.booleans())
+    left = 8
+    parts = []
+    for _ in range(1 if classes else draw(st.integers(1, 3))):
+        n = draw(st.integers(0, left))
+        left -= n
+        parts.append(_random_graph(rng, n) if n else build_graph({"v": []}, {}))
+    g = _plain_names(parts[0] if len(parts) == 1 else disjoint_union(*parts))
+    return g, classes, draw(st.none() | st.integers(-1, 9))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=spectrum_cases())
+@example(case=(build_graph({}, {}), False, None))
+@example(case=(build_graph({}, {}), True, None))
+@example(case=(build_graph({"v": ["a.1", "a.2"]}, {"a": "-"}), True, 0))
+def test_spectrum_json_rows_match_emit(tmp_path, case):
+    # the row writers stream what emit writes for the whole document
+    from ribbongraph.decomposition import _certified_subsets
+    from ribbongraph.duality import spectrum
+    from ribbongraph.io_text import certificate_json, spectrum_json
+
+    g, classes, genus = case
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_graph(g))
+    argv = ["spectrum", str(path), "--json"] + ["--classes"] * classes
+    argv += [] if genus is None else ["--genus", str(genus)]
+    code, out, err = _run(argv)
+    try:
+        rows = spectrum(g, genus=genus, classes=classes)
+    except RibbonGraphError:
+        # classes of a disconnected graph: refused before any row
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        return
+    assert (code, out, err) == (
+        0, emit({"command": "spectrum", "spectrum": spectrum_json(rows)}), ""
+    )
+    if classes:
+        # the certificates stream the same way
+        certs = [certificate_json(c) for _, c in _certified_subsets(g)]
+        want = emit({"command": "biseparations", "biseparations": certs})
+        assert _run(["biseparations", str(path), "--json"]) == (0, want, "")
+
+
+def test_refused_spectrum_writes_nothing(tmp_path):
+    two = disjoint_union(_path(1), _path(1))
+    big = _path(17)
+    for g, extra in ((_plain_names(two), ["--classes"]), (big, [])):
+        path = tmp_path / "g.txt"
+        path.write_text(serialize_graph(g))
+        code, out, err = _run(["spectrum", str(path), "--json"] + extra)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+    code, out, _ = _run(["biseparations", str(path), "--json"])
+    assert (code, out) == (2, "")
 
 
 def _path(n):

@@ -24,7 +24,7 @@ from ribbongraph.decomposition import (
     factor_genera,
     summand_edge_sets,
 )
-from ribbongraph.topology import euler_genus
+from ribbongraph.topology import euler_genus, is_connected
 from ribbongraph.verify import biseparation_sequence_oracle, join_biseparations_by_splits
 
 
@@ -210,8 +210,8 @@ def test_prime_factorization_joins(fixtures):
 
 
 def test_prime_factorization_order_independent(corpus3):
-    # recompute the factor partition after every storage rotation; the split
-    # search then visits vertices in different orders
+    # recompute the factor partition after every storage rotation; the block
+    # pass and the interleave scans then start at different rotation slots
     for g in corpus3.graphs[:40]:
         if g.n_edges < 2:
             continue
@@ -356,3 +356,114 @@ def test_join_splits_match_built_subgraphs(corpus3):
             if changes == 2:
                 want.add((v, x))
         assert set(join_summand_splits(g)) == want
+
+
+# -- the factor tree against the arc-by-arc search --------------------------------
+
+
+def _arc_summands(g, masks):
+    """Connected unions of the given factor masks, by testing all 2^k
+    unions, in the order of ``summand_edge_sets``."""
+    import itertools
+
+    idx = g._indexed()
+    out = [
+        sum(combo)
+        for r in range(1, len(masks) + 1)
+        for combo in itertools.combinations(masks, r)
+        if sum(1 for _, es, _ in idx.parts(sum(combo))[0] if es) == 1
+    ]
+    return sorted(out, key=lambda m: (m.bit_count(), [i for i in range(m.bit_length()) if m >> i & 1]))
+
+
+def _random_sum(rng, pieces, k):
+    """``k + 1`` random pieces glued one by one at a vertex, their ends
+    shuffled together: joins where the ends stay apart, else interleaved
+    1-sums whose blocks merge into one factor."""
+    def fresh(h, i):
+        h = h.relabeled({lab: f"p{i}_{lab}" for lab in h.edge_labels})
+        return build_graph(
+            [(f"w{i}_{n}", r) for n, r in zip(h.vertex_names, h.rotations)], h.signs
+        )
+
+    g = fresh(rng.choice(pieces), 0)
+    for i in range(1, k + 1):
+        h = fresh(rng.choice(pieces), i)
+        vp, vq = rng.choice(g.vertex_names), rng.choice(h.vertex_names)
+        word = list("P" * g.degree(vp) + "Q" * h.degree(vq))
+        rng.shuffle(word)
+        g = n_sum(g, h, [(vp, vq, "".join(word), rng.randrange(h.degree(vq)))])
+    return g
+
+
+def test_factor_tree_matches_arc_search():
+    import random
+
+    from ribbongraph.decomposition import _factor_tree, _join_splits, _summand_masks
+    from ribbongraph.verify import generate, join_splits_by_arcs, prime_factors_by_arcs
+
+    rng = random.Random(11)
+    graphs = []
+    for e in range(6, 15):
+        for connected in (True, False):
+            graphs += generate(e, mode="random", seed=e, count=10, connected=connected,
+                               dedup=False).graphs
+    pieces = [g for g in generate(3).graphs if g.n_edges]
+    graphs += [_random_sum(rng, pieces, rng.randrange(1, 5)) for _ in range(300)]
+    several = 0
+    for g in graphs:
+        masks = _factor_tree(g).masks
+        assert list(masks) == prime_factors_by_arcs(g)
+        several += len(masks) > 1
+        if not is_connected(g):
+            continue
+        full = (1 << g.n_edges) - 1
+        splits = list(_join_splits(g))
+        assert len(splits) == len(set(splits))
+        assert set(splits) == set(join_splits_by_arcs(g, full))
+        if len(masks) <= 10:
+            assert list(_summand_masks(g)) == _arc_summands(g, masks)
+    assert several > 200
+
+
+def test_factor_tree_at_scale(tmp_path, capsys):
+    import time
+
+    from ribbongraph.cli import main
+    from ribbongraph.io_text import serialize_graph
+
+    n = 4000
+    cycle = build_graph(
+        {f"v{i}": [f"e{(i - 1) % n}.2", f"e{i}.1"] for i in range(n)},
+        {f"e{i}": "+" for i in range(n)},
+    )
+    path = tmp_path / "cycle.txt"
+    path.write_text(serialize_graph(cycle))
+    t0 = time.perf_counter()
+    assert main(["factor", str(path)]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    assert capsys.readouterr().out.startswith("1 prime factor(s)\n")
+
+    line = build_graph(
+        [("v0", ["e0.1"])]
+        + [(f"v{i}", [f"e{i - 1}.2", f"e{i}.1"]) for i in range(1, 16)]
+        + [("v16", ["e15.2"])],
+        {f"e{i}": "+" for i in range(16)},
+    )
+    t0 = time.perf_counter()
+    assert len(summand_edge_sets(line)) == 16 * 17 // 2
+    assert time.perf_counter() - t0 < 5.0
+
+    # a chain of triangles x_i x_(i+1) y_i, each glued to the next at x_(i+1)
+    k = 100
+    rot = {f"x{i}": [] for i in range(k + 1)}
+    for i in range(k):
+        rot[f"x{i}"] += [f"c{i}.2", f"a{i}.1"]
+        rot[f"x{i + 1}"] += [f"a{i}.2", f"b{i}.1"]
+        rot[f"y{i}"] = [f"b{i}.2", f"c{i}.1"]
+    chain = build_graph(rot, {f"{x}{i}": "+" for i in range(k) for x in "abc"})
+    t0 = time.perf_counter()
+    tree = prime_factorization(chain)
+    assert tree.n_factors == k and len(tree.joints) == k - 1
+    assert len(join_summand_splits(chain)) == 2 * (k - 1)
+    assert time.perf_counter() - t0 < 5.0

@@ -530,3 +530,25 @@ def test_cli_spectrum_polynomial_refuses_a_large_prime_factor(tmp_path, capsys):
     path.write_text(text)
     assert main(["spectrum", str(path), "--polynomial"]) == 2
     assert capsys.readouterr().err.startswith("error: genus polynomial over a prime factor of 17")
+
+
+# join-heavy graphs (a triangle chain, a path, loop bouquets, a cycle with a
+# torus joined on), recorded by `tests/data/record_join_outputs.py` while
+# the prime factors and join splits still came from an arc-by-arc search and
+# `spectrum --json` went through `emit`.
+JOIN_OUTPUTS = Path(__file__).resolve().parent / "data" / "join_cli_outputs.json"
+
+
+def test_cli_join_outputs_unchanged(tmp_path, capsys):
+    recorded = json.loads(JOIN_OUTPUTS.read_text(encoding="utf-8"))
+    assert len(recorded) == 5
+    for name, entry in recorded.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(entry["graph"], encoding="utf-8")
+        dual_path = tmp_path / f"{name}.dual.txt"
+        dual_path.write_text(entry["outputs"][f"dual --edges {entry['factor_edges']}"])
+        for command, want in entry["outputs"].items():
+            argv = command.split()
+            files = [str(path), str(dual_path)] if argv[0] == "relate" else [str(path)]
+            assert main(argv[:1] + files + argv[1:]) == 0
+            assert capsys.readouterr().out == want, (name, command)
