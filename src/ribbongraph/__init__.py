@@ -9,7 +9,6 @@ from .core import (
     InvalidGraph,
     InvariantViolation,
     Mark,
-    MarkedRibbonGraph,
     RibbonGraph,
     RibbonGraphError,
     UnknownEdge,
@@ -71,6 +70,7 @@ from .topology import (
 )
 from .verify import (
     Corpus,
+    MarkedRibbonGraph,
     VerificationReport,
     biseparation_sequence_oracle,
     calibration_graphs,

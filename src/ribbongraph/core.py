@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 
 class RibbonGraphError(Exception):
@@ -115,6 +115,17 @@ def per_graph(fn):
         return value
 
     return memoised
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices of the bits set in ``mask``, ascending, one step per set
+    bit: for an edge mask, its edges in the order of their sorted labels."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _as_sign(value) -> int:
@@ -304,7 +315,7 @@ class RibbonGraph:
 
     @per_graph
     def _indexed(self) -> "_Indexed":
-        return _Indexed(self)
+        return _Indexed.of(self)
 
     @per_graph
     def canonical_code(self) -> str:
@@ -312,7 +323,14 @@ class RibbonGraph:
 
 
 class _Indexed:
-    """Integer-indexed view of a graph: darts ``2*i + (slot-1)`` per edge ``i``.
+    """Integer view of a graph: edge ``i`` is ``labels[i]`` in sorted order,
+    with darts ``2*i`` and ``2*i + 1`` for its ends 1 and 2, ``rot[v]`` the
+    darts of vertex ``v`` in rotation order and ``sign[i]`` edge ``i``'s
+    twist.  The constructor takes those arrays, so the enumeration's
+    children and the partial duals (:func:`duality._dual_view`) are built
+    and coded with no named graph; :meth:`named` names a view at the
+    boundary, and :meth:`of`, a named graph's ends translated into darts,
+    is the oracle every such view is checked against.
 
     Every count the package reads off a spanning subgraph comes from this
     view and an edge bitmask (bit ``i`` for edge ``labels[i]``), with no
@@ -325,8 +343,7 @@ class _Indexed:
     rotations pair endpoints once and for all, and every edge adds either
     its band pairings or its free-arc pairings, by its bit in the mask.
     Each walk records the arrow of every band side and free arc it
-    crosses: the walks are the vertices of the partial dual on the mask,
-    which :func:`duality.partial_dual` builds from them.
+    crosses: the walks are the vertices of the partial dual on the mask.
     :meth:`walk_homes` counts the same walks and places each in its
     component.
     """
@@ -336,28 +353,42 @@ class _Indexed:
         "components", "component_of", "_pairings", "_arrows", "_homes",
     )
 
-    def __init__(self, g: RibbonGraph):
-        self.labels = sorted(g.signs)
-        self.eindex = {lab: i for i, lab in enumerate(self.labels)}
-        self.nv = g.n_vertices
-        self.ne = len(self.labels)
-        self.sign = [g.sign(lab) for lab in self.labels]
-        self.rot = []
-        nd = 2 * self.ne
-        self.dart_vertex = [0] * nd
-        self.dart_pos = [0] * nd
-        for vi, rot in enumerate(g.rotations):
-            darts = []
-            for pos, e in enumerate(rot):
-                d = 2 * self.eindex[e.label] + (e.slot - 1)
-                darts.append(d)
-                self.dart_vertex[d] = vi
-                self.dart_pos[d] = pos
-            self.rot.append(darts)
+    def __init__(self, labels: list[str], rot: list[list[int]], sign: list[int]):
+        self.labels = labels
+        self.eindex = {lab: i for i, lab in enumerate(labels)}
+        self.nv = len(rot)
+        self.ne = len(labels)
+        self.rot = rot
+        self.sign = sign
+        self.dart_vertex = dart_vertex = [0] * (2 * self.ne)
+        self.dart_pos = dart_pos = [0] * (2 * self.ne)
+        for v, darts in enumerate(rot):
+            for pos, d in enumerate(darts):
+                dart_vertex[d] = v
+                dart_pos[d] = pos
         self.components, self.component_of = self.parts((1 << self.ne) - 1)
         self._pairings = None
         self._arrows = None
         self._homes: dict[int, tuple[int, ...]] = {}
+
+    @classmethod
+    def of(cls, g: RibbonGraph) -> "_Indexed":
+        """The view of a named graph, its ends translated into darts."""
+        labels = sorted(g.signs)
+        eindex = {lab: i for i, lab in enumerate(labels)}
+        return cls(
+            labels,
+            [[2 * eindex[e.label] + e.slot - 1 for e in rot] for rot in g.rotations],
+            [g.sign(lab) for lab in labels],
+        )
+
+    def named(self) -> tuple[list, dict[str, int]]:
+        """Vertex rows and signs naming this view for :class:`RibbonGraph`:
+        vertex ``v`` is ``v{v}`` and dart ``d`` the end ``d % 2 + 1`` of
+        edge ``labels[d // 2]``."""
+        ends = [End(lab, slot) for lab in self.labels for slot in (1, 2)]
+        rows = [(f"v{v}", tuple(ends[d] for d in darts)) for v, darts in enumerate(self.rot)]
+        return rows, dict(zip(self.labels, self.sign))
 
     def _endpoint_pairings(self) -> tuple[list[int], list[int], list[int]]:
         """Partner of every arc endpoint across its free corner, across its
@@ -428,7 +459,7 @@ class _Indexed:
 
     def edge_set(self, mask: int) -> frozenset:
         """The edge labels whose bits are set in ``mask``."""
-        return frozenset(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
+        return frozenset(self.labels[i] for i in _bits(mask))
 
     def mask(self, edges: Iterable[str]) -> int:
         """Bit mask of an edge subset (bit ``i`` for edge ``labels[i]``)."""
@@ -507,6 +538,16 @@ class _Indexed:
 
 
 # -- construction ---------------------------------------------------------
+
+
+def _keep_view(g: RibbonGraph, view: _Indexed, code: Optional[str] = None) -> RibbonGraph:
+    """Return ``g``, named from ``view`` by :meth:`_Indexed.named`, with
+    ``view`` kept as its integer view and ``code``, if given, as its
+    canonical code, so that neither is computed again."""
+    g._memo[RibbonGraph._indexed.__wrapped__] = view
+    if code is not None:
+        g._memo[RibbonGraph.canonical_code.__wrapped__] = code
+    return g
 
 
 def build_graph(vertices, signs) -> RibbonGraph:
@@ -657,94 +698,6 @@ def from_arrow_presentation(p: ArrowPresentation) -> RibbonGraph:
         if n != 2:
             raise InvalidGraph(f"label {lab!r} carries {n} arrows (need exactly 2)")
     return RibbonGraph(vertices, signs)
-
-
-# -- marked ribbon graphs ---------------------------------------------------
-
-
-class MarkedRibbonGraph:
-    """A ribbon graph together with paired marking arrows interleaved in its
-    vertex rotations; records removed edges without losing their position."""
-
-    __slots__ = ("_names", "_items", "_signs")
-
-    def __init__(self, vertices, signs, validate: bool = True):
-        names = []
-        items = []
-        for name, rotation in vertices.items() if isinstance(vertices, Mapping) else vertices:
-            names.append(str(name))
-            row = []
-            for x in rotation:
-                if isinstance(x, (End, Mark)):
-                    row.append(x)
-                else:
-                    row.append(as_end(x))
-            items.append(tuple(row))
-        self._names = tuple(names)
-        self._items = tuple(items)
-        self._signs = {str(k): _as_sign(v) for k, v in dict(signs).items()}
-        if validate:
-            self._check()
-
-    def _check(self) -> None:
-        mark_counts: dict[str, int] = {}
-        for row in self._items:
-            for x in row:
-                if isinstance(x, Mark):
-                    mark_counts[x.label] = mark_counts.get(x.label, 0) + 1
-        for lab, n in mark_counts.items():
-            if n != 2:
-                raise InvalidGraph(f"mark label {lab!r} appears {n} times (need exactly 2)")
-            if lab in self._signs:
-                raise InvalidGraph(f"mark label {lab!r} collides with an edge label")
-        RibbonGraph(
-            zip(self._names, (tuple(x for x in row if isinstance(x, End)) for row in self._items)),
-            self._signs,
-        )
-
-    @property
-    def vertex_names(self) -> tuple[str, ...]:
-        return self._names
-
-    def items(self, name: str) -> tuple:
-        return self._items[self._names.index(name)]
-
-    @property
-    def all_items(self) -> tuple[tuple, ...]:
-        return self._items
-
-    @property
-    def signs(self) -> dict[str, int]:
-        return dict(self._signs)
-
-    @property
-    def mark_labels(self) -> tuple[str, ...]:
-        labs = {x.label for row in self._items for x in row if isinstance(x, Mark)}
-        return tuple(sorted(labs))
-
-    @property
-    def graph(self) -> RibbonGraph:
-        """The underlying ribbon graph, marks dropped."""
-        return RibbonGraph(
-            zip(self._names, (tuple(x for x in row if isinstance(x, End)) for row in self._items)),
-            self._signs,
-            _validate=False,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MarkedRibbonGraph):
-            return NotImplemented
-        return (
-            self._names == other._names
-            and self._items == other._items
-            and self._signs == other._signs
-        )
-
-    def __repr__(self) -> str:
-        parts = []
-        for name, row in zip(self._names, self._items):
-            parts.append(f"{name}:({' '.join(map(str, row))})")
-        return f"MarkedRibbonGraph({'; '.join(parts)})"
 
 
 # -- canonical form ---------------------------------------------------------
@@ -902,14 +855,15 @@ def _render_component(tokens: Sequence[int], nv: int, ne: int) -> str:
     return f"{nv}v{ne}e:" + "|".join(rows) + ";" + signs
 
 
-def canonical_form(g: RibbonGraph) -> str:
+def canonical_form(g: Union[RibbonGraph, _Indexed]) -> str:
     """A code equal for two graphs exactly when they are equivalent.
 
     Invariant under edge relabelling, vertex storage order, rotation of any
     rotation, any vertex flip, and global reflection.  Components are coded
-    independently and sorted.
+    independently and sorted.  ``g`` is a graph or an integer view; a view
+    is coded as the graph it names.
     """
-    idx = g._indexed()
+    idx = g if isinstance(g, _Indexed) else g._indexed()
     parts = []
     for members, edges, _ in idx.components:
         tokens = _component_code(idx, members)

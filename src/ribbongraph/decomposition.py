@@ -53,6 +53,7 @@ from .core import (
     InvariantViolation,
     RibbonGraph,
     RibbonGraphError,
+    _bits,
     _Indexed,
     per_graph,
 )
@@ -201,12 +202,6 @@ class BiseparationCertificate:
     tree_edges: tuple[tuple[int, int, str], ...]  # (component, component, vertex)
     label: str  # "plane", "rp2" or "other"
     genus_sum: int
-
-
-def _bits(mask: int) -> list[int]:
-    """The indices of the bits set in ``mask``, ascending: for an edge
-    mask, its edges in the order of their sorted labels."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _side_parts(idx: _Indexed, mask: int) -> tuple[list[tuple], list[int], int]:

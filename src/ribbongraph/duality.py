@@ -1,13 +1,16 @@
 """Geometric duality, partial duality and the partial-dual genus spectrum.
 
 One construction of the partial dual serves the library.
-:func:`partial_dual` runs the boundary walks of the spanning subgraph on
+:func:`_dual_view` runs the boundary walks of the spanning subgraph on
 ``A``, the vertices of ``G^A``, on the integer endpoint pairings of the
 graph's indexed view that also count them, records an arrow for every band
-side and free arc a walk crosses, and builds ``G^A`` from the arrows;
-:func:`geometric_dual` is the partial dual on every edge.  The
-constructions it replaced are oracles in ``verify`` and must agree with it
-on every subset (``dual-route-agreement``): the traced arrow presentation
+side and free arc a walk crosses, and writes the darts of ``G^A`` from the
+arrows, an integer view that :func:`partial_dual_subsets` and the move
+search code with no named graph.  :func:`partial_dual` names it, and
+:func:`geometric_dual` is the partial dual on every edge.  The view
+translated from the dual's names, and the constructions it replaced, are
+oracles in ``verify`` that must agree with it on every subset
+(``dual-route-agreement``): the traced arrow presentation
 (``partial_dual_by_arrows``, equal graph for graph), the one-edge surgery
 folded over the subset and the mark-and-remove route (equal as
 edge-labelled graphs).
@@ -40,7 +43,7 @@ built route, ``surface_stats(partial_dual(g, A))``, and the whole-graph
 certificates are the oracles they are checked against in ``verify``
 (``count-route-agreement``).  The same two walk counts filter
 :func:`partial_dual_subsets`: only a subset whose counts match the
-target's vertex and boundary counts is built.
+target's vertex and boundary counts is coded.
 """
 
 from __future__ import annotations
@@ -51,47 +54,55 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .core import End, InvalidGraph, InvariantViolation, RibbonGraph, RibbonGraphError
+from .core import InvalidGraph, InvariantViolation, RibbonGraph, RibbonGraphError, _bits
+from .core import _Indexed, _keep_view, canonical_form
 from .decomposition import BiseparationClass, _factor_tree, _label_of_total
 from .topology import is_orientable
+
+
+def _dual_view(g: RibbonGraph, mask: int) -> _Indexed:
+    """The integer view of the partial dual of ``g`` on the edge mask
+    ``mask``: each boundary walk of :meth:`core._Indexed.walk_arrows` is a
+    vertex, its arrows in order its rotation.  An edge's first arrow is
+    dart ``2*i``, its second ``2*i + 1``, and it is untwisted exactly when
+    they point the same way.  Walks are ordered by the name of the vertex
+    where they start, then by the start corner's position, and the bare
+    walks of edgeless vertices come last.  Edges keep their labels.
+    """
+    idx = g._indexed()
+    names = g.vertex_names
+    walks = idx.walk_arrows(mask)
+    walks.sort(key=lambda walk: names[walk[0]])  # stable: corners keep their order
+    first: list = [None] * idx.ne
+    sign = [1] * idx.ne
+    rot = []
+    for _, arrows in walks:
+        darts = []
+        for e, forward in arrows:
+            if first[e] is None:
+                first[e] = forward
+                darts.append(2 * e)
+            else:
+                if forward != first[e]:
+                    sign[e] = -1
+                darts.append(2 * e + 1)
+        rot.append(darts)
+    rot += [[] for darts in idx.rot if not darts]
+    return _Indexed(idx.labels, rot, sign)
 
 
 def partial_dual(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     """The partial dual of ``g`` with respect to an edge subset.
 
-    The vertices of ``G^A`` are the boundary walks of the spanning subgraph
-    on ``A``, read from the integer view (:meth:`core._Indexed.walk_arrows`):
-    band sides of subset edges and free arcs of the others each record an
-    arrow, and each walk's arrows, in order, are the rotation of one new
-    vertex.  An edge's two ends are numbered in order of appearance, and it
-    is untwisted exactly when its two arrows point the same way.  Walks are
-    ordered by the name of the vertex where they start, then by the start
-    corner's position, and the bare walks of edgeless vertices come last;
-    the new vertices are named ``v0``, ``v1``, ... in that order.  Edge
-    labels are preserved.
+    The graph named from :func:`_dual_view`: its vertices are named
+    ``v0``, ``v1``, ... in the view's order, its edges keep their labels,
+    and its ends are numbered in order of appearance.  The view is kept as
+    the result's integer view.
     """
     idx = g._indexed()
     mask = idx.mask(g.check_subset(edges))
-    names = g.vertex_names
-    labels = idx.labels
-    walks = idx.walk_arrows(mask)
-    walks.sort(key=lambda walk: names[walk[0]])  # stable: corners keep their order
-    bare = sum(1 for darts in idx.rot if not darts)
-    first: list = [None] * idx.ne
-    signs: dict[str, int] = {}
-    vertices = []
-    for i, (_, arrows) in enumerate(walks):
-        rot = []
-        for e, forward in arrows:
-            if first[e] is None:
-                first[e] = forward
-                rot.append(End(labels[e], 1))
-            else:
-                signs[labels[e]] = 1 if forward == first[e] else -1
-                rot.append(End(labels[e], 2))
-        vertices.append((f"v{i}", rot))
-    vertices += [(f"v{i}", ()) for i in range(len(walks), len(walks) + bare)]
-    result = RibbonGraph(vertices, signs, _validate=False)
+    view = _dual_view(g, mask)
+    result = RibbonGraph(*view.named(), _validate=False)
     # a vertex without subset edges keeps its own boundary walk, so it
     # survives as a vertex of the dual
     isolated = sum(1 for darts in idx.rot if not any(mask >> (d >> 1) & 1 for d in darts))
@@ -100,7 +111,7 @@ def partial_dual(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
             f"partial dual has {result.n_vertices} vertices, fewer than the "
             f"{isolated} vertices without subset edges"
         )
-    return result
+    return _keep_view(result, view)
 
 
 def geometric_dual(g: RibbonGraph) -> RibbonGraph:
@@ -171,7 +182,7 @@ def _factor_tables(g: RibbonGraph, masks: list[int], classes: bool) -> list[tupl
     idx = g._indexed()
     out = []
     for fmask in masks:
-        edges = [i for i in range(idx.ne) if fmask >> i & 1]
+        edges = _bits(fmask)
         p = len(edges)
         top = (1 << p) - 1
         # the submask of F for each local index, from the one without its
@@ -330,7 +341,8 @@ def partial_dual_subsets(g: RibbonGraph, h: RibbonGraph) -> list[frozenset]:
 
     ``G^A`` has ``f(A)`` vertices and ``f(Aᶜ)`` boundary components, so a
     subset whose two walk counts differ from ``h``'s vertex and boundary
-    counts cannot give ``h``; only the others are built and canonicalised.
+    counts cannot give ``h``; only the others are coded, each from its
+    integer view (:func:`_dual_view`), with no named graph built.
     Partial duals keep the edge count, so a graph with a different edge
     count gives no subset without a sweep, which is otherwise refused above
     :data:`SWEEP_MAX_EDGES` edges.
@@ -347,6 +359,6 @@ def partial_dual_subsets(g: RibbonGraph, h: RibbonGraph) -> list[frozenset]:
         mask = idx.mask(sub)
         if (len(idx.walk_homes(mask)), len(idx.walk_homes(full ^ mask))) != counts:
             continue
-        if partial_dual(g, sub).canonical_code() == target:
+        if canonical_form(_dual_view(g, mask)) == target:
             out.append(sub)
     return out

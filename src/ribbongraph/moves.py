@@ -11,7 +11,9 @@ because ``(G^A)^X = G^(A△X)`` with the edge labels kept.  So
 ``G``: the steps from ``G^A`` lead to ``A△X`` for every summand edge set
 ``X`` of ``G^A`` and to ``A△E`` for the geometric dual.  Nodes are
 deduplicated by canonical code, and each subset is built and coded at
-most once per search, so a search holds at most ``2^e`` nodes.
+most once per search, so a search holds at most ``2^e`` nodes.  A subset
+is built as an integer view (``duality._dual_view``) and coded from it;
+only a node the search expands is named, for its factor tree.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import InvariantViolation, RibbonGraph, induced_subgraph, is_equivalent
+from .core import InvariantViolation, RibbonGraph, canonical_form, induced_subgraph, is_equivalent
 from .decomposition import (
     NotAJoinSummand,
     _split_sides,
@@ -28,7 +30,7 @@ from .decomposition import (
     is_connected,
     join_summand_splits,
 )
-from .duality import geometric_dual, partial_dual, refuse_large_sweep
+from .duality import _dual_view, geometric_dual, partial_dual, refuse_large_sweep
 from .topology import surface_stats
 
 
@@ -67,6 +69,7 @@ class MoveSearchResult:
     max_depth: int
     expanded: int = 0  # classes whose steps were taken
     reached: int = 0  # distinct classes seen, the start included
+    coded: int = 0  # distinct edge subsets coded, the empty one included
 
     @property
     def found(self) -> bool:
@@ -165,17 +168,17 @@ def move_related(
     target = h.canonical_code()
     start_code = g.canonical_code()
     if start_code == target:
-        return MoveSearchResult(MoveTrace((), (start_code,)), True, 0, 0, 1)
+        return MoveSearchResult(MoveTrace((), (start_code,)), True, 0, 0, 1, 1)
     refuse_large_sweep(g, "move search")
     idx = g._indexed()
     full = (1 << idx.ne) - 1
-    duals = {0: g}  # every subset built so far, by edge mask
+    subset_codes = {0: start_code}  # every subset coded so far, by edge mask
 
-    def dual(mask: int) -> RibbonGraph:
-        d = duals.get(mask)
-        if d is None:
-            d = duals[mask] = partial_dual(g, idx.edge_set(mask))
-        return d
+    def code_of(mask: int) -> str:
+        code = subset_codes.get(mask)
+        if code is None:
+            code = subset_codes[mask] = canonical_form(_dual_view(g, mask))
+        return code
 
     # code -> (parent code, flipped mask, edge mask of its first representative)
     seen: dict[str, tuple[Optional[str], int, int]] = {start_code: (None, 0, 0)}
@@ -190,9 +193,11 @@ def move_related(
             continue
         expanded += 1
         node = seen[code][2]
-        for flip in _step_sets(dual(node), policy) + [full]:
+        # a node's steps need its factor tree, so only an expanded node is named
+        named = partial_dual(g, idx.edge_set(node)) if node else g
+        for flip in _step_sets(named, policy) + [full]:
             mask = node ^ flip
-            ncode = dual(mask).canonical_code()
+            ncode = code_of(mask)
             if ncode in seen:
                 continue
             seen[ncode] = (code, flip, mask)
@@ -213,9 +218,10 @@ def move_related(
                     depth + 1,
                     expanded,
                     len(seen),
+                    len(subset_codes),
                 )
             queue.append((ncode, depth + 1))
-    return MoveSearchResult(None, closed, max_depth, expanded, len(seen))
+    return MoveSearchResult(None, closed, max_depth, expanded, len(seen), len(subset_codes))
 
 
 def join_partial_dual_distributes(

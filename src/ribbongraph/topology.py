@@ -20,22 +20,19 @@ direction arrows, and marks ride along the corners they sit on.
 The library reads the same walks from the graph's integer view instead
 (``core._Indexed``): :func:`connected_components`, :func:`is_orientable`
 and :func:`surface_stats` read its one component pass and its
-boundary-walk counter, and :func:`duality.partial_dual` its walks with
+boundary-walk counter, and :func:`duality._dual_view` its walks with
 their arrows; none of them builds a subgraph or a step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-from .core import (
-    End,
-    Mark,
-    MarkedRibbonGraph,
-    RibbonGraph,
-    UnknownEdge,
-)
+from .core import End, Mark, RibbonGraph, UnknownEdge
+
+if TYPE_CHECKING:
+    from .verify import MarkedRibbonGraph
 
 # A walk step is one of
 #   ("corner", vertex_name, gap_index, forward)
@@ -70,9 +67,9 @@ class BoundaryWalks:
 
 
 def _rows_of(g: Union[RibbonGraph, MarkedRibbonGraph]):
-    if isinstance(g, MarkedRibbonGraph):
-        return g.vertex_names, g.all_items, g.signs
-    return g.vertex_names, g.rotations, g.signs
+    if isinstance(g, RibbonGraph):
+        return g.vertex_names, g.rotations, g.signs
+    return g.vertex_names, g.all_items, g.signs
 
 
 def trace_walks(

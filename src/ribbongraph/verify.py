@@ -2,9 +2,10 @@
 
 The corpus generator enumerates every connected ribbon graph up to
 equivalence with a bounded number of edges, by augmenting smaller graphs
-one edge at a time and deduplicating on canonical codes.  A brute-force
-enumerator over raw rotation systems double-checks the counts at tiny
-sizes.
+one edge at a time and deduplicating on canonical codes; each child is
+grown and coded as an integer view, and only the first of its class is
+named.  A brute-force enumerator over raw rotation systems double-checks
+the counts at tiny sizes.
 
 ``check_suite`` runs a battery of named checks over a corpus; every check
 states a universally quantified property of the library's operations, and
@@ -31,8 +32,11 @@ reads from one table per prime factor, are checked against the
 whole-graph certificate of every subset (``count-route-agreement``).
 
 The library builds a partial dual one way, from the integer walks of
-:meth:`core._Indexed.walk_arrows`.  Three constructions check it on every
-subset (``dual-route-agreement``): the route it replaced
+:meth:`core._Indexed.walk_arrows`, as an integer view that the named dual
+keeps.  On every subset (``dual-route-agreement``) that view must equal
+the one translated from the dual's names (:meth:`core._Indexed.of`,
+compared by :func:`view_fields`), and three constructions check the dual:
+the route it replaced
 (:func:`partial_dual_by_arrows`: the step tracer, an arrow presentation
 and a rebuilt graph), which must give the same graph by ``==``, vertex
 names and end slots included; the one-edge surgery on arrow presentations
@@ -61,7 +65,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .core import (
     Arrow,
@@ -69,13 +73,16 @@ from .core import (
     End,
     InvalidGraph,
     Mark,
-    MarkedRibbonGraph,
     RibbonGraph,
     _Indexed,
     _SEP_SIGNS,
     _SEP_VERTEX,
+    _as_sign,
+    _keep_view,
     _render_component,
+    as_end,
     build_graph,
+    canonical_form,
     disjoint_union,
     from_arrow_presentation,
     from_canonical_code,
@@ -167,70 +174,51 @@ class Corpus:
         return [g for g in self.graphs if g.n_edges == n]
 
 
-def _gaps(rot) -> range:
-    return range(max(1, len(rot)))
-
-
-def _insert(rot, pos, items):
-    rot = list(rot)
-    return tuple(rot[:pos] + list(items) + rot[pos:])
-
-
-def _children(g: RibbonGraph, label: str) -> Iterable[RibbonGraph]:
-    """Every graph obtained from ``g`` by adding one edge (both signs):
-    between two insertion gaps of existing vertices, or out to a new leaf."""
-    names = g.vertex_names
-    e1, e2 = End(label, 1), End(label, 2)
-    slots = [(n, p) for n in names for p in _gaps(g.rotation(n))]
+def _grown(rot: list[list[int]], d: int) -> Iterator[list[list[int]]]:
+    """Every rotation list obtained from ``rot`` by adding one edge with
+    darts ``d`` (end 1) and ``d + 1`` (end 2): between two insertion gaps of
+    existing vertices, end 1 at the earlier one, or out to a new leaf.
+    Rows left alone are shared with ``rot``."""
+    slots = [(v, p) for v, darts in enumerate(rot) for p in range(max(1, len(darts)))]
     for i, (v1, p1) in enumerate(slots):
+        r1 = rot[v1]
         for v2, p2 in slots[i:]:
-            if v1 == v2:
-                rot = g.rotation(v1)
-                if p1 == p2:
-                    new_rot = _insert(rot, p1, [e1, e2])
-                else:
-                    lo, hi = min(p1, p2), max(p1, p2)
-                    new_rot = _insert(_insert(rot, hi, [e2]), lo, [e1])
-                rows = [(n, new_rot if n == v1 else g.rotation(n)) for n in names]
+            child = rot[:]
+            if v1 == v2:  # p1 <= p2
+                child[v1] = r1[:p1] + [d] + r1[p1:p2] + [d + 1] + r1[p2:]
             else:
-                rows = []
-                for n in names:
-                    if n == v1:
-                        rows.append((n, _insert(g.rotation(n), p1, [e1])))
-                    elif n == v2:
-                        rows.append((n, _insert(g.rotation(n), p2, [e2])))
-                    else:
-                        rows.append((n, g.rotation(n)))
-            for s in (1, -1):
-                signs = dict(g.signs)
-                signs[label] = s
-                yield RibbonGraph(rows, signs, _validate=False)
-    fresh = "v%d" % len(names)
+                r2 = rot[v2]
+                child[v1] = r1[:p1] + [d] + r1[p1:]
+                child[v2] = r2[:p2] + [d + 1] + r2[p2:]
+            yield child
     for v1, p1 in slots:
-        rows = [
-            (n, _insert(g.rotation(n), p1, [e1]) if n == v1 else g.rotation(n))
-            for n in names
-        ]
-        rows.append((fresh, (e2,)))
-        for s in (1, -1):
-            signs = dict(g.signs)
-            signs[label] = s
-            yield RibbonGraph(rows, signs, _validate=False)
+        r1 = rot[v1]
+        child = rot[:]
+        child[v1] = r1[:p1] + [d] + r1[p1:]
+        child.append([d + 1])
+        yield child
 
 
 def _exhaustive(max_edges: int) -> list[RibbonGraph]:
     # augmentation works on class representatives level by level, so the
-    # output is inherently connected and deduplicated
+    # output is inherently connected and deduplicated.  Each child is grown
+    # as darts from its parent's integer view, both signs of the new edge,
+    # and coded as a view; only the first child of each new class is named.
+    # Labels e1..e6 sort in numeric order, so the new edge is the view's last.
     base = RibbonGraph({"v0": []}, {})
     levels: list[dict[str, RibbonGraph]] = [{base.canonical_code(): base}]
     for e in range(1, max_edges + 1):
-        label = "e%d" % e
         level: dict[str, RibbonGraph] = {}
         for parent in levels[e - 1].values():
-            for child in _children(parent, label):
-                code = child.canonical_code()
-                if code not in level:
-                    level[code] = child
+            idx = parent._indexed()
+            labels = idx.labels + ["e%d" % e]
+            for rot in _grown(idx.rot, 2 * idx.ne):
+                for s in (1, -1):
+                    view = _Indexed(labels, rot, idx.sign + [s])
+                    code = canonical_form(view)
+                    if code not in level:
+                        child = RibbonGraph(*view.named(), _validate=False)
+                        level[code] = _keep_view(child, view, code)
         levels.append(level)
     out: list[RibbonGraph] = []
     for level in levels:
@@ -687,6 +675,91 @@ def partial_dual_by_edges(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     return from_arrow_presentation(ArrowPresentation(cycles, validate=False))
 
 
+class MarkedRibbonGraph:
+    """A ribbon graph together with paired marking arrows interleaved in its
+    vertex rotations; records removed edges without losing their position."""
+
+    __slots__ = ("_names", "_items", "_signs")
+
+    def __init__(self, vertices, signs, validate: bool = True):
+        names = []
+        items = []
+        for name, rotation in vertices.items() if isinstance(vertices, Mapping) else vertices:
+            names.append(str(name))
+            row = []
+            for x in rotation:
+                if isinstance(x, (End, Mark)):
+                    row.append(x)
+                else:
+                    row.append(as_end(x))
+            items.append(tuple(row))
+        self._names = tuple(names)
+        self._items = tuple(items)
+        self._signs = {str(k): _as_sign(v) for k, v in dict(signs).items()}
+        if validate:
+            self._check()
+
+    def _check(self) -> None:
+        mark_counts: dict[str, int] = {}
+        for row in self._items:
+            for x in row:
+                if isinstance(x, Mark):
+                    mark_counts[x.label] = mark_counts.get(x.label, 0) + 1
+        for lab, n in mark_counts.items():
+            if n != 2:
+                raise InvalidGraph(f"mark label {lab!r} appears {n} times (need exactly 2)")
+            if lab in self._signs:
+                raise InvalidGraph(f"mark label {lab!r} collides with an edge label")
+        RibbonGraph(
+            zip(self._names, (tuple(x for x in row if isinstance(x, End)) for row in self._items)),
+            self._signs,
+        )
+
+    @property
+    def vertex_names(self) -> tuple[str, ...]:
+        return self._names
+
+    def items(self, name: str) -> tuple:
+        return self._items[self._names.index(name)]
+
+    @property
+    def all_items(self) -> tuple[tuple, ...]:
+        return self._items
+
+    @property
+    def signs(self) -> dict[str, int]:
+        return dict(self._signs)
+
+    @property
+    def mark_labels(self) -> tuple[str, ...]:
+        labs = {x.label for row in self._items for x in row if isinstance(x, Mark)}
+        return tuple(sorted(labs))
+
+    @property
+    def graph(self) -> RibbonGraph:
+        """The underlying ribbon graph, marks dropped."""
+        return RibbonGraph(
+            zip(self._names, (tuple(x for x in row if isinstance(x, End)) for row in self._items)),
+            self._signs,
+            _validate=False,
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MarkedRibbonGraph):
+            return NotImplemented
+        return (
+            self._names == other._names
+            and self._items == other._items
+            and self._signs == other._signs
+        )
+
+    def __repr__(self) -> str:
+        parts = []
+        for name, row in zip(self._names, self._items):
+            parts.append(f"{name}:({' '.join(map(str, row))})")
+        return f"MarkedRibbonGraph({'; '.join(parts)})"
+
+
 def mark_and_remove(g: RibbonGraph, edges: Iterable[str]) -> MarkedRibbonGraph:
     """Replace each edge of the subset by a pair of marking arrows occupying
     the same rotation slots, directions following the edge boundary."""
@@ -1086,12 +1159,21 @@ def _check_symmetric_difference(res: CheckResult, ana: _Analysis, rng: random.Ra
             res.fail(graph=_serial(g), a=a, b=b, property="dual composition")
 
 
+def view_fields(idx: _Indexed) -> tuple:
+    """The fields of an integer view that its constructor fills, for
+    comparing a view built from darts with :meth:`core._Indexed.of`."""
+    return (idx.labels, idx.rot, idx.dart_vertex, idx.dart_pos, idx.sign,
+            idx.components, idx.component_of)
+
+
 def _check_route_agreement(res: CheckResult, ana: _Analysis) -> None:
     g = ana.g
     for sub in ana.subsets:
         res.checked += 1
         if partial_dual_by_arrows(g, sub) != ana.dual[sub]:
             res.fail(graph=_serial(g), subset=sub, property="integer route vs arrow route")
+        if view_fields(ana.dual[sub]._indexed()) != view_fields(_Indexed.of(ana.dual[sub])):
+            res.fail(graph=_serial(g), subset=sub, property="dual view vs view from names")
         ref = labelled_code(ana.dual[sub])
         one_edge = partial_dual_by_edges(g, sub)
         marked = partial_dual_via_marks(g, sub)

@@ -194,14 +194,16 @@ def test_mark_restore_round_trip(fixtures):
 
 
 def test_restore_rejects_unmatched_marks():
-    from ribbongraph.core import Mark, MarkedRibbonGraph
+    from ribbongraph.core import Mark
+    from ribbongraph.verify import MarkedRibbonGraph
 
     with pytest.raises(InvalidGraph, match="mark label"):
         MarkedRibbonGraph([("v", [Mark("m", True)])], {})
 
 
 def test_mark_label_collision_rejected():
-    from ribbongraph.core import Mark, MarkedRibbonGraph
+    from ribbongraph.core import Mark
+    from ribbongraph.verify import MarkedRibbonGraph
 
     with pytest.raises(InvalidGraph, match="collides"):
         MarkedRibbonGraph(

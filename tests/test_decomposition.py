@@ -467,3 +467,26 @@ def test_factor_tree_at_scale(tmp_path, capsys):
     assert tree.n_factors == k and len(tree.joints) == k - 1
     assert len(join_summand_splits(chain)) == 2 * (k - 1)
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_factor_of_long_path_reads_set_bits_only(tmp_path, capsys):
+    # 4,000 one-edge factors: naming each factor's edges, or listing its
+    # bits, must not scan all 4,000 bit positions
+    import time
+
+    from ribbongraph.cli import main
+    from ribbongraph.io_text import serialize_graph
+
+    n = 4000
+    line = build_graph(
+        [("v0", ["e0.1"])]
+        + [(f"v{i}", [f"e{i - 1}.2", f"e{i}.1"]) for i in range(1, n)]
+        + [(f"v{n}", [f"e{n - 1}.2"])],
+        {f"e{i}": "+" for i in range(n)},
+    )
+    path = tmp_path / "path.txt"
+    path.write_text(serialize_graph(line))
+    t0 = time.perf_counter()
+    assert main(["factor", str(path)]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().out.startswith("4000 prime factor(s)\n")

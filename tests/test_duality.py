@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ribbongraph import (
     RibbonGraph,
@@ -155,6 +158,50 @@ def test_integer_partial_dual_is_the_arrow_route_exactly(corpus4):
         for sub in subsets_sorted(g.edge_labels):
             assert partial_dual(g, sub) == partial_dual_by_arrows(g, sub), (g, sub)
         assert geometric_dual(g) == partial_dual(g, g.edge_labels)
+
+
+@st.composite
+def _graphs_and_masks(draw):
+    """A graph of 0-8 edges in up to three parts, some of them bare
+    vertices, in scrambled storage order, and an edge mask of it."""
+    from ribbongraph.verify import _random_graph
+
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    left = 8
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, left))
+        left -= n
+        parts.append(_random_graph(rng, n))
+    g = parts[0] if len(parts) == 1 else disjoint_union(*parts)
+    order = list(g.vertex_names)
+    rng.shuffle(order)
+    g = g.reordered(order)
+    return g, draw(st.integers(0, 2**g.n_edges - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_graphs_and_masks())
+@example(case=(build_graph({}, {}), 0))
+@example(case=(disjoint_union(
+    build_graph({"u": ["a.1", "b.1"], "w": ["b.2", "a.2"]}, {"a": "+", "b": "-"}),
+    build_graph({"x": []}, {}),
+    single_vertex("c d c d", "+-"),
+).reordered(["g1.x", "g2.v", "g0.w", "g0.u"]), 0b1010))
+def test_dual_view_matches_the_named_dual(case):
+    # the view coded without a named graph is the view of the named dual
+    # rebuilt from its names, and codes as the dual built by arrows
+    from ribbongraph.core import _Indexed, canonical_form
+    from ribbongraph.duality import _dual_view
+    from ribbongraph.verify import partial_dual_by_arrows, view_fields
+
+    g, mask = case
+    sub = g._indexed().edge_set(mask)
+    view = _dual_view(g, mask)
+    dual = partial_dual(g, sub)
+    assert view_fields(view) == view_fields(_Indexed.of(dual))
+    assert canonical_form(view) == dual.canonical_code()
+    assert canonical_form(view) == partial_dual_by_arrows(g, sub).canonical_code()
 
 
 def test_dual_acts_on_components_independently(fixtures):
@@ -387,26 +434,27 @@ def test_genus_polynomial_refuses_a_large_prime_factor():
 
 
 def test_partial_dual_subsets_build_only_matching_counts(monkeypatch):
-    # a subset is built only when the vertex and boundary counts of its
+    # a subset is coded only when the vertex and boundary counts of its
     # dual, read off the walks, are those of the target
     import ribbongraph.duality as duality
     from ribbongraph.verify import generate
 
     g = generate(6, mode="random", seed=5, count=1).graphs[0]
+    idx = g._indexed()
     stats = {sub: surface_stats(partial_dual(g, sub)) for sub in subsets_sorted(g.edge_labels)}
-    built = []
-    original = duality.partial_dual
+    coded = []
+    original = duality._dual_view
 
-    def counting(graph, edges):
-        built.append(frozenset(edges))
-        return original(graph, edges)
+    def counting(graph, mask):
+        coded.append(idx.edge_set(mask))
+        return original(graph, mask)
 
-    monkeypatch.setattr(duality, "partial_dual", counting)
+    monkeypatch.setattr(duality, "_dual_view", counting)
     for sub in (frozenset(), frozenset(sorted(g.edge_labels)[:2])):
-        h = original(g, sub)
+        h = partial_dual(g, sub)
         want = (h.n_vertices, surface_stats(h).n_boundary)
-        built.clear()
+        coded.clear()
         found = duality.partial_dual_subsets(g, h)
         assert sub in found
-        assert built == [s for s, st in stats.items() if (st.n_vertices, st.n_boundary) == want]
-        assert len(built) < 2 ** g.n_edges
+        assert coded == [s for s, st in stats.items() if (st.n_vertices, st.n_boundary) == want]
+        assert len(coded) < 2 ** g.n_edges

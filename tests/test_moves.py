@@ -204,6 +204,39 @@ def test_search_counts():
     assert MoveSearchResult(None, True, 0).reached == 0
 
 
+def test_search_codes_each_subset_once(monkeypatch):
+    # every subset a search meets is coded from its integer view, at most
+    # once, and ``coded`` counts them with the start's own code
+    import ribbongraph.moves as moves
+    from ribbongraph.verify import generate
+
+    coded = []
+    original = moves._dual_view
+
+    def counting(graph, mask):
+        coded.append(mask)
+        return original(graph, mask)
+
+    monkeypatch.setattr(moves, "_dual_view", counting)
+    searches = unfound = 0
+    for g in generate(3).graphs:
+        for sub in subsets_sorted(g.edge_labels):
+            for policy in ("unions", "splits"):
+                coded.clear()
+                res = move_related(g, partial_dual(g, sub), policy=policy)
+                assert len(set(coded)) == len(coded) and 0 not in coded, (g, sub)
+                assert res.coded == len(coded) + 1 <= 2 ** g.n_edges
+                searches += 1
+                unfound += not res.found
+    assert searches > 500 and unfound > 0
+    theta = build_graph(
+        {"u": ["a.1", "b.1", "c.1"], "w": ["c.2", "b.2", "a.2"]},
+        {"a": "+", "b": "+", "c": "+"},
+    )
+    assert move_related(theta, theta).coded == 1
+    assert move_related(theta, single_vertex("a a b b", "++")).coded == 0
+
+
 def test_negative_bound_is_refused(fixtures):
     with pytest.raises(ValueError, match="bound"):
         move_related(fixtures["C"], fixtures["C"], bound=-1)

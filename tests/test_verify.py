@@ -32,6 +32,39 @@ def test_generate_one_edge_classes():
     assert gammas == [(0, 1), (0, 2), (1, 1)]
 
 
+def test_generate_corpora_unchanged(corpus5):
+    # the representatives, their names and their order, as recorded by
+    # tests/data/record_generate_hashes.py
+    import hashlib
+    import json
+    from pathlib import Path
+
+    from ribbongraph.io_text import serialize_graph
+
+    recorded = json.loads(
+        (Path(__file__).resolve().parent / "data" / "generate_hashes.json").read_text()
+    )
+    assert sorted(recorded) == [str(n) for n in range(6)]
+    for n, want in recorded.items():
+        graphs = corpus5.graphs if n == "5" else generate(int(n)).graphs
+        h = hashlib.sha256()
+        for g in graphs:
+            h.update(serialize_graph(g).encode("utf-8") + b"\n")
+        assert {"graphs": len(graphs), "sha256": h.hexdigest()} == want, n
+
+
+def test_generated_views_match_their_names(corpus4):
+    # each representative keeps the view it was grown as; it must be the
+    # view of its names, and its kept code that view's code
+    from ribbongraph.core import _Indexed, canonical_form
+    from ribbongraph.verify import view_fields
+
+    for g in corpus4.graphs:
+        rebuilt = _Indexed.of(g)
+        assert view_fields(g._indexed()) == view_fields(rebuilt), g
+        assert g.canonical_code() == canonical_form(rebuilt), g
+
+
 def test_exhaustive_matches_raw_enumeration():
     corpus = generate(3)
     raw = enumerate_raw(3)
