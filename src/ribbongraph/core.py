@@ -23,7 +23,9 @@ the test suite:
   vertex at once).
 
 Everything in this module is immutable after construction; operations are
-pure functions returning new values.
+pure functions returning new values.  A graph keeps only its integer view
+(:class:`_Indexed`), built on first use; what callers reuse is memoised on
+that view (:func:`per_view`), so this module alone decides what is cached.
 """
 
 from __future__ import annotations
@@ -98,20 +100,20 @@ def as_end(item: EndLike) -> End:
     return End(m.group(1), int(m.group(2)))
 
 
-def per_graph(fn):
-    """Memoise ``fn(g)`` on the graph ``g``.
+def per_view(fn):
+    """Memoise ``fn(view)`` on the integer view ``view``.
 
-    A graph is immutable, so a value derived from it alone never goes
-    stale.  Each graph has one declared memo slot, a dict keyed by the
-    decorated function (which must not return ``None``); only values that
-    callers really reuse are kept there, never one per edge subset.
+    A view is immutable, so a value derived from it alone never goes
+    stale.  Each view has one memo, a dict keyed by the decorated function
+    (which must not return ``None``); only values that callers really
+    reuse are kept there, never one per edge subset, and no vertex name.
     """
 
     @functools.wraps(fn)
-    def memoised(g):
-        value = g._memo.get(fn)
+    def memoised(view):
+        value = view._memo.get(fn)
         if value is None:
-            value = g._memo[fn] = fn(g)
+            value = view._memo[fn] = fn(view)
         return value
 
     return memoised
@@ -144,7 +146,7 @@ class RibbonGraph:
     chirality.  ``signs`` maps each edge label to its twist sign.
     """
 
-    __slots__ = ("_names", "_rots", "_signs", "_memo")
+    __slots__ = ("_names", "_rots", "_signs", "_view")
 
     def __init__(self, vertices, signs, _validate: bool = True):
         names = []
@@ -155,7 +157,7 @@ class RibbonGraph:
         self._names = tuple(names)
         self._rots = tuple(rots)
         self._signs = {str(k): _as_sign(v) for k, v in dict(signs).items()}
-        self._memo: dict = {}  # see per_graph
+        self._view: Optional[_Indexed] = None  # see _indexed
         if _validate:
             self._check()
 
@@ -184,11 +186,14 @@ class RibbonGraph:
     def vertex_names(self) -> tuple[str, ...]:
         return self._names
 
-    def rotation(self, name: str) -> tuple[End, ...]:
+    def _vertex_index(self, name: str) -> int:
         try:
-            return self._rots[self._names.index(name)]
+            return self._names.index(name)
         except ValueError:
             raise InvalidGraph(f"no vertex named {name!r}") from None
+
+    def rotation(self, name: str) -> tuple[End, ...]:
+        return self._rots[self._vertex_index(name)]
 
     @property
     def rotations(self) -> tuple[tuple[End, ...], ...]:
@@ -263,7 +268,7 @@ class RibbonGraph:
 
     def flipped(self, name: str) -> "RibbonGraph":
         """Flip one vertex disc over."""
-        i = self._names.index(name)
+        i = self._vertex_index(name)
         rots = list(self._rots)
         rots[i] = tuple(reversed(rots[i]))
         signs = dict(self._signs)
@@ -284,7 +289,7 @@ class RibbonGraph:
 
     def rotated(self, name: str, k: int) -> "RibbonGraph":
         """Rotate the stored start of one rotation (no geometric effect)."""
-        i = self._names.index(name)
+        i = self._vertex_index(name)
         rots = list(self._rots)
         rot = rots[i]
         if rot:
@@ -311,15 +316,15 @@ class RibbonGraph:
         signs = {mapping.get(k, k): v for k, v in self._signs.items()}
         return RibbonGraph(zip(self._names, rots), signs, _validate=False)
 
-    # -- memoised derived data ------------------------------------------
+    # -- the integer view, which memoises what is derived -----------------
 
-    @per_graph
     def _indexed(self) -> "_Indexed":
-        return _Indexed.of(self)
+        if self._view is None:
+            self._view = _Indexed.of(self)
+        return self._view
 
-    @per_graph
     def canonical_code(self) -> str:
-        return canonical_form(self)
+        return self._indexed().canonical_code()
 
 
 class _Indexed:
@@ -330,7 +335,8 @@ class _Indexed:
     children and the partial duals (:func:`duality._dual_view`) are built
     and coded with no named graph; :meth:`named` names a view at the
     boundary, and :meth:`of`, a named graph's ends translated into darts,
-    is the oracle every such view is checked against.
+    is the oracle every such view is checked against.  A view memoises its
+    canonical code, walk tables and factor tree (:func:`per_view`).
 
     Every count the package reads off a spanning subgraph comes from this
     view and an edge bitmask (bit ``i`` for edge ``labels[i]``), with no
@@ -350,7 +356,7 @@ class _Indexed:
 
     __slots__ = (
         "labels", "eindex", "nv", "ne", "rot", "dart_vertex", "dart_pos", "sign",
-        "components", "component_of", "_pairings", "_arrows", "_homes",
+        "components", "component_of", "_homes", "_memo",
     )
 
     def __init__(self, labels: list[str], rot: list[list[int]], sign: list[int]):
@@ -367,9 +373,8 @@ class _Indexed:
                 dart_vertex[d] = v
                 dart_pos[d] = pos
         self.components, self.component_of = self.parts((1 << self.ne) - 1)
-        self._pairings = None
-        self._arrows = None
         self._homes: dict[int, tuple[int, ...]] = {}
+        self._memo: dict = {}  # see per_view
 
     @classmethod
     def of(cls, g: RibbonGraph) -> "_Indexed":
@@ -390,30 +395,34 @@ class _Indexed:
         rows = [(f"v{v}", tuple(ends[d] for d in darts)) for v, darts in enumerate(self.rot)]
         return rows, dict(zip(self.labels, self.sign))
 
+    @per_view
+    def canonical_code(self) -> str:
+        """:func:`canonical_form` of this view, memoised."""
+        return canonical_form(self)
+
+    @per_view
     def _endpoint_pairings(self) -> tuple[list[int], list[int], list[int]]:
         """Partner of every arc endpoint across its free corner, across its
         band side, and along its own free arc."""
-        if self._pairings is None:
-            n = 4 * self.ne
-            corner = [0] * n
-            for darts in self.rot:
-                for j, d in enumerate(darts):
-                    nxt = darts[(j + 1) % len(darts)]
-                    corner[2 * d + 1] = 2 * nxt
-                    corner[2 * nxt] = 2 * d + 1
-            band = [0] * n
-            arc = [0] * n
-            for i in range(self.ne):
-                h_in, h_out, k_in, k_out = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
-                if self.sign[i] > 0:
-                    sides = ((h_out, k_in), (k_out, h_in))
-                else:
-                    sides = ((h_out, k_out), (k_in, h_in))
-                for table, pairs in ((band, sides), (arc, ((h_in, h_out), (k_in, k_out)))):
-                    for a, b in pairs:
-                        table[a], table[b] = b, a
-            self._pairings = (corner, band, arc)
-        return self._pairings
+        n = 4 * self.ne
+        corner = [0] * n
+        for darts in self.rot:
+            for j, d in enumerate(darts):
+                nxt = darts[(j + 1) % len(darts)]
+                corner[2 * d + 1] = 2 * nxt
+                corner[2 * nxt] = 2 * d + 1
+        band = [0] * n
+        arc = [0] * n
+        for i in range(self.ne):
+            h_in, h_out, k_in, k_out = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
+            if self.sign[i] > 0:
+                sides = ((h_out, k_in), (k_out, h_in))
+            else:
+                sides = ((h_out, k_out), (k_in, h_in))
+            for table, pairs in ((band, sides), (arc, ((h_in, h_out), (k_in, k_out)))):
+                for a, b in pairs:
+                    table[a], table[b] = b, a
+        return corner, band, arc
 
     def parts(self, mask: int) -> tuple[list[tuple[list[int], int, bool]], list[int]]:
         """Components of the spanning subgraph on the edges in ``mask``.
@@ -468,6 +477,7 @@ class _Indexed:
             m |= 1 << self.eindex[lab]
         return m
 
+    @per_view
     def _arrow_table(self) -> list[tuple[int, bool]]:
         """The arrow ``(edge index, forward)`` a walk records when it leaves
         arc endpoint ``q`` across a band side or a free arc.
@@ -480,14 +490,12 @@ class _Indexed:
         only, and those are both band sides or both free arcs, so the
         band's own sense, the opposite one, would give the same graph.
         """
-        if self._arrows is None:
-            self._arrows = [
-                # leaving an in endpoint runs in rotation direction, which
-                # end 2 of a twisted edge points against
-                (q >> 2, (not q & 1) != (q & 2 > 0 and self.sign[q >> 2] < 0))
-                for q in range(4 * self.ne)
-            ]
-        return self._arrows
+        return [
+            # leaving an in endpoint runs in rotation direction, which end 2
+            # of a twisted edge points against
+            (q >> 2, (not q & 1) != (q & 2 > 0 and self.sign[q >> 2] < 0))
+            for q in range(4 * self.ne)
+        ]
 
     def walk_arrows(self, mask: int) -> list[tuple[int, list[tuple[int, bool]]]]:
         """Every boundary walk of the spanning subgraph on the edges in
@@ -540,13 +548,11 @@ class _Indexed:
 # -- construction ---------------------------------------------------------
 
 
-def _keep_view(g: RibbonGraph, view: _Indexed, code: Optional[str] = None) -> RibbonGraph:
+def _keep_view(g: RibbonGraph, view: _Indexed) -> RibbonGraph:
     """Return ``g``, named from ``view`` by :meth:`_Indexed.named`, with
-    ``view`` kept as its integer view and ``code``, if given, as its
-    canonical code, so that neither is computed again."""
-    g._memo[RibbonGraph._indexed.__wrapped__] = view
-    if code is not None:
-        g._memo[RibbonGraph.canonical_code.__wrapped__] = code
+    ``view`` kept as its integer view, so that neither the view nor what
+    it has memoised, its canonical code included, is computed again."""
+    g._view = view
     return g
 
 
@@ -871,7 +877,6 @@ def canonical_form(g: Union[RibbonGraph, _Indexed]) -> str:
     return "&".join(sorted(parts))
 
 
-@per_graph
 def labelled_code(g: RibbonGraph) -> tuple:
     """A code equal for two graphs exactly when they are equivalent as
     edge-labelled graphs: by flips, rotations, vertex order and the naming

@@ -23,8 +23,9 @@ the spectrum uses, each stay in one component; walks per component give its
 boundary count ``f_C`` and its Euler genus ``2 - v_C + e_C - f_C``, which
 gives the genus of each prime factor too.
 
-Every join question reads one memo per graph, the factor tree
-(:func:`_factor_tree`).  One depth-first pass finds the blocks (Tarjan,
+Every join question reads one memo of the integer view, the factor tree
+(:func:`_factor_tree`), so the move search reads it off a partial dual's
+view with no named graph.  One depth-first pass finds the blocks (Tarjan,
 SIAM J. Comput. 1, 1972), and one stack scan per vertex merges the blocks
 whose ends interleave in its rotation; the merged classes are the prime
 factors.  Factors and joints, the vertices met by two or more factors,
@@ -55,7 +56,7 @@ from .core import (
     RibbonGraphError,
     _bits,
     _Indexed,
-    per_graph,
+    per_view,
 )
 from .topology import is_connected, surface_stats
 
@@ -95,13 +96,6 @@ def all_interleave_patterns(deg_p: int, deg_q: int):
             yield word, off
 
 
-def _vertex_index(g: RibbonGraph, name: str) -> int:
-    try:
-        return g.vertex_names.index(name)
-    except ValueError:
-        raise InvalidGraph(f"no vertex named {name!r}") from None
-
-
 def n_sum(
     p: RibbonGraph,
     q: RibbonGraph,
@@ -129,7 +123,7 @@ def n_sum(
     taken = [False] * q.n_vertices
     for entry in pairing:
         vp, vq, pattern = entry[0], entry[1], entry[2]
-        i, j = _vertex_index(p, vp), _vertex_index(q, vq)
+        i, j = p._vertex_index(vp), q._vertex_index(vq)
         if merged[i] is not None or taken[j]:
             raise InvalidGraph(f"vertex reused within the pairing: {vp!r}/{vq!r}")
         merged[i] = (j, pattern, entry[3] if len(entry) > 3 else 0)
@@ -430,9 +424,9 @@ class _FactorTree(NamedTuple):
     behind: dict
 
 
-@per_graph
-def _factor_tree(g: RibbonGraph) -> _FactorTree:
-    """The factor tree of ``g``, over every component.
+@per_view
+def _factor_tree(idx: _Indexed) -> _FactorTree:
+    """The factor tree of the graph of ``idx``, over every component.
 
     Two edge sets meeting at a vertex ``v`` alone, with the ends of one on
     an arc of the rotation at ``v``, split ``g`` as a join, so a split
@@ -447,7 +441,6 @@ def _factor_tree(g: RibbonGraph) -> _FactorTree:
     end.  The factors and joints form a forest, which gives each factor's
     branch behind each of its joints.
     """
-    idx = g._indexed()
     block, n_blocks = _blocks(idx)
     parent = list(range(n_blocks))
 
@@ -535,17 +528,16 @@ def _factor_tree(g: RibbonGraph) -> _FactorTree:
     return _FactorTree(tuple(masks), tuple(factor_of), tuple(joints), behind)
 
 
-def _join_splits(g: RibbonGraph) -> Iterator[tuple[int, int]]:
-    """The join splits of ``g``, as ``(vertex index, edge mask)`` pairs,
-    each once.
+def _join_splits(idx: _Indexed) -> Iterator[tuple[int, int]]:
+    """The join splits of the graph of ``idx``, as ``(vertex index, edge
+    mask)`` pairs, each once.
 
     A split at ``v`` keeps each factor, with everything behind it, on one
     side, so ``v`` is a joint.  Its sides are the cyclic arcs of the
     rotation at ``v`` that hold every end of each factor they touch, with
     the branches behind those factors.
     """
-    tree = _factor_tree(g)
-    idx = g._indexed()
+    tree = _factor_tree(idx)
     for v, _ in tree.joints:
         seq = [tree.factor_of[d >> 1] for d in idx.rot[v]]
         n = len(seq)
@@ -581,19 +573,19 @@ def join_summand_splits(g: RibbonGraph) -> list[tuple[str, frozenset]]:
     idx = g._indexed()
     names = g.vertex_names
     return sorted(
-        ((names[v], idx.edge_set(x)) for v, x in _join_splits(g)),
+        ((names[v], idx.edge_set(x)) for v, x in _join_splits(idx)),
         key=lambda t: (t[0], sorted(t[1])),
     )
 
 
-@per_graph
-def _split_sides(g: RibbonGraph) -> tuple[int, ...]:
-    """Edge masks of the sides of the join splits of ``g``, each once, in
-    the order of their sorted labels: the sets a single
+@per_view
+def _split_sides(idx: _Indexed) -> tuple[int, ...]:
+    """Edge masks of the sides of the join splits of the graph of ``idx``,
+    each once, in the order of their sorted labels: the sets a single
     dual-of-a-join-summand move may act on."""
-    if not is_connected(g):
+    if len(idx.components) > 1:
         raise InvalidGraph("join splits are defined for connected graphs")
-    return tuple(sorted({x for _, x in _join_splits(g)}, key=_bits))
+    return tuple(sorted({x for _, x in _join_splits(idx)}, key=_bits))
 
 
 @dataclass(frozen=True)
@@ -609,40 +601,38 @@ class JoinTree:
         return len(self.factors)
 
 
-def _factor_masks(g: RibbonGraph) -> tuple[int, ...]:
-    """Edge masks of the prime factors of connected ``g``, in the order of
-    their sorted labels."""
-    if not is_connected(g):
+def _factor_masks(idx: _Indexed) -> tuple[int, ...]:
+    """Edge masks of the prime factors of the connected graph of ``idx``,
+    in the order of their sorted labels."""
+    if len(idx.components) > 1:
         raise InvalidGraph("prime factorization is defined for connected graphs")
-    return _factor_tree(g).masks
+    return _factor_tree(idx).masks
 
 
-@per_graph
 def prime_factorization(g: RibbonGraph) -> JoinTree:
     """Split at join vertices until no split remains: the factors and
     joints of the factor tree (:func:`_factor_tree`)."""
-    masks = _factor_masks(g)
     idx = g._indexed()
     names = g.vertex_names
     return JoinTree(
-        factors=tuple(idx.edge_set(m) for m in masks),
-        joints=tuple((names[v], at) for v, at in _factor_tree(g).joints),
+        factors=tuple(idx.edge_set(m) for m in _factor_masks(idx)),
+        joints=tuple((names[v], at) for v, at in _factor_tree(idx).joints),
     )
 
 
-@per_graph
-def _summand_masks(g: RibbonGraph) -> tuple[int, ...]:
-    """Edge masks of the connected unions of prime factors of ``g``, the
-    whole edge set included, by size and then in the order of their sorted
-    labels.
+@per_view
+def _summand_masks(idx: _Indexed) -> tuple[int, ...]:
+    """Edge masks of the connected unions of prime factors of the graph of
+    ``idx``, the whole edge set included, by size and then in the order of
+    their sorted labels.
 
     Factors meeting at a joint are adjacent, and a union of factors is
     connected exactly when its factors are; every connected set grows from
     a smaller one by an adjacent factor, so the sets are listed by
     extension, each once.
     """
-    masks = _factor_masks(g)
-    tree = _factor_tree(g)
+    masks = _factor_masks(idx)
+    tree = _factor_tree(idx)
     adjacent = [0] * len(masks)
     for _, at in tree.joints:
         near = sum(1 << i for i in at)
@@ -675,22 +665,26 @@ def summand_edge_sets(g: RibbonGraph) -> list[frozenset]:
     """Edge sets that can appear as a single join summand: the unions of
     prime factors whose union is connected (the whole edge set included)."""
     idx = g._indexed()
-    return [idx.edge_set(m) for m in _summand_masks(g)]
+    return [idx.edge_set(m) for m in _summand_masks(idx)]
 
 
 def is_join_biseparation(g: RibbonGraph, edges: Iterable[str]) -> bool:
     """Whether the subset is a union of join-summand edge sets of ``g``
     (equivalently, of prime factors)."""
-    mask = g._indexed().mask(g.check_subset(edges))
-    return all(mask & f in (0, f) for f in _factor_masks(g))
+    idx = g._indexed()
+    mask = idx.mask(g.check_subset(edges))
+    return all(mask & f in (0, f) for f in _factor_masks(idx))
 
 
-@per_graph
 def factor_genera(g: RibbonGraph) -> tuple[int, ...]:
     """Euler genus of every prime factor, in factor order."""
-    idx = g._indexed()
+    return _factor_genera(g._indexed())
+
+
+@per_view
+def _factor_genera(idx: _Indexed) -> tuple[int, ...]:
     return tuple(
-        sum(side[2] for side in _side_parts(idx, f)[0]) for f in _factor_masks(g)
+        sum(side[2] for side in _side_parts(idx, f)[0]) for f in _factor_masks(idx)
     )
 
 

@@ -157,9 +157,10 @@ def refuse_large_sweep(g: RibbonGraph, what: str, override: str = "") -> None:
         )
 
 
-def _factor_tables(g: RibbonGraph, masks: list[int], classes: bool) -> list[tuple]:
-    """One table per prime factor ``F`` (an edge mask of ``g``), indexed by
-    the submasks ``S`` of ``F`` written in ``F``'s own bits.
+def _factor_tables(idx: _Indexed, masks: list[int], classes: bool) -> list[tuple]:
+    """One table per prime factor ``F`` (an edge mask of the graph ``g`` of
+    the view ``idx``), indexed by the submasks ``S`` of ``F`` written in
+    ``F``'s own bits.
 
     Returns per factor ``(edges, genus, cert)``: the edge indices of ``F``
     in bit order, ``γ(P^S)`` for the factor ``P``, and (when ``classes``)
@@ -179,7 +180,6 @@ def _factor_tables(g: RibbonGraph, masks: list[int], classes: bool) -> list[tupl
     certificate on ``P`` exactly when ``c_P(S) + c_P(F∖S) = v_P + 1``, the
     criterion of :func:`decomposition.biseparation_data`.
     """
-    idx = g._indexed()
     out = []
     for fmask in masks:
         edges = _bits(fmask)
@@ -234,7 +234,7 @@ def spectrum_rows(
     # one signed byte per subset, as in the factor tables
     gammas = array("b", [0])
     totals = array("b", [0])
-    for edges, genus_table, cert_table in _factor_tables(g, _factor_tree(g).masks, classes):
+    for edges, genus_table, cert_table in _factor_tables(idx, _factor_tree(idx).masks, classes):
         for b, i in enumerate(edges):
             bit[i] = 1 << (shift + b)
         shift += len(edges)
@@ -317,7 +317,8 @@ def genus_polynomial(g: RibbonGraph) -> dict[int, int]:
     small factors needs no ``2^e`` sweep; a prime factor above
     :data:`SWEEP_MAX_EDGES` edges is refused.
     """
-    masks = _factor_tree(g).masks
+    idx = g._indexed()
+    masks = _factor_tree(idx).masks
     largest = max((m.bit_count() for m in masks), default=0)
     if largest > SWEEP_MAX_EDGES:
         raise RibbonGraphError(
@@ -325,7 +326,7 @@ def genus_polynomial(g: RibbonGraph) -> dict[int, int]:
             f"2^{largest} subsets, above the limit of {SWEEP_MAX_EDGES} edges"
         )
     poly = {0: 1}
-    for _, table, _ in _factor_tables(g, masks, False):
+    for _, table, _ in _factor_tables(idx, masks, False):
         counts = Counter(table)
         product: Counter = Counter()
         for a, x in poly.items():

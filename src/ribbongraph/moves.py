@@ -12,8 +12,9 @@ because ``(G^A)^X = G^(A△X)`` with the edge labels kept.  So
 ``X`` of ``G^A`` and to ``A△E`` for the geometric dual.  Nodes are
 deduplicated by canonical code, and each subset is built and coded at
 most once per search, so a search holds at most ``2^e`` nodes.  A subset
-is built as an integer view (``duality._dual_view``) and coded from it;
-only a node the search expands is named, for its factor tree.
+is built as an integer view (``duality._dual_view``) and coded from it,
+and a queued node's steps are read off its view's factor tree; the search
+names no graph, and drops each view once its node is expanded.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import InvariantViolation, RibbonGraph, canonical_form, induced_subgraph, is_equivalent
+from .core import InvariantViolation, RibbonGraph, _Indexed, canonical_form
+from .core import induced_subgraph, is_equivalent
 from .decomposition import (
     NotAJoinSummand,
     _split_sides,
@@ -80,7 +82,7 @@ def binary_summand_sets(g: RibbonGraph) -> list[frozenset]:
     """Edge sets of the two-sided join splits of ``g``: exactly the sets a
     single dual-of-a-join-summand move may act on."""
     idx = g._indexed()
-    return [idx.edge_set(x) for x in _split_sides(g)]
+    return [idx.edge_set(x) for x in _split_sides(idx)]
 
 
 def dual_join_summand_move(g: RibbonGraph, factor: Iterable[str]) -> RibbonGraph:
@@ -123,8 +125,9 @@ def dual_join_summand_move(g: RibbonGraph, factor: Iterable[str]) -> RibbonGraph
     return result
 
 
-def _step_sets(g: RibbonGraph, policy: str) -> list[int]:
-    """The edge masks a search step from ``g`` may dual, in label order.
+def _step_sets(idx: _Indexed, policy: str) -> list[int]:
+    """The edge masks a search step from the graph of ``idx`` may dual, in
+    label order.
 
     ``splits`` duals one side of a two-sided join split (each step is a
     single legal move).  ``unions`` duals any connected union of prime
@@ -135,12 +138,12 @@ def _step_sets(g: RibbonGraph, policy: str) -> list[int]:
     partial dual of.
     """
     if policy == "unions":
-        masks = _summand_masks(g)
+        masks = _summand_masks(idx)
     elif policy == "splits":
-        masks = _split_sides(g)
+        masks = _split_sides(idx)
     else:
         raise ValueError(f"unknown move policy {policy!r}")
-    full = (1 << g.n_edges) - 1
+    full = (1 << idx.ne) - 1
     return [m for m in masks if m != full]
 
 
@@ -172,42 +175,38 @@ def move_related(
     refuse_large_sweep(g, "move search")
     idx = g._indexed()
     full = (1 << idx.ne) - 1
-    subset_codes = {0: start_code}  # every subset coded so far, by edge mask
-
-    def code_of(mask: int) -> str:
-        code = subset_codes.get(mask)
-        if code is None:
-            code = subset_codes[mask] = canonical_form(_dual_view(g, mask))
-        return code
-
-    # code -> (parent code, flipped mask, edge mask of its first representative)
-    seen: dict[str, tuple[Optional[str], int, int]] = {start_code: (None, 0, 0)}
-    queue = deque([(start_code, 0)])
+    coded = {0}  # every subset coded so far, by edge mask
+    # code -> (parent code, flipped mask)
+    seen: dict[str, tuple[Optional[str], int]] = {start_code: (None, 0)}
+    # a queued node carries the edge mask of its first representative and
+    # that partial dual's view, whose factor tree gives the node's steps
+    queue = deque([(start_code, 0, 0, idx)])
     closed = True
     max_depth = 0
     expanded = 0
     while queue:
-        code, depth = queue.popleft()
+        code, depth, node, view = queue.popleft()
         if depth >= bound:
             closed = False
             continue
         expanded += 1
-        node = seen[code][2]
-        # a node's steps need its factor tree, so only an expanded node is named
-        named = partial_dual(g, idx.edge_set(node)) if node else g
-        for flip in _step_sets(named, policy) + [full]:
+        for flip in _step_sets(view, policy) + [full]:
             mask = node ^ flip
-            ncode = code_of(mask)
+            if mask in coded:
+                continue  # its code is in seen already
+            coded.add(mask)
+            nview = _dual_view(g, mask)
+            ncode = canonical_form(nview)
             if ncode in seen:
                 continue
-            seen[ncode] = (code, flip, mask)
+            seen[ncode] = (code, flip)
             max_depth = max(max_depth, depth + 1)
             if ncode == target:
                 steps = []
                 codes = [ncode]
                 at = ncode
                 while seen[at][0] is not None:
-                    at, flip, _ = seen[at]
+                    at, flip = seen[at]
                     # a summand step never flips the whole edge set
                     kind = "geometric-dual" if flip == full else "dual-join-summand"
                     steps.append(MoveStep(kind, idx.edge_set(flip)))
@@ -218,10 +217,10 @@ def move_related(
                     depth + 1,
                     expanded,
                     len(seen),
-                    len(subset_codes),
+                    len(coded),
                 )
-            queue.append((ncode, depth + 1))
-    return MoveSearchResult(None, closed, max_depth, expanded, len(seen), len(subset_codes))
+            queue.append((ncode, depth + 1, mask, nview))
+    return MoveSearchResult(None, closed, max_depth, expanded, len(seen), len(coded))
 
 
 def join_partial_dual_distributes(

@@ -82,7 +82,6 @@ from .core import (
     _render_component,
     as_end,
     build_graph,
-    canonical_form,
     disjoint_union,
     from_arrow_presentation,
     from_canonical_code,
@@ -203,7 +202,8 @@ def _exhaustive(max_edges: int) -> list[RibbonGraph]:
     # augmentation works on class representatives level by level, so the
     # output is inherently connected and deduplicated.  Each child is grown
     # as darts from its parent's integer view, both signs of the new edge,
-    # and coded as a view; only the first child of each new class is named.
+    # and coded through the view's memo; only the first child of each new
+    # class is named, and it keeps the view with its code.
     # Labels e1..e6 sort in numeric order, so the new edge is the view's last.
     base = RibbonGraph({"v0": []}, {})
     levels: list[dict[str, RibbonGraph]] = [{base.canonical_code(): base}]
@@ -215,10 +215,10 @@ def _exhaustive(max_edges: int) -> list[RibbonGraph]:
             for rot in _grown(idx.rot, 2 * idx.ne):
                 for s in (1, -1):
                     view = _Indexed(labels, rot, idx.sign + [s])
-                    code = canonical_form(view)
+                    code = view.canonical_code()
                     if code not in level:
                         child = RibbonGraph(*view.named(), _validate=False)
-                        level[code] = _keep_view(child, view, code)
+                        level[code] = _keep_view(child, view)
         levels.append(level)
     out: list[RibbonGraph] = []
     for level in levels:
@@ -1408,10 +1408,10 @@ def _check_join_oracle(res: CheckResult, ana: _Analysis) -> None:
             res.fail(graph=_serial(g), subset=sub,
                      property="factor test vs brute-force join search")
     res.checked += 1
-    if list(_factor_tree(g).masks) != prime_factors_by_arcs(g):
+    if list(_factor_tree(g._indexed()).masks) != prime_factors_by_arcs(g):
         res.fail(graph=_serial(g), property="factor tree vs arc search: factors")
     res.checked += 1
-    if set(_join_splits(g)) != set(join_splits_by_arcs(g, (1 << g.n_edges) - 1)):
+    if set(_join_splits(g._indexed())) != set(join_splits_by_arcs(g, (1 << g.n_edges) - 1)):
         res.fail(graph=_serial(g), property="factor tree vs arc search: join splits")
 
 
@@ -1443,7 +1443,7 @@ def _neighbours(g: RibbonGraph, policy: str) -> list[RibbonGraph]:
     The move search reaches the same graphs as partial duals of its start
     graph, keyed by edge subset."""
     idx = g._indexed()
-    return [partial_dual(g, idx.edge_set(m)) for m in _step_sets(g, policy)] + [geometric_dual(g)]
+    return [partial_dual(g, idx.edge_set(m)) for m in _step_sets(idx, policy)] + [geometric_dual(g)]
 
 
 def _move_closure(g: RibbonGraph, bound: int, policy: str) -> dict[str, int]:

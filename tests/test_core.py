@@ -64,6 +64,25 @@ def test_build_rejects_duplicate_vertex():
         RibbonGraph([("u", ["a.1"]), ("u", ["a.2"])], {"a": "+"})
 
 
+def test_unknown_vertex_is_an_invalid_graph():
+    # every lookup by vertex name goes through one check, so an unknown
+    # name reads the same whichever operation meets it
+    from ribbongraph.decomposition import n_sum
+
+    g = single_vertex("a a", "+")
+    h = single_vertex("b b", "-")
+    for call in (
+        lambda: g.rotation("x"),
+        lambda: g.degree("x"),
+        lambda: g.flipped("x"),
+        lambda: g.rotated("x", 1),
+        lambda: n_sum(g, h, [("x", "v", "PPQQ")]),
+        lambda: n_sum(g, h, [("v", "x", "PPQQ")]),
+    ):
+        with pytest.raises(InvalidGraph, match="no vertex named 'x'"):
+            call()
+
+
 def test_edge_sign_validation():
     with pytest.raises(InvalidGraph):
         build_graph({"u": ["a.1", "a.2"]}, {"a": "?"})
@@ -373,3 +392,23 @@ def test_arrow_and_mark_round_trips_random(g):
     assert is_equivalent(from_arrow_presentation(to_arrow_presentation(g)), g)
     labels = g.edge_labels[: max(1, g.n_edges // 2)]
     assert is_equivalent(restore(mark_and_remove(g, labels)), g)
+
+
+def test_only_core_touches_the_memo():
+    # what is cached, and where, is decided in core alone: no other module
+    # reads or writes a view's memo or a graph's view slot
+    import re
+    from pathlib import Path
+
+    package = Path(__file__).resolve().parent.parent / "src" / "ribbongraph"
+    files = sorted(package.glob("*.py"))
+    assert len(files) > 5 and package / "core.py" in files
+    slot = re.compile(r"\._(memo|view)\b")
+    offending = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in files
+        if path.name != "core.py"
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if slot.search(line)
+    ]
+    assert offending == []

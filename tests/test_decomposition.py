@@ -412,17 +412,18 @@ def test_factor_tree_matches_arc_search():
     graphs += [_random_sum(rng, pieces, rng.randrange(1, 5)) for _ in range(300)]
     several = 0
     for g in graphs:
-        masks = _factor_tree(g).masks
+        idx = g._indexed()
+        masks = _factor_tree(idx).masks
         assert list(masks) == prime_factors_by_arcs(g)
         several += len(masks) > 1
         if not is_connected(g):
             continue
         full = (1 << g.n_edges) - 1
-        splits = list(_join_splits(g))
+        splits = list(_join_splits(idx))
         assert len(splits) == len(set(splits))
         assert set(splits) == set(join_splits_by_arcs(g, full))
         if len(masks) <= 10:
-            assert list(_summand_masks(g)) == _arc_summands(g, masks)
+            assert list(_summand_masks(idx)) == _arc_summands(g, masks)
     assert several > 200
 
 

@@ -288,10 +288,11 @@ def test_spectrum_classes_keep_no_memo_per_subset():
     g = generate(10, mode="random", seed=3, count=1).graphs[0]
     rows = spectrum(g, classes=True)
     assert len(rows) == 2**10
-    # whole-graph values only: the integer view, the factor tree, and the
-    # canonical code that generate's deduplication asked for
-    assert sorted(key.__name__ for key in g._memo) == [
-        "_factor_tree", "_indexed", "canonical_code"
+    # whole-graph values only, memoised on the integer view: the walks'
+    # endpoint pairings and arrow table, the factor tree, and the canonical
+    # code that generate's deduplication asked for
+    assert sorted(key.__name__ for key in g._indexed()._memo) == [
+        "_arrow_table", "_endpoint_pairings", "_factor_tree", "canonical_code"
     ]
 
 

@@ -139,7 +139,7 @@ def test_step_masks_are_the_named_sets_in_label_order(corpus3):
         splits = sorted({x for _, x in join_summand_splits(g)}, key=sorted)
         assert binary_summand_sets(g) == splits
         for policy, named in (("splits", splits), ("unions", summand_edge_sets(g))):
-            got = [idx.edge_set(m) for m in _step_sets(g, policy)]
+            got = [idx.edge_set(m) for m in _step_sets(idx, policy)]
             assert got == [x for x in named if x != full], (g, policy)
 
 
@@ -235,6 +235,40 @@ def test_search_codes_each_subset_once(monkeypatch):
     )
     assert move_related(theta, theta).coded == 1
     assert move_related(theta, single_vertex("a a b b", "++")).coded == 0
+
+
+def test_search_names_no_graph(monkeypatch):
+    # a search reads each node's steps off the view it coded, so it names
+    # no partial dual; those steps are the steps of the named partial dual,
+    # read from the view its names translate into
+    import ribbongraph.duality as duality
+    import ribbongraph.moves as moves
+    from ribbongraph.core import _Indexed
+    from ribbongraph.verify import generate
+
+    graphs = generate(3).graphs
+    for g in graphs:
+        idx = g._indexed()
+        for mask in range(1 << idx.ne):
+            named = partial_dual(g, idx.edge_set(mask))
+            for policy in ("unions", "splits"):
+                want = moves._step_sets(_Indexed.of(named), policy)
+                assert moves._step_sets(duality._dual_view(g, mask), policy) == want
+    pairs = [(g, partial_dual(g, sub)) for g in graphs for sub in subsets_sorted(g.edge_labels)]
+    named = []
+    original = duality.partial_dual
+
+    def spy(graph, edges):
+        named.append((graph, edges))
+        return original(graph, edges)
+
+    monkeypatch.setattr(duality, "partial_dual", spy)
+    monkeypatch.setattr(moves, "partial_dual", spy)
+    found = 0
+    for g, h in pairs:
+        for policy in ("unions", "splits"):
+            found += move_related(g, h, policy=policy).found
+    assert named == [] and found > 500
 
 
 def test_negative_bound_is_refused(fixtures):
