@@ -350,13 +350,15 @@ class _Indexed:
     its band pairings or its free-arc pairings, by its bit in the mask.
     Each walk records the arrow of every band side and free arc it
     crosses: the walks are the vertices of the partial dual on the mask.
-    :meth:`walk_homes` counts the same walks and places each in its
-    component.
+    The counting kernel :meth:`walk_lengths` runs the same walks with no
+    arrow list and no memo and returns their lengths, the degrees of the
+    partial dual's vertices, so ``f(A)`` is its ``len``; :meth:`walk_homes`
+    places the same walks in their components.
     """
 
     __slots__ = (
         "labels", "eindex", "nv", "ne", "rot", "dart_vertex", "dart_pos", "sign",
-        "components", "component_of", "_homes", "_memo",
+        "components", "component_of", "_memo",
     )
 
     def __init__(self, labels: list[str], rot: list[list[int]], sign: list[int]):
@@ -373,7 +375,6 @@ class _Indexed:
                 dart_vertex[d] = v
                 dart_pos[d] = pos
         self.components, self.component_of = self.parts((1 << self.ne) - 1)
-        self._homes: dict[int, tuple[int, ...]] = {}
         self._memo: dict = {}  # see per_view
 
     @classmethod
@@ -527,22 +528,55 @@ class _Indexed:
                 walks.append((v, arrows))
         return walks
 
-    def walk_homes(self, mask: int) -> tuple[int, ...]:
-        """Home vertex of every boundary walk of the spanning subgraph on the
-        edges in ``mask``, one entry per walk, memoised per mask.
+    def _walk_pass(self, mask: int) -> tuple[list[int], list[int]]:
+        """Home vertex and length of every boundary walk of the spanning
+        subgraph on the edges in ``mask``, one entry per walk in the order
+        of :meth:`walk_arrows`, with each edgeless vertex, in its place
+        among the vertices, one walk of length 0."""
+        corner, band, arc = self._endpoint_pairings()
+        seen = bytearray(4 * self.ne)
+        homes = []
+        lengths = []
+        for v, darts in enumerate(self.rot):
+            if not darts:
+                homes.append(v)
+                lengths.append(0)
+            for d in darts:
+                p = 2 * d + 1
+                if seen[p]:
+                    continue
+                n = 0
+                while not seen[p]:
+                    q = corner[p]
+                    seen[p] = seen[q] = 1
+                    p = band[q] if mask >> (q >> 2) & 1 else arc[q]
+                    n += 1
+                homes.append(v)
+                lengths.append(n)
+        return homes, lengths
 
-        The walks are those of :meth:`walk_arrows`, each homed at the vertex
-        where it starts, and an edgeless vertex is one bare walk.  A walk
-        never leaves a component of the spanning subgraph, so its home
-        places it in that component.
+    def walk_lengths(self, mask: int) -> list[int]:
+        """Length of every boundary walk of the spanning subgraph on the
+        edges in ``mask``, counted in corners, and ``0`` for each edgeless
+        vertex.
+
+        The walks are the vertices of the partial dual on ``mask`` and a
+        walk's length is that vertex's degree, so ``f(A)`` is the list's
+        ``len``; the walks of the complement are the dual's boundary
+        components.  One pass over the endpoint pairings, with no arrow
+        list and no memo.
         """
-        homes = self._homes.get(mask)
-        if homes is None:
-            homes = self._homes[mask] = tuple(
-                [v for v, darts in enumerate(self.rot) if not darts]
-                + [v for v, _ in self.walk_arrows(mask)]
-            )
-        return homes
+        return self._walk_pass(mask)[1]
+
+    def walk_homes(self, mask: int) -> list[int]:
+        """Home vertex of every boundary walk of the spanning subgraph on the
+        edges in ``mask``, one entry per walk of :meth:`walk_lengths`.
+
+        A walk is homed at the vertex where it starts, and an edgeless
+        vertex is one bare walk.  A walk never leaves a component of the
+        spanning subgraph, so its home places it in that component.
+        """
+        return self._walk_pass(mask)[0]
 
 
 # -- construction ---------------------------------------------------------

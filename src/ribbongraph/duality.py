@@ -33,17 +33,24 @@ joins and Euler genus adds over them, so
 and ``A`` carries a biseparation certificate exactly when every ``A∩E_i``
 carries one on its factor, with the side-genus sums adding up.
 :func:`spectrum_rows` therefore fills one table per prime factor (the
-factors of ``decomposition._factor_tree``), genus and certificate class
-for each subset of ``E_i`` from the integer walk and component counts of
+factors of ``decomposition._factor_tree``), walk count, genus and
+certificate class for each subset of ``E_i`` from the walk-counting
+kernel (:meth:`core._Indexed.walk_lengths`) and the component counts of
 the graph's indexed view, sums the tables over all subsets, and yields
 the rows one at a time; :func:`spectrum` lists them, and
 ``io_text.write_spectrum_json`` writes them row by row.
-:func:`genus_polynomial` multiplies the tables' histograms.  The
+:func:`genus_polynomial` multiplies the tables' histograms.
+
+The same tables answer ``relate``.  Walk counts add over the factors,
+less one per join, so :func:`_summed_walk_counts` sums the factors' walk
+tables into ``f(A)`` for every subset, and :func:`partial_dual_subsets`
+keeps a subset only when ``(f(A), f(Aᶜ))`` is the target's vertex and
+boundary count.  It then runs the walks of each such candidate, whose
+lengths are the vertex degrees and the face lengths of ``G^A``, and
+codes only the candidates whose two sorted lists are the target's.  The
 built route, ``surface_stats(partial_dual(g, A))``, and the whole-graph
-certificates are the oracles they are checked against in ``verify``
-(``count-route-agreement``).  The same two walk counts filter
-:func:`partial_dual_subsets`: only a subset whose counts match the
-target's vertex and boundary counts is coded.
+certificates are the oracles all of these are checked against in
+``verify`` (``count-route-agreement``).
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ import itertools
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .core import InvalidGraph, InvariantViolation, RibbonGraph, RibbonGraphError, _bits
 from .core import _Indexed, _keep_view, canonical_form
@@ -157,19 +164,26 @@ def refuse_large_sweep(g: RibbonGraph, what: str, override: str = "") -> None:
         )
 
 
-def _factor_tables(idx: _Indexed, masks: list[int], classes: bool) -> list[tuple]:
-    """One table per prime factor ``F`` (an edge mask of the graph ``g`` of
-    the view ``idx``), indexed by the submasks ``S`` of ``F`` written in
-    ``F``'s own bits.
+class _FactorTable(NamedTuple):
+    """The tables of one prime factor ``F``, indexed by the submasks ``S``
+    of ``F`` written in ``F``'s own bits (see :func:`_factor_tables`)."""
 
-    Returns per factor ``(edges, genus, cert)``: the edge indices of ``F``
-    in bit order, ``γ(P^S)`` for the factor ``P``, and (when ``classes``)
-    the side-genus sum of ``S``'s certificate on ``P``, or ``-1`` when it
-    has none.  With ``v_P`` the vertices that ``F``'s edges touch, the
-    spanning subgraph of ``g`` on ``S`` is ``P``'s plus ``v − v_P`` bare
-    vertices, each one walk and one component; so ``P``'s walk count is
-    ``f_P(S) = f(S) − (v − v_P)``, its component count ``c_P(S)`` likewise,
-    and as ``P`` is connected
+    edges: list[int]  # the edge indices of F in bit order
+    walks: list[int]  # f_P(S)
+    genus: array  # γ(P^S)
+    cert: Optional[array]  # side-genus sum of S's certificate on P, or -1
+
+
+def _factor_tables(idx: _Indexed, masks: list[int], classes: bool) -> list[_FactorTable]:
+    """One :class:`_FactorTable` per prime factor ``F`` (an edge mask of
+    the graph ``g`` of the view ``idx``); the certificate table only when
+    ``classes``.
+
+    With ``v_P`` the vertices that ``F``'s edges touch, the spanning
+    subgraph of ``g`` on ``S`` is ``P``'s plus ``v − v_P`` bare vertices,
+    each one walk and one component; so ``P``'s walk count is ``f_P(S) =
+    f(S) − (v − v_P)``, read off :meth:`core._Indexed.walk_lengths`, its
+    component count ``c_P(S)`` likewise, and as ``P`` is connected
 
         γ(P^S) = 2 + |F| − f_P(S) − f_P(F∖S).
 
@@ -193,7 +207,7 @@ def _factor_tables(idx: _Indexed, masks: list[int], classes: bool) -> list[tuple
             submask[loc] = submask[loc ^ low] | 1 << edges[low.bit_length() - 1]
         v_p = len({idx.dart_vertex[d] for i in edges for d in (2 * i, 2 * i + 1)})
         bare = idx.nv - v_p
-        f = [len(idx.walk_homes(m)) - bare for m in submask]
+        f = [len(idx.walk_lengths(m)) - bare for m in submask]
         # one signed byte per entry: a genus or a side-genus sum is at most |F|
         genus = array("b", (2 + p - f[loc] - f[top ^ loc] for loc in range(top + 1)))
         cert = None
@@ -204,8 +218,39 @@ def _factor_tables(idx: _Indexed, masks: list[int], classes: bool) -> list[tuple
                 side[loc] + side[top ^ loc] if c[loc] + c[top ^ loc] == v_p + 1 else -1
                 for loc in range(top + 1)
             ))
-        out.append((edges, genus, cert))
+        out.append(_FactorTable(edges, f, genus, cert))
     return out
+
+
+def _renumbering(tables: list[_FactorTable]) -> list[int]:
+    """Each edge's bit when the edges are renumbered factor by factor, so
+    that a subset's local indices in the factor tables, side by side,
+    index the sums of the tables."""
+    order = [i for table in tables for i in table.edges]
+    bit = [0] * len(order)
+    for j, i in enumerate(order):
+        bit[i] = 1 << j
+    return bit
+
+
+def _summed_walk_counts(g: RibbonGraph) -> tuple[list[int], list[int]]:
+    """``f(A)`` for every edge subset ``A`` of ``g``, summed from the prime
+    factors' walk tables and indexed by ``A`` in the renumbering of
+    :func:`_renumbering`, whose bits are returned beside it.
+
+    Walk counts add over a join, less one for the walk the joint merges,
+    so with ``K`` prime factors, ``C`` components that carry an edge and
+    ``B`` edgeless vertices
+
+        f(A) = Σ_i f_(P_i)(A∩E_i) − (K − C) + B.
+    """
+    idx = g._indexed()
+    tables = _factor_tables(idx, _factor_tree(idx).masks, False)
+    # −(K − C) + B: the components, edged or bare, less the factors
+    counts = [len(idx.components) - len(tables)]
+    for table in tables:
+        counts = [x + y for y in table.walks for x in counts]
+    return counts, _renumbering(tables)
 
 
 def spectrum_rows(
@@ -229,19 +274,16 @@ def spectrum_rows(
     idx = g._indexed()
     if classes and len(idx.components) > 1:
         raise InvalidGraph("biseparations are defined for connected graphs")
-    bit = [0] * idx.ne  # each edge's bit in the renumbering
-    shift = 0
+    tables = _factor_tables(idx, _factor_tree(idx).masks, classes)
+    bit = _renumbering(tables)
     # one signed byte per subset, as in the factor tables
     gammas = array("b", [0])
     totals = array("b", [0])
-    for edges, genus_table, cert_table in _factor_tables(idx, _factor_tree(idx).masks, classes):
-        for b, i in enumerate(edges):
-            bit[i] = 1 << (shift + b)
-        shift += len(edges)
-        gammas = array("b", (x + y for y in genus_table for x in gammas))
+    for table in tables:
+        gammas = array("b", (x + y for y in table.genus for x in gammas))
         if classes:
             totals = array("b", (
-                -1 if x < 0 or y < 0 else x + y for y in cert_table for x in totals
+                -1 if x < 0 or y < 0 else x + y for y in table.cert for x in totals
             ))
     return _rows(idx.labels, bit, gammas, totals if classes else None, is_orientable(g), genus)
 
@@ -326,8 +368,8 @@ def genus_polynomial(g: RibbonGraph) -> dict[int, int]:
             f"2^{largest} subsets, above the limit of {SWEEP_MAX_EDGES} edges"
         )
     poly = {0: 1}
-    for _, table, _ in _factor_tables(idx, masks, False):
-        counts = Counter(table)
+    for table in _factor_tables(idx, masks, False):
+        counts = Counter(table.genus)
         product: Counter = Counter()
         for a, x in poly.items():
             for b, y in counts.items():
@@ -338,12 +380,16 @@ def genus_polynomial(g: RibbonGraph) -> dict[int, int]:
 
 def partial_dual_subsets(g: RibbonGraph, h: RibbonGraph) -> list[frozenset]:
     """Every edge subset ``A`` of ``g`` whose partial dual ``G^A`` is
-    equivalent to ``h``, smallest subsets first.
+    equivalent to ``h``, smallest subsets first, lexicographic within size.
 
-    ``G^A`` has ``f(A)`` vertices and ``f(Aᶜ)`` boundary components, so a
-    subset whose two walk counts differ from ``h``'s vertex and boundary
-    counts cannot give ``h``; only the others are coded, each from its
-    integer view (:func:`_dual_view`), with no named graph built.
+    ``G^A`` has ``f(A)`` vertices and ``f(Aᶜ)`` boundary components, read
+    for every subset off the prime factors' walk tables
+    (:func:`_summed_walk_counts`), so only the subsets whose two counts are
+    ``h``'s are candidates.  A candidate's walks are then run once each
+    way: their lengths are the vertex degrees of ``G^A`` and, as the faces
+    of ``G^A`` are the vertices of ``G^(Aᶜ)``, its face lengths, and both
+    sorted lists must be ``h``'s.  Only the survivors are coded, each from
+    its integer view (:func:`_dual_view`), with no named graph built.
     Partial duals keep the edge count, so a graph with a different edge
     count gives no subset without a sweep, which is otherwise refused above
     :data:`SWEEP_MAX_EDGES` edges.
@@ -351,15 +397,25 @@ def partial_dual_subsets(g: RibbonGraph, h: RibbonGraph) -> list[frozenset]:
     if g.n_edges != h.n_edges:
         return []
     refuse_large_sweep(g, "relate")
-    idx = g._indexed()
+    idx, hidx = g._indexed(), h._indexed()
     full = (1 << idx.ne) - 1
-    counts = (h.n_vertices, len(h._indexed().walk_homes(full)))
+    degrees = sorted(len(darts) for darts in hidx.rot)
+    faces = sorted(hidx.walk_lengths(full))
+    counts, bit = _summed_walk_counts(g)
+    candidates = [
+        [i for i, b in enumerate(bit) if m & b]
+        for m, f in enumerate(counts)
+        if f == len(degrees) and counts[full ^ m] == len(faces)
+    ]
+    candidates.sort(key=lambda edges: (len(edges), edges))
     target = h.canonical_code()
     out = []
-    for sub in subsets_sorted(g.edge_labels):
-        mask = idx.mask(sub)
-        if (len(idx.walk_homes(mask)), len(idx.walk_homes(full ^ mask))) != counts:
-            continue
-        if canonical_form(_dual_view(g, mask)) == target:
-            out.append(sub)
+    for edges in candidates:
+        mask = sum(1 << i for i in edges)
+        if (
+            sorted(idx.walk_lengths(mask)) == degrees
+            and sorted(idx.walk_lengths(full ^ mask)) == faces
+            and canonical_form(_dual_view(g, mask)) == target
+        ):
+            out.append(idx.edge_set(mask))
     return out

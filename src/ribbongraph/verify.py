@@ -29,7 +29,10 @@ subset (:func:`partial_dual_subsets_by_codes`), and the move closure from
 a search over built graphs (:func:`_move_closure`), where the library
 keys its search by edge subset.  The spectrum's classes, which the library
 reads from one table per prime factor, are checked against the
-whole-graph certificate of every subset (``count-route-agreement``).
+whole-graph certificate of every subset, and the walk counts summed from
+those tables and the walk lengths that ``relate`` filters by against the
+counts, degrees and traced face lengths of every built dual
+(``count-route-agreement``).
 
 The library builds a partial dual one way, from the integer walks of
 :meth:`core._Indexed.walk_arrows`, as an integer view that the named dual
@@ -78,6 +81,7 @@ from .core import (
     _SEP_SIGNS,
     _SEP_VERTEX,
     _as_sign,
+    _bits,
     _keep_view,
     _render_component,
     as_end,
@@ -106,6 +110,7 @@ from .decomposition import (
     summand_edge_sets,
 )
 from .duality import (
+    _summed_walk_counts,
     geometric_dual,
     partial_dual,
     refuse_large_sweep,
@@ -405,12 +410,14 @@ def orientable_by_double_cover(g: RibbonGraph) -> bool:
     return len(roots) == 2 * len(components_by_names(g))
 
 
-def surface_stats_by_walks(g: RibbonGraph) -> SurfaceStats:
+def surface_stats_by_walks(g: RibbonGraph, walks: Optional[tuple] = None) -> SurfaceStats:
     """:func:`topology.surface_stats` from the step tracer: every boundary
     walk spelled out and placed by the vertex it first meets, components
     from :func:`components_by_names`, and each component's orientability
-    from the double cover of its own built subgraph."""
-    walks = boundary_components(g).walks
+    from the double cover of its own built subgraph.  ``walks`` are
+    ``g``'s traced boundary walks, where the caller has them."""
+    if walks is None:
+        walks = boundary_components(g).walks
     comps = components_by_names(g)
     end_vertex = {label: u for label, (u, _) in _end_vertices(g).items()}
     vert_comp = {v: i for i, (vs, _) in enumerate(comps) for v in vs}
@@ -423,6 +430,12 @@ def surface_stats_by_walks(g: RibbonGraph) -> SurfaceStats:
         (vs, es, f, orientable_by_double_cover(induced_subgraph(g, es)))
         for (vs, es), f in zip(comps, walk_counts)
     ))
+
+
+def face_lengths_by_walks(walks: tuple) -> list[int]:
+    """The sorted lengths of traced boundary walks, each the number of
+    corners it passes: ``0`` for the bare walk of an edgeless vertex."""
+    return sorted(sum(1 for step in walk if step[0] == "corner") for walk in walks)
 
 
 def side_components_by_subgraphs(g: RibbonGraph, edges: Iterable[str]) -> tuple:
@@ -843,7 +856,7 @@ def partial_dual_via_marks(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
 def partial_dual_subsets_by_codes(g: RibbonGraph, h: RibbonGraph) -> list[frozenset]:
     """Every edge subset of ``g`` whose built partial dual has ``h``'s
     canonical code, smallest subsets first: every subset is built and
-    coded.  Oracle for the count filter of
+    coded.  Oracle for the count and degree filters of
     :func:`duality.partial_dual_subsets`."""
     target = h.canonical_code()
     return [
@@ -1082,7 +1095,8 @@ def _serial(g: RibbonGraph) -> str:
 
 class _Analysis:
     """Everything the subset sweeps need about one corpus graph, computed
-    once: duals, their traced stats, and certificates for every subset."""
+    once: duals, their traced stats and face lengths, and certificates for
+    every subset."""
 
     def __init__(self, g: RibbonGraph):
         self.g = g
@@ -1090,12 +1104,15 @@ class _Analysis:
         self.subsets = list(subsets_sorted(g.edge_labels))
         self.dual: dict[frozenset, RibbonGraph] = {}
         self.dual_stats: dict[frozenset, object] = {}
+        self.face_lengths: dict[frozenset, list[int]] = {}
         self.cert: dict[frozenset, Optional[BiseparationCertificate]] = {}
         self.sides: dict[frozenset, tuple] = {}
         for sub in self.subsets:
             d = partial_dual(g, sub)
             self.dual[sub] = d
-            self.dual_stats[sub] = surface_stats_by_walks(d)
+            walks = boundary_components(d).walks
+            self.dual_stats[sub] = surface_stats_by_walks(d, walks)
+            self.face_lengths[sub] = face_lengths_by_walks(walks)
             comps, cert = biseparation_data(g, sub)
             self.cert[sub] = cert
             self.sides[sub] = comps
@@ -1183,17 +1200,23 @@ def _check_route_agreement(res: CheckResult, ana: _Analysis) -> None:
 
 def _check_count_routes(res: CheckResult, ana: _Analysis) -> None:
     """The boundary-count routes against built graphs: each walk count
-    ``f(A)`` and ``f(Aᶜ)`` against the built dual's vertex and traced
-    boundary counts, every spectrum row against the built dual's traced
-    statistics and its class, read from the prime factors' tables, against
-    the whole-graph certificate, the integer :func:`surface_stats` of every
-    built dual against the same traced statistics, every side list of a
-    certificate against :func:`side_components_by_subgraphs`, and every
-    certificate's existence and tree edges against
-    :func:`incidence_tree_by_union_find` over the built sides."""
+    ``f(A)`` and ``f(Aᶜ)``, from the walk kernel and summed from the prime
+    factors' walk tables as :func:`duality.partial_dual_subsets` reads
+    them, against the built dual's vertex and traced boundary counts, the
+    sorted walk lengths of ``A`` and ``Aᶜ`` against the built dual's
+    vertex degrees and traced face lengths, every spectrum row against the
+    built dual's traced statistics and its class, read from the prime
+    factors' tables, against the whole-graph certificate, the integer
+    :func:`surface_stats` of every built dual against the same traced
+    statistics, every side list of a certificate against
+    :func:`side_components_by_subgraphs`, and every certificate's existence
+    and tree edges against :func:`incidence_tree_by_union_find` over the
+    built sides."""
     g = ana.g
     full = frozenset(g.edge_labels)
     idx = g._indexed()
+    full_mask = (1 << idx.ne) - 1
+    counts, bit = _summed_walk_counts(g)
     rows = {r.subset: r for r in spectrum(g, classes=True)}
     # a subset and its complement share their side lists, so each edge
     # set's oracle list is built once
@@ -1202,10 +1225,24 @@ def _check_count_routes(res: CheckResult, ana: _Analysis) -> None:
         res.checked += 1
         row = rows.get(sub)
         st = ana.dual_stats[sub]
-        if len(idx.walk_homes(idx.mask(sub))) != ana.dual[sub].n_vertices:
+        dual = ana.dual[sub]
+        mask = idx.mask(sub)
+        summed = sum(bit[i] for i in _bits(mask))
+        lengths = sorted(idx.walk_lengths(mask))
+        co_lengths = sorted(idx.walk_lengths(full_mask ^ mask))
+        if len(lengths) != dual.n_vertices:
             res.fail(graph=_serial(g), subset=sub, property="f(A) vs built dual vertices")
-        if len(idx.walk_homes(idx.mask(full - sub))) != st.n_boundary:
+        if len(co_lengths) != st.n_boundary:
             res.fail(graph=_serial(g), subset=sub, property="f(Aᶜ) vs built dual boundary")
+        if (counts[summed], counts[full_mask ^ summed]) != (dual.n_vertices, st.n_boundary):
+            res.fail(graph=_serial(g), subset=sub,
+                     property="factor-summed f(A), f(Aᶜ) vs built dual counts")
+        if lengths != sorted(len(rot) for rot in dual.rotations):
+            res.fail(graph=_serial(g), subset=sub,
+                     property="walk lengths of A vs built dual degrees")
+        if co_lengths != ana.face_lengths[sub]:
+            res.fail(graph=_serial(g), subset=sub,
+                     property="walk lengths of Aᶜ vs traced dual face lengths")
         if row is None or (row.euler_genus, row.orientable) != (st.euler_genus, st.orientable):
             res.fail(graph=_serial(g), subset=sub, property="spectrum row vs built dual")
         elif row.biseparation != str(BiseparationClass.of(ana.cert[sub])):

@@ -17,9 +17,12 @@ from ribbongraph import (
     spectrum,
     surface_stats,
 )
+from ribbongraph.decomposition import _factor_tree
 from ribbongraph.duality import genus_polynomial, subsets_sorted
-from ribbongraph.topology import euler_genus
+from ribbongraph.topology import boundary_components, euler_genus
 from ribbongraph.verify import (
+    _random_graph,
+    face_lengths_by_walks,
     partial_dual_by_edges,
     partial_dual_one_edge,
     partial_dual_via_marks,
@@ -289,10 +292,10 @@ def test_spectrum_classes_keep_no_memo_per_subset():
     rows = spectrum(g, classes=True)
     assert len(rows) == 2**10
     # whole-graph values only, memoised on the integer view: the walks'
-    # endpoint pairings and arrow table, the factor tree, and the canonical
-    # code that generate's deduplication asked for
+    # endpoint pairings, the factor tree, and the canonical code that
+    # generate's deduplication asked for; counting walks records no arrow
     assert sorted(key.__name__ for key in g._indexed()._memo) == [
-        "_arrow_table", "_endpoint_pairings", "_factor_tree", "canonical_code"
+        "_endpoint_pairings", "_factor_tree", "canonical_code"
     ]
 
 
@@ -351,20 +354,36 @@ def _joined(*graphs):
     return out
 
 
+def _eight_edge_join():
+    """A join with prime factors {a, b}, {c, d, e}, {f}, {g} and {h}."""
+    return _joined(
+        single_vertex("a b a b", "++"),
+        single_vertex("c d c e d e", "+-+"),
+        single_vertex("f f", "-"),
+        single_vertex("g h h g", "++"),
+    )
+
+
+def _spy_on_walk_lengths(monkeypatch) -> list[tuple]:
+    """Record ``(view, mask)`` for every call of the walk-counting kernel."""
+    from ribbongraph.core import _Indexed
+
+    calls = []
+    original = _Indexed.walk_lengths
+
+    def counting(view, mask):
+        calls.append((view, mask))
+        return original(view, mask)
+
+    monkeypatch.setattr(_Indexed, "walk_lengths", counting)
+    return calls
+
+
 def test_spectrum_classes_of_a_join_need_no_whole_graph_certificate(monkeypatch):
     import ribbongraph.decomposition as decomposition
     from ribbongraph import classify_biseparation
 
-    def make():
-        # prime factors {a, b}, {c, d, e}, {f}, {g} and {h}
-        return _joined(
-            single_vertex("a b a b", "++"),
-            single_vertex("c d c e d e", "+-+"),
-            single_vertex("f f", "-"),
-            single_vertex("g h h g", "++"),
-        )
-
-    g = make()
+    g = _eight_edge_join()
     want = [str(classify_biseparation(g, sub)) for sub in subsets_sorted(g.edge_labels)]
     calls = []
     original = decomposition.biseparation_data
@@ -374,15 +393,15 @@ def test_spectrum_classes_of_a_join_need_no_whole_graph_certificate(monkeypatch)
         return original(graph, edges)
 
     monkeypatch.setattr(decomposition, "biseparation_data", counting)
-    fresh = make()
-    homes = fresh._indexed()._homes
-    before = set(homes)  # join counted the whole graph's walks
-    rows = spectrum(fresh, classes=True)
+    walked = _spy_on_walk_lengths(monkeypatch)
+    rows = spectrum(_eight_edge_join(), classes=True)
     assert [r.biseparation for r in rows] == want
     assert calls == []
     # walks are counted for the subsets of each factor, 4 + 8 + 2 + 2 + 2
     # masks with the empty one shared, not for the 2^8 subsets of the join
-    assert len(set(homes) - before) == 14
+    masks = [mask for _, mask in walked]
+    assert len(masks) == 18
+    assert len(set(masks)) == 14
 
 
 def test_cli_spectrum_classes_refuse_disconnected_graphs(tmp_path, capsys):
@@ -434,28 +453,107 @@ def test_genus_polynomial_refuses_a_large_prime_factor():
         genus_polynomial(g)
 
 
+def _degrees_and_faces(d: RibbonGraph) -> tuple[list[int], list[int]]:
+    """The sorted vertex degrees and traced face lengths of a built graph."""
+    return (sorted(len(rot) for rot in d.rotations),
+            face_lengths_by_walks(boundary_components(d).walks))
+
+
 def test_partial_dual_subsets_build_only_matching_counts(monkeypatch):
     # a subset is coded only when the vertex and boundary counts of its
-    # dual, read off the walks, are those of the target
+    # dual, read off the walks, are those of the target, and so are the
+    # sorted vertex degrees and face lengths
     import ribbongraph.duality as duality
     from ribbongraph.verify import generate
 
-    g = generate(6, mode="random", seed=5, count=1).graphs[0]
-    idx = g._indexed()
-    stats = {sub: surface_stats(partial_dual(g, sub)) for sub in subsets_sorted(g.edge_labels)}
     coded = []
     original = duality._dual_view
 
     def counting(graph, mask):
-        coded.append(idx.edge_set(mask))
+        coded.append(graph._indexed().edge_set(mask))
         return original(graph, mask)
 
     monkeypatch.setattr(duality, "_dual_view", counting)
-    for sub in (frozenset(), frozenset(sorted(g.edge_labels)[:2])):
-        h = partial_dual(g, sub)
-        want = (h.n_vertices, surface_stats(h).n_boundary)
-        coded.clear()
-        found = duality.partial_dual_subsets(g, h)
-        assert sub in found
-        assert coded == [s for s, st in stats.items() if (st.n_vertices, st.n_boundary) == want]
-        assert len(coded) < 2 ** g.n_edges
+    n_counted = n_coded = 0
+    for seed in (5, 4, 8):
+        g = generate(6, mode="random", seed=seed, count=1).graphs[0]
+        duals = {sub: partial_dual(g, sub) for sub in subsets_sorted(g.edge_labels)}
+        stats = {sub: surface_stats(d) for sub, d in duals.items()}
+        shapes = {sub: _degrees_and_faces(d) for sub, d in duals.items()}
+        for sub in (frozenset(), frozenset(sorted(g.edge_labels)[:2])):
+            h = duals[sub]
+            counted = [
+                s for s, st in stats.items()
+                if (st.n_vertices, st.n_boundary) == (h.n_vertices, stats[sub].n_boundary)
+            ]
+            coded.clear()
+            found = duality.partial_dual_subsets(g, h)
+            assert sub in found
+            assert coded == [s for s in counted if shapes[s] == shapes[sub]]
+            n_counted += len(counted)
+            n_coded += len(coded)
+    assert n_coded < n_counted  # the degrees reject some
+
+
+def test_partial_dual_subsets_of_a_join_walk_factor_masks_and_candidates(monkeypatch):
+    # the counts come from the 4 + 8 + 2 + 2 + 2 factor masks, and the
+    # whole graph's walks are run only for the candidates those counts
+    # pass, A and then its complement
+    from ribbongraph.duality import partial_dual_subsets
+    from ribbongraph.verify import partial_dual_subsets_by_codes
+
+    g = _eight_edge_join()
+    idx = g._indexed()
+    full = (1 << g.n_edges) - 1
+    factor_masks = set()
+    for fmask in _factor_tree(idx).masks:
+        factor_masks |= {m for m in range(fmask + 1) if m & fmask == m}
+    walked = _spy_on_walk_lengths(monkeypatch)
+    for edges in ([], ["c"], ["a", "c", "f"], ["b", "d", "e", "g"], ["a", "b", "h"]):
+        h = partial_dual(g, edges)
+        want = partial_dual_subsets_by_codes(g, h)
+        faces = surface_stats(h).n_boundary
+        counted = {
+            m for m in range(full + 1)
+            if (len(idx.walk_homes(m)), len(idx.walk_homes(full ^ m))) == (h.n_vertices, faces)
+        }
+        walked.clear()
+        assert partial_dual_subsets(g, h) == want
+        assert [view for view, _ in walked].count(h._indexed()) == 1  # h's faces
+        masks = [mask for view, mask in walked if view is idx]
+        assert len(masks[:18]) == 18 and set(masks[:18]) == factor_masks
+        assert counted <= set(masks[18:]) <= counted | {full ^ m for m in counted}
+        assert len(masks) < 2**g.n_edges
+
+
+@st.composite
+def relate_pairs(draw):
+    """A graph of up to six edges in up to three parts, edgeless vertices
+    among them, and either a partial dual of it or a random graph with the
+    same edge count, edgeless vertices added or not."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    left = 6
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, left))
+        left -= n
+        parts.append(_random_graph(rng, n))
+    g = parts[0] if len(parts) == 1 else disjoint_union(*parts)
+    if draw(st.booleans()):
+        h = partial_dual(g, draw(st.sets(st.sampled_from(g.edge_labels))) if g.n_edges else ())
+    else:
+        h = _random_graph(rng, g.n_edges)
+        bare = draw(st.integers(0, 2))
+        if bare:
+            h = disjoint_union(h, *(_random_graph(rng, 0) for _ in range(bare)))
+    return g, h
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(pair=relate_pairs())
+def test_partial_dual_subsets_match_the_coding_oracle(pair):
+    from ribbongraph.duality import partial_dual_subsets
+    from ribbongraph.verify import partial_dual_subsets_by_codes
+
+    g, h = pair
+    assert partial_dual_subsets(g, h) == partial_dual_subsets_by_codes(g, h)
