@@ -19,17 +19,12 @@ from .core import (
     canonical_form,
     is_equivalent,
 )
-from .decomposition import (
-    BiseparationClass,
-    _certified_subsets,
-    prime_factorization,
-)
+from .decomposition import _certified_subsets, is_biseparation, prime_factorization
 from .duality import (
     genus_polynomial,
     geometric_dual,
     partial_dual,
     partial_dual_subsets,
-    spectrum,
     spectrum_rows,
 )
 from .moves import move_related
@@ -90,14 +85,8 @@ def cmd_spectrum(args) -> int:
         else:
             print(io_text.polynomial_text(poly))
         return 0
-    if args.json:
-        io_text.write_spectrum_json(
-            spectrum_rows(g, genus=args.genus, classes=args.classes, force=args.force)
-        )
-    else:
-        print(io_text.spectrum_text(
-            spectrum(g, genus=args.genus, classes=args.classes, force=args.force)
-        ))
+    rows = spectrum_rows(g, genus=args.genus, classes=args.classes, force=args.force)
+    (io_text.write_spectrum_json if args.json else io_text.write_spectrum_text)(rows)
     return 0
 
 
@@ -105,11 +94,11 @@ def cmd_biseparations(args) -> int:
     g = _load(args.file)
     found = _certified_subsets(g, args.klass)
     if args.json:
-        io_text.write_certificates_json(cert for _, cert in found)
+        io_text.write_certificates_json(is_biseparation(g, sub) for sub, _ in found)
     else:
         listed = False
-        for sub, cert in found:
-            print(f"{io_text.subset_text(sub)}: {BiseparationClass.of(cert)}")
+        for sub, klass in found:
+            print(f"{io_text.subset_text(sub)}: {klass}")
             listed = True
         if not listed:
             print("none")

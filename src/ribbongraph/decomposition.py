@@ -17,11 +17,12 @@ mask yields the side's components, in the order of their first vertex,
 with their orientability and the component count ``c`` of the spanning
 subgraph, edgeless vertices included.  A subset ``A`` carries a
 certificate exactly when ``c(A) + c(Aᶜ) = v + 1``, the criterion
-``duality.spectrum`` applies to every prime factor.  The boundary walks of
-the spanning subgraph on a side, counted once per edge set by the counter
-the spectrum uses, each stay in one component; walks per component give its
-boundary count ``f_C`` and its Euler genus ``2 - v_C + e_C - f_C``, which
-gives the genus of each prime factor too.
+``duality.spectrum`` applies to every prime factor; the sums of its factor
+tables list the certified subsets (:func:`enumerate_biseparations`).  The
+boundary walks of the spanning subgraph on a side, counted once per edge
+set by the counter the spectrum uses, each stay in one component; walks
+per component give its boundary count ``f_C`` and its Euler genus
+``2 - v_C + e_C - f_C``, which gives the genus of each prime factor too.
 
 Every join question reads one memo of the integer view, the factor tree
 (:func:`_factor_tree`), so the move search reads it off a partial dual's
@@ -243,7 +244,7 @@ def biseparation_data(
     ``c(S)`` the component count of the spanning subgraph on ``S``, that
     is ``c(A) + c(Aᶜ) = v + 1``, and the tree edges are the vertices met
     by both sides, in vertex order.  The empty and the full subset always
-    qualify.
+    qualify, on the graph with no vertices too.
     """
     idx = g._indexed()
     if len(idx.components) > 1:
@@ -259,12 +260,13 @@ def biseparation_data(
         for side, parts in (("A", side_a), ("B", side_b))
         for members, es, genus, orientable in parts
     )
-    if c_a + c_b != idx.nv + 1:
+    trivial = mask in (0, full)
+    if c_a + c_b != idx.nv + 1 and not trivial:
         return comps, None
     total = sum(c.euler_genus for c in comps)
     return comps, BiseparationCertificate(
         subset=sub,
-        trivial=mask in (0, full),
+        trivial=trivial,
         components=comps,
         tree_edges=tuple(
             (i, len(side_a) + j, names[v])
@@ -315,24 +317,35 @@ def classify_biseparation(g: RibbonGraph, edges: Iterable[str]) -> BiseparationC
 
 def _certified_subsets(
     g: RibbonGraph, label: str = "all"
-) -> Iterator[tuple[frozenset, BiseparationCertificate]]:
-    """Each subset whose certificate matches the filter, with that
-    certificate, smallest subsets first; every certificate is computed
-    once.  The filters are those of :func:`enumerate_biseparations`.  The
-    refusals come at the call, before any subset."""
-    from .duality import refuse_large_sweep, subsets_sorted
+) -> Iterator[tuple[tuple[str, ...], BiseparationClass]]:
+    """Each subset whose certificate matches the filter of
+    :func:`enumerate_biseparations`, as its sorted labels, with its class,
+    in the spectrum's row order.  Both are read off the summed factor
+    tables of ``duality.spectrum_rows``, with no whole-graph certificate;
+    the refusals and the tables come at the call, before any subset."""
+    from .duality import _by_size, _summed_tables, refuse_large_sweep
 
     refuse_large_sweep(g, "biseparations")
     if not is_connected(g):
         raise InvalidGraph("biseparations are defined for connected graphs")
+    idx = g._indexed()
+    bit, _, totals = _summed_tables(idx, True)
 
     def matching():
-        for sub in subsets_sorted(g.edge_labels):
-            cert = is_biseparation(g, sub)
-            if cert is None:
-                continue
-            if label == "all" or cert.label == label or (label == "nontrivial" and not cert.trivial):
-                yield sub, cert
+        n = len(idx.labels)
+        for k, subsets in _by_size(idx.labels, bit):
+            trivial = k in (0, n)
+            # the class of each side-genus total, at most e, where it passes
+            keep = [
+                BiseparationClass(True, trivial, _label_of_total(t), t)
+                if label in ("all", _label_of_total(t)) or (label == "nontrivial" and not trivial)
+                else None
+                for t in range(n + 1)
+            ]
+            for sub, m in subsets:
+                total = totals[m]
+                if total >= 0 and keep[total] is not None:
+                    yield sub, keep[total]
 
     return matching()
 
@@ -341,9 +354,10 @@ def enumerate_biseparations(
     g: RibbonGraph, label: str = "all"
 ) -> list[frozenset]:
     """All subsets whose certificate matches the filter (``all``, ``plane``,
-    ``rp2``, ``other`` or ``nontrivial``).  Closed under complement.
-    Refused above ``duality.SWEEP_MAX_EDGES`` edges."""
-    return [sub for sub, _ in _certified_subsets(g, label)]
+    ``rp2``, ``other`` or ``nontrivial``), read off the factor tables.
+    Closed under complement.  Refused above ``duality.SWEEP_MAX_EDGES``
+    edges."""
+    return [frozenset(sub) for sub, _ in _certified_subsets(g, label)]
 
 
 # -- joins: the factor tree -----------------------------------------------------

@@ -36,9 +36,10 @@ carries one on its factor, with the side-genus sums adding up.
 factors of ``decomposition._factor_tree``), walk count, genus and
 certificate class for each subset of ``E_i`` from the walk-counting
 kernel (:meth:`core._Indexed.walk_lengths`) and the component counts of
-the graph's indexed view, sums the tables over all subsets, and yields
-the rows one at a time; :func:`spectrum` lists them, and
-``io_text.write_spectrum_json`` writes them row by row.
+the graph's indexed view, sums the tables over all subsets
+(:func:`_summed_tables`), and yields the rows one at a time;
+:func:`spectrum` lists them, ``io_text`` writes them row by row, and
+``decomposition.enumerate_biseparations`` reads the same sums.
 :func:`genus_polynomial` multiplies the tables' histograms.
 
 The same tables answer ``relate``.  Walk counts add over the factors,
@@ -253,6 +254,30 @@ def _summed_walk_counts(g: RibbonGraph) -> tuple[list[int], list[int]]:
     return counts, _renumbering(tables)
 
 
+def _summed_tables(idx: _Indexed, classes: bool) -> tuple[list[int], array, Optional[array]]:
+    """The bits of :func:`_renumbering`, and the factor tables summed over
+    all ``2^e`` subsets in that numbering: each partial dual's genus and,
+    with ``classes``, each certificate's side-genus total (``-1`` for none)."""
+    tables = _factor_tables(idx, _factor_tree(idx).masks, classes)
+    # one signed byte per subset, as in the factor tables
+    gammas = array("b", [0])
+    totals = array("b", [0]) if classes else None
+    for table in tables:
+        gammas = array("b", (x + y for y in table.genus for x in gammas))
+        if classes:
+            totals = array("b", (
+                -1 if x < 0 or y < 0 else x + y for y in table.cert for x in totals
+            ))
+    return _renumbering(tables), gammas, totals
+
+
+def _by_size(labels: list[str], bit: list[int]) -> Iterator[tuple[int, Iterator]]:
+    """Per size ``k``, the subsets of that size as (sorted labels, index in
+    the sum tables), in the order of :func:`subsets_sorted`."""
+    for k in range(len(labels) + 1):
+        yield k, zip(itertools.combinations(labels, k), map(sum, itertools.combinations(bit, k)))
+
+
 def spectrum_rows(
     g: RibbonGraph,
     genus: Optional[int] = None,
@@ -265,38 +290,25 @@ def spectrum_rows(
     The refusals and the factor tables come at the call, before any row.
     The edges are renumbered factor by factor, so that a subset's local
     indices in the factor tables, side by side, index the sums of the
-    tables: one table over all ``2^e`` subsets for the genus and one for
-    the side-genus total of the certificate (``-1`` for none), and a row
-    costs one lookup in each.
+    tables (:func:`_summed_tables`), and a row costs one lookup in each.
     """
     if not force:
         refuse_large_sweep(g, "spectrum", "; pass force=True to run anyway")
     idx = g._indexed()
     if classes and len(idx.components) > 1:
         raise InvalidGraph("biseparations are defined for connected graphs")
-    tables = _factor_tables(idx, _factor_tree(idx).masks, classes)
-    bit = _renumbering(tables)
-    # one signed byte per subset, as in the factor tables
-    gammas = array("b", [0])
-    totals = array("b", [0])
-    for table in tables:
-        gammas = array("b", (x + y for y in table.genus for x in gammas))
-        if classes:
-            totals = array("b", (
-                -1 if x < 0 or y < 0 else x + y for y in table.cert for x in totals
-            ))
-    return _rows(idx.labels, bit, gammas, totals if classes else None, is_orientable(g), genus)
+    bit, gammas, totals = _summed_tables(idx, classes)
+    return _rows(idx.labels, bit, gammas, totals, is_orientable(g), genus)
 
 
 def _rows(labels, bit, gammas, totals, orientable, genus):
     """The spectrum's rows over the sum tables of :func:`spectrum_rows`,
-    smallest subsets first, lexicographic within size."""
+    in the order of :func:`_by_size`."""
     n = len(labels)
     texts: dict[tuple[int, bool], str] = {}
-    for k in range(n + 1):
+    for k, subsets in _by_size(labels, bit):
         trivial = k in (0, n)
-        for sub, bits in zip(itertools.combinations(labels, k), itertools.combinations(bit, k)):
-            m = sum(bits)
+        for sub, m in subsets:
             gamma = gammas[m]
             if genus is not None and gamma != genus:
                 continue
@@ -305,9 +317,8 @@ def _rows(labels, bit, gammas, totals, orientable, genus):
                 total = totals[m]
                 text = texts.get((total, trivial))
                 if text is None:
-                    text = texts[total, trivial] = str(
-                        BiseparationClass(False, False, None, None) if total < 0
-                        else BiseparationClass(True, trivial, _label_of_total(total), total)
+                    text = texts[total, trivial] = "none" if total < 0 else str(
+                        BiseparationClass(True, trivial, _label_of_total(total), total)
                     )
             yield sub, gamma, orientable, text
 
@@ -319,25 +330,16 @@ def spectrum(
     force: bool = False,
 ) -> list[SpectrumEntry]:
     """Euler genus and orientability of every partial dual of ``g``, and
-    with ``classes`` the class of each subset's biseparation certificate.
+    with ``classes`` the class of each subset's biseparation certificate,
+    in the order of :func:`subsets_sorted`.
 
-    No partial dual is built and no whole-graph certificate computed.
-    Write ``g`` as the join of its prime factors ``P_i`` (over all its
-    components), with edge sets ``E_i``.  Partial duality distributes over
-    joins and Euler genus adds over them, so
-
-        γ(G^A) = Σ_i γ(P_i^(A∩E_i)),
-
-    and ``A`` carries a certificate exactly when every ``A∩E_i`` carries
-    one on its factor, the side-genus sums adding up.  One table per
-    factor (:func:`_factor_tables`) holds both for each subset of ``E_i``,
-    from the walk and component counts of the graph's indexed view, and
-    the rows are read off their sums (:func:`spectrum_rows`).  A row's
-    class is ``none`` if a factor has no certificate, else ``plane``,
-    ``rp2`` or ``other(t)`` for the total ``t`` of the side genera, marked
-    trivial for ``∅`` and ``E``, as
-    :class:`decomposition.BiseparationClass` prints it.  Classes are
-    defined for connected graphs only.  ``genus`` filters the rows.
+    No partial dual is built and no whole-graph certificate computed: the
+    rows are read off the sums of one table per prime factor (see the
+    module notes and :func:`spectrum_rows`).  A row's class is ``none`` if
+    a factor has no certificate, else ``plane``, ``rp2`` or ``other(t)``
+    for the total ``t`` of the side genera, marked trivial for ``∅`` and
+    ``E``, as :class:`decomposition.BiseparationClass` prints it.  Classes
+    are defined for connected graphs only.  ``genus`` filters the rows.
     Enumerating ``2^e`` subsets is refused above :data:`SWEEP_MAX_EDGES`
     edges unless forced.
     """
@@ -351,7 +353,7 @@ def genus_polynomial(g: RibbonGraph) -> dict[int, int]:
     """The partial-dual Euler-genus polynomial ``Σ_A z^γ(G^A)`` of ``g``, as
     a map from Euler genus to the number of subsets reaching it.
 
-    Euler genus adds over the prime factors (see :func:`spectrum`), so the
+    Euler genus adds over the prime factors (see the module notes), so the
     polynomial is the product of the factors' polynomials, each the
     histogram of its genus table (Gross, Mansour and Tucker, "Partial
     duality for ribbon graphs, I: Distributions", European J. Combin. 86,

@@ -261,30 +261,25 @@ def subset_text(sub) -> str:
     return "∅" if not sub else "{" + ",".join(sorted(sub)) + "}"
 
 
-def spectrum_text(rows) -> str:
-    lines = []
-    for r in rows:
-        flag = "orientable" if r.orientable else "non-orientable"
-        extra = f"  {r.biseparation}" if r.biseparation else ""
-        lines.append(f"{subset_text(r.subset)} γ={r.euler_genus} {flag}{extra}")
-    return "\n".join(lines)
+def write_spectrum_text(rows) -> None:
+    """Write the rows of :func:`duality.spectrum_rows` to stdout as lines
+    in chunks, or one empty line if there is no row."""
+    write = sys.stdout.write
+    flags = {True: "orientable", False: "non-orientable"}
+    chunk: list[str] = []
+    n = 0
+    for n, (sub, gamma, orientable, text) in enumerate(rows, 1):
+        extra = f"  {text}" if text else ""
+        chunk.append(f"{subset_text(sub)} γ={gamma} {flags[orientable]}{extra}\n")
+        if n % 512 == 0:
+            write("".join(chunk))
+            chunk.clear()
+    write("".join(chunk) if n else "\n")
 
 
 def polynomial_text(poly: dict) -> str:
     """One line per Euler genus reached: ``γ=k: n`` for ``n`` subsets."""
     return "\n".join(f"γ={k}: {n}" for k, n in sorted(poly.items()))
-
-
-def spectrum_json(rows) -> list:
-    return [
-        {
-            "subset": sorted(r.subset),
-            "euler_genus": r.euler_genus,
-            "orientable": r.orientable,
-            **({"biseparation": r.biseparation} if r.biseparation else {}),
-        }
-        for r in rows
-    ]
 
 
 def _write_rows(head: str, items: Iterable[str], tail: str) -> None:
@@ -312,7 +307,7 @@ def _write_rows(head: str, items: Iterable[str], tail: str) -> None:
 def write_spectrum_json(rows) -> None:
     """Write ``{"command": "spectrum", "spectrum": ...}`` for the rows of
     :func:`duality.spectrum_rows` to stdout, row by row; the bytes are
-    those of :func:`emit` for :func:`spectrum_json` of the same rows.
+    those of :func:`emit` for the whole document.
 
     A row has fixed keys, so it is one template filled with its genus and
     its ``encode_basestring`` pieces, with no dict built.

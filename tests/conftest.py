@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
-from ribbongraph import build_graph, single_vertex
-from ribbongraph.verify import generate
+from ribbongraph import build_graph, is_connected, single_vertex
+from ribbongraph.verify import _random_graph, generate
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +19,18 @@ def corpus4():
 @pytest.fixture(scope="session")
 def corpus5():
     return generate(5)
+
+
+@pytest.fixture(scope="session")
+def cross_route_graphs(corpus4):
+    """Every graph of ``generate(4)``, then four connected random graphs
+    of each edge count from 5 to 9."""
+    rng = random.Random(15)
+    graphs = list(corpus4.graphs)
+    for e in range(5, 10):
+        drawn = [g for g in (_random_graph(rng, e) for _ in range(40)) if is_connected(g)]
+        graphs += drawn[:4]
+    return graphs
 
 
 @pytest.fixture(scope="session")

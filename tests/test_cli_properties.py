@@ -9,7 +9,10 @@ made malformed by mutating the bytes of a valid one; and for ``verify
 --stable``, small random corpora.  ``io_text.emit`` is checked against
 ``json.dumps`` on random JSON-like values, and the streamed ``spectrum``
 and ``biseparations`` writers against ``emit`` on graphs of up to eight
-edges.
+edges.  ``biseparations`` lists its subsets off the factor tables and
+builds whole-graph certificates for ``--json``; its text, its ``--json``
+and ``spectrum --classes`` are checked to agree on ``generate(4)`` and on
+random connected graphs of up to nine edges.
 """
 
 import contextlib
@@ -30,7 +33,7 @@ from ribbongraph import (
     serialize_graph,
 )
 from ribbongraph.cli import main
-from ribbongraph.io_text import emit, stats_json
+from ribbongraph.io_text import emit, stats_json, subset_text
 from ribbongraph.verify import _random_graph, surface_stats_by_walks
 
 MAX_EDGES = 6
@@ -163,6 +166,20 @@ def spectrum_cases(draw):
     return g, classes, draw(st.none() | st.integers(-1, 9))
 
 
+def spectrum_json(rows):
+    """The ``spectrum`` list of ``spectrum --json`` for the rows, as one
+    value for ``emit``."""
+    return [
+        {
+            "subset": sorted(r.subset),
+            "euler_genus": r.euler_genus,
+            "orientable": r.orientable,
+            **({"biseparation": r.biseparation} if r.biseparation else {}),
+        }
+        for r in rows
+    ]
+
+
 @settings(max_examples=80, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=spectrum_cases())
@@ -171,9 +188,9 @@ def spectrum_cases(draw):
 @example(case=(build_graph({"v": ["a.1", "a.2"]}, {"a": "-"}), True, 0))
 def test_spectrum_json_rows_match_emit(tmp_path, case):
     # the row writers stream what emit writes for the whole document
-    from ribbongraph.decomposition import _certified_subsets
-    from ribbongraph.duality import spectrum
-    from ribbongraph.io_text import certificate_json, spectrum_json
+    from ribbongraph.decomposition import is_biseparation
+    from ribbongraph.duality import spectrum, subsets_sorted
+    from ribbongraph.io_text import certificate_json
 
     g, classes, genus = case
     path = tmp_path / "g.txt"
@@ -191,10 +208,49 @@ def test_spectrum_json_rows_match_emit(tmp_path, case):
         0, emit({"command": "spectrum", "spectrum": spectrum_json(rows)}), ""
     )
     if classes:
-        # the certificates stream the same way
-        certs = [certificate_json(c) for _, c in _certified_subsets(g)]
+        # the certificates stream the same way, one for each certified subset
+        certs = [
+            certificate_json(c)
+            for c in (is_biseparation(g, sub) for sub in subsets_sorted(g.edge_labels))
+            if c is not None
+        ]
         want = emit({"command": "biseparations", "biseparations": certs})
         assert _run(["biseparations", str(path), "--json"]) == (0, want, "")
+
+
+def _class_text(cert):
+    """The class of a ``biseparations --json`` certificate, as the text
+    form prints it."""
+    label = cert["class"] if cert["class"] != "other" else f"other({cert['genus_sum']})"
+    return f"{label} (trivial)" if cert["trivial"] else label
+
+
+def test_biseparations_text_json_and_spectrum_agree(tmp_path, cross_route_graphs):
+    # the text lists the subsets off the factor tables, --json builds their
+    # whole-graph certificates, and spectrum --classes reads the same tables
+    path = tmp_path / "g.txt"
+    for g in cross_route_graphs:
+        path.write_text(serialize_graph(g))
+        code, out, _ = _run(["spectrum", str(path), "--classes", "--json"])
+        assert code == 0
+        rows = json.loads(out)["spectrum"]
+        for klass in ("all", "plane", "rp2"):
+            argv = ["biseparations", str(path), "--class", klass]
+            code, text, _ = _run(argv)
+            assert code == 0
+            code, out, _ = _run(argv + ["--json"])
+            assert code == 0
+            lines = [
+                f"{subset_text(c['subset'])}: {_class_text(c)}"
+                for c in json.loads(out)["biseparations"]
+            ]
+            assert text == "\n".join(lines or ["none"]) + "\n", (serialize_graph(g), klass)
+            assert lines == [
+                f"{subset_text(r['subset'])}: {r['biseparation']}"
+                for r in rows
+                if r["biseparation"] != "none"
+                and klass in ("all", r["biseparation"].split(" ")[0])
+            ], (serialize_graph(g), klass)
 
 
 def test_refused_spectrum_writes_nothing(tmp_path):
@@ -203,10 +259,11 @@ def test_refused_spectrum_writes_nothing(tmp_path):
     for g, extra in ((_plain_names(two), ["--classes"]), (big, [])):
         path = tmp_path / "g.txt"
         path.write_text(serialize_graph(g))
-        code, out, err = _run(["spectrum", str(path), "--json"] + extra)
-        assert (code, out) == (2, "") and err.startswith("error: ")
-    code, out, _ = _run(["biseparations", str(path), "--json"])
-    assert (code, out) == (2, "")
+        for form in ([], ["--json"]):
+            code, out, err = _run(["spectrum", str(path)] + form + extra)
+            assert (code, out) == (2, "") and err.startswith("error: "), form + extra
+            code, out, _ = _run(["biseparations", str(path)] + form)
+            assert (code, out) == (2, ""), form
 
 
 def _path(n):

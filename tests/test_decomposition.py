@@ -24,6 +24,8 @@ from ribbongraph.decomposition import (
     factor_genera,
     summand_edge_sets,
 )
+from ribbongraph.duality import subsets_sorted
+from ribbongraph.io_text import serialize_graph
 from ribbongraph.topology import euler_genus, is_connected
 from ribbongraph.verify import biseparation_sequence_oracle, join_biseparations_by_splits
 
@@ -138,6 +140,27 @@ def test_enumerate_biseparations(fixtures):
         frozenset({"b"}),
         frozenset({"a", "b"}),
     ]
+
+
+def _biseparations_by_certificates(g, label):
+    """The listing from every subset's whole-graph certificate, as
+    ``enumerate_biseparations`` made it before it read the factor tables."""
+    out = []
+    for sub in subsets_sorted(g.edge_labels):
+        cert = is_biseparation(g, sub)
+        if cert is not None and (
+            label == "all" or cert.label == label or (label == "nontrivial" and not cert.trivial)
+        ):
+            out.append(sub)
+    return out
+
+
+def test_enumerate_biseparations_matches_the_certificate_loop(cross_route_graphs):
+    for g in cross_route_graphs:
+        for label in ("all", "plane", "rp2", "other", "nontrivial"):
+            assert enumerate_biseparations(g, label) == _biseparations_by_certificates(g, label), (
+                serialize_graph(g), label,
+            )
 
 
 def test_enumeration_closed_under_complement(corpus3):

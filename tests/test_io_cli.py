@@ -429,7 +429,9 @@ def test_cli_relate_refuses_negative_depth(files, capsys):
     assert captured.err.startswith("error: move search depth bound"), captured.err
 
 
-def test_cli_biseparations_certifies_each_subset_once(fixtures, tmp_path, monkeypatch, capsys):
+def test_cli_biseparations_certifies_only_printed_subsets(fixtures, tmp_path, monkeypatch, capsys):
+    # the listing reads the factor tables: the text builds no whole-graph
+    # certificate, and --json one for each subset it prints
     import ribbongraph.decomposition as decomposition
 
     calls = []
@@ -440,14 +442,98 @@ def test_cli_biseparations_certifies_each_subset_once(fixtures, tmp_path, monkey
         return original(g, edges)
 
     monkeypatch.setattr(decomposition, "biseparation_data", counting)
-    g = fixtures["G2"]
-    path = tmp_path / "g2.txt"
+    for name in ("C", "T1"):
+        path = tmp_path / "g.txt"
+        path.write_text(serialize_graph(fixtures[name]))
+        for klass in ("all", "plane", "rp2"):
+            argv = ["biseparations", str(path), "--class", klass]
+            calls.clear()
+            assert main(argv) == 0
+            assert calls == [], (name, klass)
+            capsys.readouterr()
+            assert main(argv + ["--json"]) == 0
+            printed = [frozenset(c["subset"]) for c in json.loads(capsys.readouterr().out)["biseparations"]]
+            assert calls == printed, (name, klass)
+            if (name, klass) == ("C", "all"):
+                # {a} and {b} have no certificate, and neither is built
+                assert printed == [frozenset(), frozenset("ab")]
+
+
+def test_the_graph_with_no_vertices_has_one_answer(tmp_path, capsys):
+    # ∅ is also the full subset, and trivial subsets always qualify
+    from ribbongraph import (
+        build_graph,
+        classify_biseparation,
+        enumerate_biseparations,
+        is_biseparation,
+        spectrum,
+    )
+
+    g = build_graph({}, {})
+    cert = is_biseparation(g, set())
+    assert cert is not None
+    assert (cert.subset, cert.trivial, cert.label, cert.genus_sum) == (frozenset(), True, "plane", 0)
+    assert cert.components == () and cert.tree_edges == ()
+    assert str(classify_biseparation(g, set())) == "plane (trivial)"
+    for label in ("all", "plane"):
+        assert enumerate_biseparations(g, label) == [frozenset()]
+    for label in ("rp2", "other", "nontrivial"):
+        assert enumerate_biseparations(g, label) == []
+    assert [(r.subset, r.biseparation) for r in spectrum(g, classes=True)] == [
+        (frozenset(), "plane (trivial)")
+    ]
+    path = tmp_path / "g.txt"
     path.write_text(serialize_graph(g))
-    for extra in ([], ["--json"]):
-        calls.clear()
-        assert main(["biseparations", str(path)] + extra) == 0
-        assert len(calls) == 2 ** g.n_edges == len(set(calls)), extra
-    capsys.readouterr()
+    want = {
+        ("spectrum", "--classes"): "∅ γ=0 orientable  plane (trivial)\n",
+        ("biseparations",): "∅: plane (trivial)\n",
+        ("biseparations", "--class", "rp2"): "none\n",
+    }
+    for argv, out in want.items():
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        assert capsys.readouterr().out == out, argv
+    assert main(["biseparations", str(path), "--json"]) == 0
+    certs = json.loads(capsys.readouterr().out)["biseparations"]
+    assert certs == [{"class": "plane", "components": [], "genus_sum": 0, "subset": [],
+                      "tree": [], "trivial": True}]
+
+
+def _joined_spectrum_text(rows):
+    """The text of ``spectrum`` as one string of all its lines joined."""
+    from ribbongraph.io_text import subset_text
+
+    lines = []
+    for r in rows:
+        flag = "orientable" if r.orientable else "non-orientable"
+        extra = f"  {r.biseparation}" if r.biseparation else ""
+        lines.append(f"{subset_text(r.subset)} γ={r.euler_genus} {flag}{extra}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name, extra", [
+    ("bare", []),
+    ("N1", ["--classes"]),
+    ("path9", []),  # 512 rows, one full chunk
+    ("path9", ["--classes"]),
+    ("path10", ["--classes"]),  # 1,024 rows, two full chunks
+    ("path10", ["--genus", "1"]),  # no row: an empty line
+    ("G2", ["--classes", "--genus", "2"]),
+    ("G2", ["--classes", "--genus", "7"]),
+])
+def test_spectrum_text_is_the_joined_lines(fixtures, tmp_path, capsys, name, extra):
+    from ribbongraph import build_graph, spectrum
+
+    graphs = {"bare": build_graph({"v": []}, {}), "path9": _path_graph(9),
+              "path10": _path_graph(10)}
+    g = graphs.get(name) or fixtures[name]
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_graph(g))
+    assert main(["spectrum", str(path), *extra]) == 0
+    genus = int(extra[extra.index("--genus") + 1]) if "--genus" in extra else None
+    rows = spectrum(g, genus=genus, classes="--classes" in extra)
+    assert capsys.readouterr().out == _joined_spectrum_text(rows)
+    if not rows:
+        assert _joined_spectrum_text(rows) == "\n"
 
 
 def _path_graph(n):
