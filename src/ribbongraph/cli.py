@@ -116,10 +116,12 @@ def cmd_factor(args) -> int:
 
 
 def cmd_relate(args) -> int:
+    if args.max_depth < 0:
+        raise ValueError(f"move search depth bound must be at least 0, not {args.max_depth}")
     g = _load(args.file1)
     h = _load(args.file2)
+    subsets = partial_dual_subsets(g, h)  # refuses a large sweep before any coding
     equivalent = is_equivalent(g, h)
-    subsets = partial_dual_subsets(g, h)
     gamma_g = surface_stats(g).euler_genus
     gamma_h = surface_stats(h).euler_genus
     trace = None

@@ -935,7 +935,10 @@ def labelled_code(g: RibbonGraph) -> tuple:
 
 
 def is_equivalent(g: RibbonGraph, h: RibbonGraph) -> bool:
-    """Whether two ribbon graphs are equivalent as embedded graphs."""
+    """Whether two ribbon graphs are equivalent as embedded graphs; graphs
+    with different vertex or edge counts are not, and are not coded."""
+    if g.n_vertices != h.n_vertices or g.n_edges != h.n_edges:
+        return False
     return g.canonical_code() == h.canonical_code()
 
 

@@ -22,6 +22,7 @@ holds bit-exactly for canonical serializations.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from dataclasses import dataclass, field
@@ -282,13 +283,31 @@ def polynomial_text(poly: dict) -> str:
     return "\n".join(f"γ={k}: {n}" for k, n in sorted(poly.items()))
 
 
+def _list_at(newline: str):
+    """A writer of JSON lists whose items come already written, indented as
+    ``json.dumps`` indents them: ``newline`` is the line break and indent
+    of the list's own level, and an empty list is ``[]``.  A list of
+    strings is one of their ``encode_basestring`` texts."""
+    head, sep, tail = "[" + newline + "  ", "," + newline + "  ", newline + "]"
+
+    def write(items: Iterable[str]) -> str:
+        body = sep.join(items)
+        return head + body + tail if body else "[]"
+
+    return write
+
+
+_ITEM_LIST = _list_at("\n      ")  # a list held by an item of the large list
+_INNER_LIST = _list_at("\n          ")  # a list held by an item of such a list
+
+
 def _write_rows(head: str, items: Iterable[str], tail: str) -> None:
     """Write a JSON document with one large list to stdout, in chunks.
 
     ``head`` is the document up to the list and ``tail`` the rest after it;
     the list is a value of the top-level object, so each item comes already
     written at an indent of four.  Only one chunk of items is held at a
-    time, and an empty list is written ``[]``, as :func:`emit` writes it.
+    time, and an empty list is written ``[]``, as ``json.dumps`` writes it.
     """
     write = sys.stdout.write
     chunk = [head]
@@ -306,11 +325,11 @@ def _write_rows(head: str, items: Iterable[str], tail: str) -> None:
 
 def write_spectrum_json(rows) -> None:
     """Write ``{"command": "spectrum", "spectrum": ...}`` for the rows of
-    :func:`duality.spectrum_rows` to stdout, row by row; the bytes are
-    those of :func:`emit` for the whole document.
+    :func:`duality.spectrum_rows` to stdout, row by row.
 
     A row has fixed keys, so it is one template filled with its genus and
-    its ``encode_basestring`` pieces, with no dict built.
+    its ``encode_basestring`` pieces, with no dict built; the bytes are
+    those of :func:`emit` for the whole document.
     """
     texts: dict[Optional[str], str] = {None: ""}
 
@@ -319,14 +338,10 @@ def write_spectrum_json(rows) -> None:
             klass = texts.get(text)
             if klass is None:
                 klass = texts[text] = f'"biseparation": {encode_basestring(text)},\n      '
-            subset = (
-                "[\n        " + ",\n        ".join(map(encode_basestring, sub)) + "\n      ]"
-                if sub else "[]"
-            )
             yield (
                 f'{{\n      {klass}"euler_genus": {gamma},\n      '
                 f'"orientable": {"true" if orientable else "false"},\n      '
-                f'"subset": {subset}\n    }}'
+                f'"subset": {_ITEM_LIST(map(encode_basestring, sub))}\n    }}'
             )
 
     _write_rows('{\n  "command": "spectrum",\n  "spectrum": ', items(), "\n}\n")
@@ -334,40 +349,42 @@ def write_spectrum_json(rows) -> None:
 
 def write_certificates_json(certs) -> None:
     """Write ``{"biseparations": [...], "command": "biseparations"}`` for
-    the certificates to stdout, one :func:`certificate_json` at a time;
-    the bytes are those of :func:`emit` for the whole document."""
+    the :class:`decomposition.BiseparationCertificate` values ``certs`` to
+    stdout, one at a time.
+
+    A certificate, each of its side components and each of its tree edges
+    has fixed keys, so each is one template, its lists sorted and no dict
+    built; the bytes are those of :func:`emit` for the whole document.
+    """
+
+    def component(c) -> str:
+        return (
+            f'{{\n          "edges": {_INNER_LIST(map(encode_basestring, sorted(c.edges)))},'
+            f'\n          "euler_genus": {c.euler_genus},'
+            f'\n          "orientable": {"true" if c.orientable else "false"},'
+            f'\n          "side": {encode_basestring(c.side)},'
+            f'\n          "vertices": {_INNER_LIST(map(encode_basestring, sorted(c.vertices)))}'
+            f'\n        }}'
+        )
+
+    def tree_edge(i: int, j: int, v: str) -> str:
+        return (
+            f'{{\n          "components": {_INNER_LIST((str(i), str(j)))},'
+            f'\n          "vertex": {encode_basestring(v)}\n        }}'
+        )
 
     def items():
         for cert in certs:
-            out: list[str] = []
-            _write_json(certificate_json(cert), out, "\n    ")
-            yield "".join(out)
+            yield (
+                f'{{\n      "class": {encode_basestring(cert.label)},'
+                f'\n      "components": {_ITEM_LIST(map(component, cert.components))},'
+                f'\n      "genus_sum": {cert.genus_sum},'
+                f'\n      "subset": {_ITEM_LIST(map(encode_basestring, sorted(cert.subset)))},'
+                f'\n      "tree": {_ITEM_LIST(tree_edge(*e) for e in cert.tree_edges)},'
+                f'\n      "trivial": {"true" if cert.trivial else "false"}\n    }}'
+            )
 
     _write_rows('{\n  "biseparations": ', items(), ',\n  "command": "biseparations"\n}\n')
-
-
-def certificate_json(cert) -> Optional[dict]:
-    if cert is None:
-        return None
-    return {
-        "subset": sorted(cert.subset),
-        "trivial": cert.trivial,
-        "class": cert.label,
-        "genus_sum": cert.genus_sum,
-        "components": [
-            {
-                "side": c.side,
-                "vertices": sorted(c.vertices),
-                "edges": sorted(c.edges),
-                "euler_genus": c.euler_genus,
-                "orientable": c.orientable,
-            }
-            for c in cert.components
-        ],
-        "tree": [
-            {"components": [i, j], "vertex": v} for i, j, v in cert.tree_edges
-        ],
-    }
 
 
 def join_tree_text(tree) -> str:
@@ -404,100 +421,5 @@ def move_trace_json(trace) -> dict:
 
 def emit(data) -> str:
     """``data`` as a JSON document: keys sorted, two-space indent, non-ASCII
-    characters kept, and a final newline.
-
-    The bytes are those of ``json.dumps`` with ``sort_keys``, an indent of 2
-    and ``ensure_ascii=False``, plus ``"\\n"``.  ``json`` drops from its C
-    encoder to the pure-Python one whenever it indents; here one recursive
-    writer fills one list, and strings go through ``json``'s C string
-    encoder.  Keys are sorted on their original values, then written as
-    ``json`` writes them (``1`` as ``"1"``, ``True`` as ``"true"``).  A value
-    or key of another type raises :class:`TypeError`, as in ``json``; a
-    reference cycle is not detected and ends in :class:`RecursionError`.
-    """
-    out: list[str] = []
-    _write_json(data, out, "\n")
-    out.append("\n")
-    return "".join(out)
-
-
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == -float("inf"):
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_key(k) -> str:
-    """The text of a dict key that is not a string, checked in ``json``'s
-    order: float, the singletons, int."""
-    if isinstance(k, float):
-        return '"' + _json_float(k) + '"'
-    if k is True:
-        return '"true"'
-    if k is False:
-        return '"false"'
-    if k is None:
-        return '"null"'
-    if isinstance(k, int):
-        return '"' + int.__repr__(k) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-def _write_json(o, out: list, newline: str) -> None:
-    """Append the JSON text of ``o`` to ``out``; ``newline`` is the line
-    break and indent of ``o``'s own level.  A container writes its string,
-    bool and int members in its own loop, without a call, as ``json``'s
-    pure-Python encoder does."""
-    if isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        head = "[" + inner
-        for v in o:
-            if isinstance(v, str):
-                out.append(head + encode_basestring(v))
-            elif v is True or v is False:
-                out.append(head + ("true" if v else "false"))
-            elif isinstance(v, int):
-                out.append(head + int.__repr__(v))
-            else:
-                out.append(head)
-                _write_json(v, out, inner)
-            head = "," + inner
-        out.append(newline + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for k, v in sorted(o.items()):
-            head = sep + (encode_basestring(k) if isinstance(k, str) else _json_key(k)) + ": "
-            if isinstance(v, str):
-                out.append(head + encode_basestring(v))
-            elif v is True or v is False:
-                out.append(head + ("true" if v else "false"))
-            elif isinstance(v, int):
-                out.append(head + int.__repr__(v))
-            else:
-                out.append(head)
-                _write_json(v, out, inner)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(o, str):
-        out.append(encode_basestring(o))
-    elif o is None:
-        out.append("null")
-    elif o is True or o is False:
-        out.append("true" if o else "false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_json_float(o))
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    characters kept, and a final newline."""
+    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

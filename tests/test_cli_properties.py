@@ -6,13 +6,16 @@ surface statistics.  Inputs are random graphs of up to six edges, often
 disconnected and with edgeless vertices, so that the multi-component paths
 run too; pairs of them for ``relate``, edge counts often different; files
 made malformed by mutating the bytes of a valid one; and for ``verify
---stable``, small random corpora.  ``io_text.emit`` is checked against
-``json.dumps`` on random JSON-like values, and the streamed ``spectrum``
-and ``biseparations`` writers against ``emit`` on graphs of up to eight
-edges.  ``biseparations`` lists its subsets off the factor tables and
-builds whole-graph certificates for ``--json``; its text, its ``--json``
-and ``spectrum --classes`` are checked to agree on ``generate(4)`` and on
-random connected graphs of up to nine edges.
+--stable``, small random corpora.  ``io_text.emit`` is checked to be
+``json.dumps`` on random JSON-like values.  The streamed ``spectrum`` and
+``biseparations`` writers fill fixed templates; they are checked against
+``json.dumps`` of the whole document on graphs of up to eight edges, and
+the certificate template against :func:`certificate_json`, the
+certificate's dict, on ``generate(4)`` and on random connected graphs of
+up to nine edges, for every ``--class``.  ``biseparations`` lists its
+subsets off the factor tables and builds whole-graph certificates for
+``--json``; its text, its ``--json`` and ``spectrum --classes`` are
+checked to agree on the same graphs.
 """
 
 import contextlib
@@ -107,8 +110,33 @@ def test_cli_contract(tmp_path, case):
 
 
 def _dumps(data):
-    """What ``--json`` prints, from ``json`` itself: the oracle of ``emit``."""
+    """What ``--json`` prints, from ``json`` itself: the oracle of ``emit``
+    and of the streamed writers."""
     return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def certificate_json(cert):
+    """A :class:`decomposition.BiseparationCertificate` as the dict that
+    ``biseparations --json`` lists: the oracle of its template."""
+    return {
+        "subset": sorted(cert.subset),
+        "trivial": cert.trivial,
+        "class": cert.label,
+        "genus_sum": cert.genus_sum,
+        "components": [
+            {
+                "side": c.side,
+                "vertices": sorted(c.vertices),
+                "edges": sorted(c.edges),
+                "euler_genus": c.euler_genus,
+                "orientable": c.orientable,
+            }
+            for c in cert.components
+        ],
+        "tree": [
+            {"components": [i, j], "vertex": v} for i, j, v in cert.tree_edges
+        ],
+    }
 
 
 _FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 1e300, 5e-324, 1e16, 0.1])
@@ -190,7 +218,6 @@ def test_spectrum_json_rows_match_emit(tmp_path, case):
     # the row writers stream what emit writes for the whole document
     from ribbongraph.decomposition import is_biseparation
     from ribbongraph.duality import spectrum, subsets_sorted
-    from ribbongraph.io_text import certificate_json
 
     g, classes, genus = case
     path = tmp_path / "g.txt"
@@ -216,6 +243,27 @@ def test_spectrum_json_rows_match_emit(tmp_path, case):
         ]
         want = emit({"command": "biseparations", "biseparations": certs})
         assert _run(["biseparations", str(path), "--json"]) == (0, want, "")
+
+
+def test_certificate_template_matches_dict(tmp_path, cross_route_graphs):
+    # every certificate written from the template is the certificate's
+    # dict through json.dumps, for each class filter
+    from ribbongraph.decomposition import is_biseparation
+    from ribbongraph.duality import subsets_sorted
+
+    path = tmp_path / "g.txt"
+    for g in [*cross_route_graphs, build_graph({}, {})]:
+        path.write_text(serialize_graph(g))
+        certs = [
+            c for c in (is_biseparation(g, sub) for sub in subsets_sorted(g.edge_labels))
+            if c is not None
+        ]
+        for klass in ("all", "plane", "rp2"):
+            want = _dumps({"command": "biseparations", "biseparations": [
+                certificate_json(c) for c in certs if klass in ("all", c.label)
+            ]})
+            got = _run(["biseparations", str(path), "--class", klass, "--json"])
+            assert got == (0, want, ""), (serialize_graph(g), klass)
 
 
 def _class_text(cert):

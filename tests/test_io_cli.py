@@ -423,10 +423,57 @@ def test_cli_verify_refuses_negative_sizes(capsys):
 
 
 def test_cli_relate_refuses_negative_depth(files, capsys):
-    assert main(["relate", files["c"], files["c"], "--max-depth", "-1"]) == 2
+    # refused before any work, whether or not a search would run: the
+    # plane 2-cycle is searched, the torus (Euler genus 2) is not
+    for name in ("c", "t1"):
+        for extra in ([], ["--json"]):
+            argv = ["relate", files[name], files[name], "--max-depth", "-1", *extra]
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith("error: move search depth bound"), captured.err
+
+
+def _path_text(n):
+    """The plane path with ``n`` edges, as a graph file."""
+    return "ribbon v1\n" + "".join(f"edge e{i} +\n" for i in range(n)) + "".join(
+        f"vertex v{i}: " + " ".join(
+            ([f"e{i - 1}.2"] if i else []) + ([f"e{i}.1"] if i < n else [])
+        ) + "\n"
+        for i in range(n + 1)
+    )
+
+
+def test_cli_relate_codes_nothing_it_need_not(tmp_path, monkeypatch, capsys):
+    # a refused sweep and a pair with different edge counts compute no
+    # canonical code: the guard comes first, and different counts are
+    # not equivalent
+    import ribbongraph.core as core
+
+    coded = []
+    original = core.canonical_form
+
+    def spy(g):
+        coded.append(g)
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ribbongraph") and getattr(module, "canonical_form", None) is original:
+            monkeypatch.setattr(module, "canonical_form", spy)
+    p17, p18 = tmp_path / "path17.txt", tmp_path / "path18.txt"
+    p17.write_text(_path_text(17))
+    p18.write_text(_path_text(18))
+    assert main(["relate", str(p17), str(p17)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: move search depth bound"), captured.err
+    assert captured.err.startswith("error: relate over 17 edges"), captured.err
+    assert main(["relate", str(p17), str(p18)]) == 0
+    assert capsys.readouterr().out == (
+        "equivalent: no\n"
+        "partial-dual subsets: none found\n"
+        "move sequence: none (search closed)\n"
+    )
+    assert coded == []
 
 
 def test_cli_biseparations_certifies_only_printed_subsets(fixtures, tmp_path, monkeypatch, capsys):
