@@ -17,7 +17,6 @@ from .core import (
     RibbonGraph,
     RibbonGraphError,
     canonical_form,
-    is_equivalent,
 )
 from .decomposition import _certified_subsets, is_biseparation, prime_factorization
 from .duality import (
@@ -121,7 +120,7 @@ def cmd_relate(args) -> int:
     g = _load(args.file1)
     h = _load(args.file2)
     subsets = partial_dual_subsets(g, h)  # refuses a large sweep before any coding
-    equivalent = is_equivalent(g, h)
+    equivalent = bool(subsets) and not subsets[0]  # G^∅ = G, listed first
     gamma_g = surface_stats(g).euler_genus
     gamma_h = surface_stats(h).euler_genus
     trace = None

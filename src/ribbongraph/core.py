@@ -812,13 +812,14 @@ def _first_row(idx: _Indexed, d: int, flip: int) -> list[int]:
     ]
 
 
-def _component_code(idx: _Indexed, members: list[int]) -> list:
-    """Minimum trace over the starts of one component whose first row is
-    least.
+def _least_starts(idx: _Indexed, members: list[int]) -> list[tuple[int, int]]:
+    """The ``(dart, flip)`` starts of one component whose first row is
+    least; none for an edgeless component.
 
     A trace opens with its first row, and the vertex separator is below
     every edge token, so a start with a larger first row never gives the
-    minimum: the filter leaves the minimum over every start unchanged.
+    minimum: the filter leaves the minimum over every start unchanged, and
+    keeps every start an automorphism maps a least start to.
 
     The first row of a loopless vertex of degree ``n`` is ``0..n-1`` then
     the separator, from every start.  At a vertex with loops a row first
@@ -857,14 +858,21 @@ def _component_code(idx: _Indexed, members: list[int]) -> list:
             least, starts = key, at
         elif key == least:
             starts += at
-    if least is None:
-        # edgeless component: a single bare vertex
-        return [_SEP_VERTEX, _SEP_SIGNS]
-    if least[1]:
+    if least is not None and least[1]:
         # rows without the separator keep their order: a proper prefix is less
         rows = [_first_row(idx, d, flip) for d, flip in starts]
         row = min(rows)
         starts = [start for start, other in zip(starts, rows) if other == row]
+    return starts
+
+
+def _component_code(idx: _Indexed, members: list[int]) -> list:
+    """Minimum trace over the least starts of one component
+    (:func:`_least_starts`)."""
+    starts = _least_starts(idx, members)
+    if not starts:
+        # edgeless component: a single bare vertex
+        return [_SEP_VERTEX, _SEP_SIGNS]
     return _least_trace(idx, starts)
 
 
@@ -876,6 +884,54 @@ def _least_trace(idx: _Indexed, starts: list[tuple[int, int]], labelled: bool = 
         if t is not None and (best is None or t < best):
             best = t
     return best
+
+
+def _reading(idx: _Indexed, d0: int, flip0: int) -> tuple[list[int], list[int]]:
+    """The darts of the component of ``d0`` in the order a trace from
+    ``(d0, flip0)`` reads them, and the flip state of every vertex."""
+    dart_vertex, dart_pos = idx.dart_vertex, idx.dart_pos
+    vflip = [0] * idx.nv
+    vflip[dart_vertex[d0]] = flip0
+    order: list[int] = []
+    queue = [d0]  # arrival darts; grows while it is read
+    for a in queue:
+        v, p0 = dart_vertex[a], dart_pos[a]
+        r = idx.rot[v]
+        row = r[p0:] + r[:p0] if vflip[v] > 0 else r[p0::-1] + r[:p0:-1]
+        for d in row:
+            w = dart_vertex[d ^ 1]
+            if not vflip[w]:
+                vflip[w] = vflip[v] * idx.sign[d >> 1]
+                queue.append(d ^ 1)
+        order += row
+    return order, vflip
+
+
+def _automorphisms(idx: _Indexed) -> list[tuple[list[int], list[int]]]:
+    """Every automorphism of a connected view with an edge, the identity
+    left out, as ``(image of each dart, relative flip of each vertex)``.
+
+    An automorphism carries a least start to a start with the same whole
+    trace, which :func:`_least_starts` keeps, and a start fixes it on a
+    connected graph; so the ties for the least trace, signs compared too,
+    are the automorphisms.  Each maps the darts as the first tie reads them
+    onto the darts as it reads them; a vertex's flip is ``-1`` where the
+    map reverses its rotation, and every edge ``e`` from ``u`` to ``w``
+    then has ``sign[e] * rho[u] * rho[w] == sign[image[2 * e] >> 1]``.
+    """
+    starts = _least_starts(idx, range(idx.nv))
+    best = _least_trace(idx, starts)
+    tied = [(d, flip) for d, flip in starts if _trace(idx, d, flip, best) == best]
+    ref, ref_flip = _reading(idx, *tied[0])
+    out = []
+    for start in tied[1:]:
+        order, vflip = _reading(idx, *start)
+        image = [0] * (2 * idx.ne)
+        for a, b in zip(ref, order):
+            image[a] = b
+        rho = [f * vflip[idx.dart_vertex[image[r[0]]]] for f, r in zip(ref_flip, idx.rot)]
+        out.append((image, rho))
+    return out
 
 
 def _render_component(tokens: Sequence[int], nv: int, ne: int) -> str:

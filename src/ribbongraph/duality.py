@@ -391,7 +391,8 @@ def partial_dual_subsets(g: RibbonGraph, h: RibbonGraph) -> list[frozenset]:
     way: their lengths are the vertex degrees of ``G^A`` and, as the faces
     of ``G^A`` are the vertices of ``G^(Aᶜ)``, its face lengths, and both
     sorted lists must be ``h``'s.  Only the survivors are coded, each from
-    its integer view (:func:`_dual_view`), with no named graph built.
+    its integer view (:func:`_dual_view`), with no named graph built, and
+    the empty subset through ``g``'s memoised code, as ``G^∅ = G``.
     Partial duals keep the edge count, so a graph with a different edge
     count gives no subset without a sweep, which is otherwise refused above
     :data:`SWEEP_MAX_EDGES` edges.
@@ -417,7 +418,7 @@ def partial_dual_subsets(g: RibbonGraph, h: RibbonGraph) -> list[frozenset]:
         if (
             sorted(idx.walk_lengths(mask)) == degrees
             and sorted(idx.walk_lengths(full ^ mask)) == faces
-            and canonical_form(_dual_view(g, mask)) == target
+            and (canonical_form(_dual_view(g, mask)) if mask else idx.canonical_code()) == target
         ):
             out.append(idx.edge_set(mask))
     return out

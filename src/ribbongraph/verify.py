@@ -4,8 +4,11 @@ The corpus generator enumerates every connected ribbon graph up to
 equivalence with a bounded number of edges, by augmenting smaller graphs
 one edge at a time and deduplicating on canonical codes; each child is
 grown and coded as an integer view, and only the first of its class is
-named.  A brute-force enumerator over raw rotation systems double-checks
-the counts at tiny sizes.
+named.  A child that an automorphism of its parent maps onto an earlier
+child of the same parent is not coded at all; the loop that codes every
+child (:func:`exhaustive_by_all_children`) checks that this keeps every
+representative.  A brute-force enumerator over raw rotation systems
+double-checks the counts at tiny sizes.
 
 ``check_suite`` runs a battery of named checks over a corpus; every check
 states a universally quantified property of the library's operations, and
@@ -52,6 +55,10 @@ Canonical codes are checked against the kernel the library replaced
 both directions where the library traces only the starts whose first row
 is least.  Unlike the oracles above, it reads the integer view, as the
 library's kernel does; what it checks is the start filter and the trace.
+The automorphisms the enumeration prunes by are checked against that
+kernel's ties over every start (:func:`automorphisms_by_all_starts`), each
+map checked to carry every rotation and sign onto the graph's own
+(``automorphism-agreement``).
 Constructions that keep every edge label (the empty and full subsets, the
 double dual, dual composition, the one-edge and marks routes, the arrow
 and mark round trips) are compared by :func:`core.labelled_code`, which a
@@ -75,12 +82,14 @@ from .core import (
     ArrowPresentation,
     End,
     InvalidGraph,
+    InvariantViolation,
     Mark,
     RibbonGraph,
     _Indexed,
     _SEP_SIGNS,
     _SEP_VERTEX,
     _as_sign,
+    _automorphisms,
     _bits,
     _keep_view,
     _render_component,
@@ -203,13 +212,70 @@ def _grown(rot: list[list[int]], d: int) -> Iterator[list[list[int]]]:
         yield child
 
 
-def _exhaustive(max_edges: int) -> list[RibbonGraph]:
-    # augmentation works on class representatives level by level, so the
-    # output is inherently connected and deduplicated.  Each child is grown
-    # as darts from its parent's integer view, both signs of the new edge,
-    # and coded through the view's memo; only the first child of each new
-    # class is named, and it keeps the view with its code.
-    # Labels e1..e6 sort in numeric order, so the new edge is the view's last.
+def _redundant_children(idx: _Indexed) -> set[int]:
+    """The numbers of the children of a parent view that an automorphism of
+    the parent maps onto a child with a lower number.
+
+    Children are numbered in the order of :func:`_grown` and then the signs:
+    child ``2 * k + t`` is the ``k``-th rotation list with sign ``(1, -1)[t]``.
+    An automorphism ``(image, rho)`` of the parent (:func:`core._automorphisms`)
+    maps the gap before dart ``x`` to the gap before ``image[x]``, or to the
+    gap after it where ``rho`` is ``-1`` at ``x``'s vertex, and the new
+    edge's sign ``s`` to ``s * rho[v1] * rho[v2]``; the child it maps to is
+    equivalent.  The twisted leaf is always redundant, as flipping the leaf
+    undoes its twist.
+    """
+    rot = idx.rot
+    first = [0] * idx.nv  # slot number of each vertex's gap 0, as _grown numbers slots
+    n = 0
+    for v, darts in enumerate(rot):
+        first[v], n = n, n + max(1, len(darts))
+    pairs = n * (n + 1) // 2
+    # rotation number of the pair of slots i <= j, read both ways round
+    number = [[0] * n for _ in range(n)]
+    for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(i, n)):
+        number[i][j] = number[j][i] = k
+    out = {2 * (pairs + i) + 1 for i in range(n)}
+    if not idx.ne:
+        return out  # the edgeless base: no automorphisms to read
+    slot_vertex = [v for v, darts in enumerate(rot) for _ in darts]
+    for image, rho in _automorphisms(idx):
+        sigma = []
+        for v, darts in enumerate(rot):
+            for x in darts:
+                y = image[x]
+                w, q = idx.dart_vertex[y], idx.dart_pos[y]
+                sigma.append(first[w] + (q if rho[v] > 0 else (q + 1) % len(rot[w])))
+        for i, a in enumerate(sigma):
+            if a < i:
+                out.add(2 * (pairs + i))  # the untwisted leaf at slot i
+            row = number[a]
+            for j in range(i, n):
+                k, k2 = number[i][j], row[sigma[j]]
+                if k2 < k:
+                    out.update((2 * k, 2 * k + 1))
+                elif k2 == k and rho[slot_vertex[i]] != rho[slot_vertex[j]]:
+                    out.add(2 * k + 1)  # the sign flips: the twisted child is the later
+    return out
+
+
+def _exhaustive(max_edges: int, prune: bool = True) -> list[RibbonGraph]:
+    """Every connected graph with up to ``max_edges`` edges, one per class.
+
+    Augmentation works on class representatives level by level, so the
+    output is connected and deduplicated.  Each child is grown as darts
+    from its parent's integer view (:func:`_grown`), with both signs of the
+    new edge, and coded through the view's memo; only the first child of
+    each new class is named, and it keeps the view with its code.  Labels
+    ``e1..e6`` sort in numeric order, so the new edge is the view's last.
+
+    A child that an automorphism of its parent maps onto an earlier child of
+    the same parent (:func:`_redundant_children`) is skipped without being
+    coded: it is equivalent to that earlier child, so the first child of a
+    class is never skipped, and the representatives, their names and their
+    order are those of coding every child (``prune=False``, the oracle
+    :func:`exhaustive_by_all_children`).
+    """
     base = RibbonGraph({"v0": []}, {})
     levels: list[dict[str, RibbonGraph]] = [{base.canonical_code(): base}]
     for e in range(1, max_edges + 1):
@@ -217,8 +283,11 @@ def _exhaustive(max_edges: int) -> list[RibbonGraph]:
         for parent in levels[e - 1].values():
             idx = parent._indexed()
             labels = idx.labels + ["e%d" % e]
-            for rot in _grown(idx.rot, 2 * idx.ne):
-                for s in (1, -1):
+            skip = _redundant_children(idx) if prune else ()
+            for k, rot in enumerate(_grown(idx.rot, 2 * idx.ne)):
+                for t, s in enumerate((1, -1)):
+                    if 2 * k + t in skip:
+                        continue
                     view = _Indexed(labels, rot, idx.sign + [s])
                     code = view.canonical_code()
                     if code not in level:
@@ -229,6 +298,13 @@ def _exhaustive(max_edges: int) -> list[RibbonGraph]:
     for level in levels:
         out.extend(level[k] for k in sorted(level))
     return out
+
+
+def exhaustive_by_all_children(max_edges: int) -> list[RibbonGraph]:
+    """:func:`_exhaustive` by the loop it replaced, which codes every child
+    of every parent: the oracle for the automorphism pruning, which must
+    keep the same representatives in the same order."""
+    return _exhaustive(max_edges, prune=False)
 
 
 def enumerate_raw(max_edges: int) -> list[RibbonGraph]:
@@ -586,6 +662,68 @@ def canonical_form_by_all_starts(g: RibbonGraph) -> str:
         tokens = _all_starts_component_code(idx, members)
         parts.append(_render_component(tokens, len(members), edges.bit_count()))
     return "&".join(sorted(parts))
+
+
+def _all_starts_reading(idx: _Indexed, start_dart: int, start_flip: int) -> tuple[list, dict]:
+    """The darts in the order :func:`_all_starts_trace` reads them from a
+    start, and each vertex's flip state, with the same dict-keyed state."""
+    rot, dart_vertex = idx.rot, idx.dart_vertex
+    vflip = {dart_vertex[start_dart]: start_flip}
+    queue = deque([start_dart])
+    order = []
+    while queue:
+        a = queue.popleft()
+        v = dart_vertex[a]
+        r = rot[v]
+        for k in range(len(r)):
+            d = r[(idx.dart_pos[a] + vflip[v] * k) % len(r)]
+            order.append(d)
+            w = dart_vertex[d ^ 1]
+            if w not in vflip:
+                vflip[w] = vflip[v] * idx.sign[d >> 1]
+                queue.append(d ^ 1)
+    return order, vflip
+
+
+def automorphisms_by_all_starts(idx: _Indexed) -> list[tuple[list[int], list[int]]]:
+    """:func:`core._automorphisms` from every start: the starts, of all
+    ``4e``, whose whole trace (:func:`_all_starts_trace`) ties for least,
+    each mapped onto the first tie by reading both traces' darts in order.
+
+    Each map is checked to be an automorphism of the connected view: a
+    permutation of the darts that keeps every edge's two darts together,
+    carries every rotation onto a rotation, reversed where the vertex's
+    relative flip ``rho`` is ``-1``, and has
+    ``sign(e) * rho(u) * rho(w) == sign(image(e))`` for every edge ``e``
+    from ``u`` to ``w``.  A map that fails raises
+    :class:`InvariantViolation`.  Returns the maps other than the identity.
+    """
+    starts = [(d, flip) for d in range(2 * idx.ne) for flip in (1, -1)]
+    traces = [_all_starts_trace(idx, d, flip, None) for d, flip in starts]
+    least = min(traces)
+    tied = [start for start, t in zip(starts, traces) if t == least]
+    ref, ref_flip = _all_starts_reading(idx, *tied[0])
+    dv = idx.dart_vertex
+    out = []
+    for start in tied[1:]:
+        order, vflip = _all_starts_reading(idx, *start)
+        phi = dict(zip(ref, order))
+        rho = [ref_flip[v] * vflip[dv[phi[r[0]]]] for v, r in enumerate(idx.rot)]
+        ok = sorted(phi.values()) == list(range(2 * idx.ne)) and all(
+            phi[d ^ 1] == phi[d] ^ 1 for d in phi
+        )
+        for v, r in enumerate(idx.rot):
+            mapped = [phi[d] for d in (r if rho[v] > 0 else r[::-1])]
+            there = idx.rot[dv[mapped[0]]]
+            p = there.index(mapped[0])
+            ok = ok and mapped == there[p:] + there[:p]
+        for e in range(idx.ne):
+            sign_there = idx.sign[phi[2 * e] >> 1]
+            ok = ok and idx.sign[e] * rho[dv[2 * e]] * rho[dv[2 * e + 1]] == sign_there
+        if not ok:
+            raise InvariantViolation(f"the tie at start {start} is not an automorphism")
+        out.append(([phi[d] for d in range(2 * idx.ne)], rho))
+    return out
 
 
 # -- partial-dual oracles ---------------------------------------------------------
@@ -1704,6 +1842,24 @@ def _check_interlaced_discrepancy(res: CheckResult, corpus: Corpus) -> None:
                      property="certificate without join structure at genus two")
 
 
+def _check_automorphisms(res: CheckResult, corpus: Corpus) -> None:
+    """The automorphisms the exhaustive enumeration prunes by
+    (:func:`core._automorphisms`, from the least starts) are those of the
+    all-starts oracle, on every connected corpus graph with an edge."""
+    for g in corpus.graphs:
+        idx = g._indexed()
+        if not idx.ne or len(idx.components) > 1:
+            continue
+        res.checked += 1
+        try:
+            want = sorted(automorphisms_by_all_starts(idx))
+        except InvariantViolation as exc:
+            res.fail(graph=_serial(g), property=str(exc))
+            continue
+        if sorted(_automorphisms(idx)) != want:
+            res.fail(graph=_serial(g), property="automorphisms vs the all-starts oracle")
+
+
 PER_GRAPH_CHECKS: dict[str, Callable] = {
     "partial-dual-identities": _check_dual_identities,
     "dual-composition": None,  # handled specially (needs rng)
@@ -1731,12 +1887,14 @@ CORPUS_CHECKS: dict[str, Callable] = {
     "sum-genus-excess": _check_sum_genus,
     "join-dual-distribution": _check_join_dual_distribution,
     "corpus-counts": _check_corpus_counts,
+    "automorphism-agreement": _check_automorphisms,
     "interlaced-bouquet-discrepancy": _check_interlaced_discrepancy,
 }
 
 ALL_CHECKS = [
     "calibration",
     "corpus-counts",
+    "automorphism-agreement",
     "partial-dual-identities",
     "dual-composition",
     "dual-route-agreement",

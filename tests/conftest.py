@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -48,3 +49,22 @@ def fixtures():
         "nested": single_vertex("a a b b", "++"),
         "MM": single_vertex("a a b b", "--"),
     }
+
+
+@pytest.fixture
+def coded(monkeypatch):
+    """Every argument ``core.canonical_form`` is called with, in order, from
+    every ``ribbongraph`` module that holds it."""
+    import ribbongraph.core as core
+
+    calls = []
+    original = core.canonical_form
+
+    def spy(g):
+        calls.append(g)
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ribbongraph") and getattr(module, "canonical_form", None) is original:
+            monkeypatch.setattr(module, "canonical_form", spy)
+    return calls

@@ -21,6 +21,7 @@ from ribbongraph.verify import check_suite
 SWEEP_CHECKS = [
     "calibration",
     "corpus-counts",
+    "automorphism-agreement",
     "partial-dual-identities",
     "dual-composition",
     "dual-route-agreement",

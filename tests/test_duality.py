@@ -489,7 +489,8 @@ def test_partial_dual_subsets_build_only_matching_counts(monkeypatch):
             coded.clear()
             found = duality.partial_dual_subsets(g, h)
             assert sub in found
-            assert coded == [s for s in counted if shapes[s] == shapes[sub]]
+            # G^∅ = G is coded through g's own memoised code, no dual built
+            assert coded == [s for s in counted if shapes[s] == shapes[sub] and s]
             n_counted += len(counted)
             n_coded += len(coded)
     assert n_coded < n_counted  # the degrees reject some

@@ -444,22 +444,10 @@ def _path_text(n):
     )
 
 
-def test_cli_relate_codes_nothing_it_need_not(tmp_path, monkeypatch, capsys):
+def test_cli_relate_codes_nothing_it_need_not(tmp_path, coded, capsys):
     # a refused sweep and a pair with different edge counts compute no
     # canonical code: the guard comes first, and different counts are
     # not equivalent
-    import ribbongraph.core as core
-
-    coded = []
-    original = core.canonical_form
-
-    def spy(g):
-        coded.append(g)
-        return original(g)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ribbongraph") and getattr(module, "canonical_form", None) is original:
-            monkeypatch.setattr(module, "canonical_form", spy)
     p17, p18 = tmp_path / "path17.txt", tmp_path / "path18.txt"
     p17.write_text(_path_text(17))
     p18.write_text(_path_text(18))
@@ -474,6 +462,26 @@ def test_cli_relate_codes_nothing_it_need_not(tmp_path, monkeypatch, capsys):
         "move sequence: none (search closed)\n"
     )
     assert coded == []
+
+
+def test_cli_relate_codes_each_file_once(tmp_path, coded, capsys):
+    # G^∅ = G is coded through G's own memo, and `equivalent` is read off
+    # the listing, so an equivalent pair costs one code per file
+    theta = tmp_path / "theta.txt"
+    theta.write_text(
+        "ribbon v1\nedge a +\nedge b +\nedge c +\n"
+        "vertex u: a.1 b.1 c.1\nvertex w: a.2 c.2 b.2\n"
+    )
+    stored = tmp_path / "theta2.txt"
+    stored.write_text(  # relabelled, stored the other way round, u flipped
+        "ribbon v1\nedge x -\nedge y -\nedge z -\n"
+        "vertex p: y.2 x.2 z.2\nvertex q: z.1 y.1 x.1\n"
+    )
+    assert main(["relate", str(theta), str(stored), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["equivalent"] is True
+    assert data["partial_dual_subsets"][0] == []
+    assert sorted(view.labels for view in coded) == [list("abc"), list("xyz")]
 
 
 def test_cli_biseparations_certifies_only_printed_subsets(fixtures, tmp_path, monkeypatch, capsys):

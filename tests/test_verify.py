@@ -84,6 +84,71 @@ def test_exhaustive_graphs_connected_and_distinct(corpus3):
         codes.add(code)
 
 
+def test_exhaustive_keeps_the_all_children_representatives():
+    # skipping the children a parent automorphism maps onto earlier ones
+    # keeps every representative, its names and its place
+    from ribbongraph.io_text import serialize_graph
+    from ribbongraph.verify import exhaustive_by_all_children
+
+    for n in range(5):
+        assert [serialize_graph(g) for g in generate(n).graphs] == [
+            serialize_graph(g) for g in exhaustive_by_all_children(n)
+        ], n
+
+
+def test_exhaustive_codes_one_child_per_orbit(coded):
+    # coding every child of generate(4) takes 3,745 codes and the orbit
+    # representatives 1,696; a lost pruning would keep every output
+    assert len(generate(4).graphs) == 592
+    assert len(coded) <= 1700
+
+
+def test_automorphisms_of_small_graphs(fixtures):
+    from ribbongraph import build_graph, single_vertex
+    from ribbongraph.core import _automorphisms
+    from ribbongraph.verify import automorphisms_by_all_starts
+
+    theta = build_graph(
+        {"u": ["a.1", "b.1", "c.1"], "w": ["a.2", "c.2", "b.2"]},
+        {"a": "+", "b": "+", "c": "+"},
+    )
+    # group orders, the identity counted: every start of the loop, the
+    # 2-cycles and the plane theta gives the same trace, and a vertex of
+    # degree 2 reads the same both ways round, so its flip alone is one
+    orders = {"loop": 4, "moebius": 4, "C": 8, "D": 8, "T1": 8, "G2": 4}
+    graphs = {name: fixtures[name] for name in orders}
+    graphs["theta"] = theta
+    orders["theta"] = 12
+    for name, g in graphs.items():
+        idx = g._indexed()
+        found = _automorphisms(idx)
+        assert len(found) + 1 == orders[name], name
+        assert sorted(found) == sorted(automorphisms_by_all_starts(idx)), name
+        for image, rho in found:
+            for e in range(idx.ne):
+                u, w = idx.dart_vertex[2 * e], idx.dart_vertex[2 * e + 1]
+                assert idx.sign[e] * rho[u] * rho[w] == idx.sign[image[2 * e] >> 1]
+    assert _automorphisms(single_vertex("a a b c b c", "++-")._indexed()) == []
+
+
+def test_automorphism_agreement_has_teeth(corpus3, monkeypatch):
+    import ribbongraph.verify as verify
+    from ribbongraph import InvariantViolation, single_vertex
+
+    report = check_suite(corpus3, which=["automorphism-agreement"])
+    assert report.ok and report.results[0].checked == len(corpus3) - 1
+    # a library that finds no automorphism is caught
+    monkeypatch.setattr(verify, "_automorphisms", lambda idx: [])
+    assert not check_suite(corpus3, which=["automorphism-agreement"]).ok
+    monkeypatch.undo()
+    # ties that are not automorphisms are caught by the oracle's own check
+    monkeypatch.setattr(verify, "_all_starts_trace", lambda idx, d, flip, best: ())
+    asymmetric = single_vertex("a a b c b c", "++-")
+    with pytest.raises(InvariantViolation, match="not an automorphism"):
+        verify.automorphisms_by_all_starts(asymmetric._indexed())
+    assert not check_suite(corpus3, which=["automorphism-agreement"]).ok
+
+
 def test_generate_random_deterministic():
     a = generate(4, mode="random", seed=7, count=25)
     b = generate(4, mode="random", seed=7, count=25)
