@@ -30,7 +30,6 @@ from .decomposition import (
     NotAJoinSummand,
     classify_biseparation,
     classify_join_biseparation,
-    enumerate_biseparations,
     is_biseparation,
     is_join_biseparation,
     join,
@@ -43,6 +42,7 @@ from .decomposition import (
 )
 from .duality import (
     SpectrumEntry,
+    enumerate_biseparations,
     genus_polynomial,
     geometric_dual,
     partial_dual,

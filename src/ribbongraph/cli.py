@@ -18,8 +18,9 @@ from .core import (
     RibbonGraphError,
     canonical_form,
 )
-from .decomposition import _certified_subsets, is_biseparation, prime_factorization
+from .decomposition import is_biseparation, prime_factorization
 from .duality import (
+    _certified_subsets,
     genus_polynomial,
     geometric_dual,
     partial_dual,
@@ -27,8 +28,8 @@ from .duality import (
     spectrum_rows,
 )
 from .moves import move_related
-from .topology import surface_stats
-from .verify import ALL_CHECKS, check_suite, generate
+from .topology import is_connected, surface_stats
+from .verify import ALL_CHECKS, check_suite, generate, selected_checks
 
 
 def _load(path: str) -> RibbonGraph:
@@ -125,7 +126,7 @@ def cmd_relate(args) -> int:
     gamma_h = surface_stats(h).euler_genus
     trace = None
     search = None
-    if gamma_g == gamma_h and gamma_g in (0, 1):
+    if gamma_g == gamma_h and gamma_g in (0, 1) and is_connected(g) and is_connected(h):
         search = move_related(g, h, bound=args.max_depth)
         trace = search.trace
     if args.json:
@@ -158,9 +159,7 @@ def cmd_relate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    which = None
-    if args.suite:
-        which = [s for s in args.suite.split(",") if s]
+    which = selected_checks([s for s in (args.suite or "").split(",") if s])
     corpus = generate(args.max_edges, mode=args.mode, seed=args.seed, count=args.count)
     report = check_suite(corpus, which=which, seed=args.seed or 0)
     if args.json:

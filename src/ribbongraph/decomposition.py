@@ -8,7 +8,7 @@ vertex-gluing components alternately from the two sides; the partial dual's
 genus is then the sum of the two sides' genera.  This module detects those
 certificates, classifies them by the topology of the components, factors
 graphs into prime join summands and relates certificate subsets by toggling
-summands.
+summands (one breadth-first search, :func:`_toggle_search`).
 
 Everything here works on the graph's integer view (``core._Indexed``) and
 edge bitmasks, with no subgraph built; vertex names and edge labels are
@@ -16,13 +16,13 @@ filled in only in the values returned.  One component pass on a side's
 mask yields the side's components, in the order of their first vertex,
 with their orientability and the component count ``c`` of the spanning
 subgraph, edgeless vertices included.  A subset ``A`` carries a
-certificate exactly when ``c(A) + c(Aᶜ) = v + 1``, the criterion
-``duality.spectrum`` applies to every prime factor; the sums of its factor
-tables list the certified subsets (:func:`enumerate_biseparations`).  The
-boundary walks of the spanning subgraph on a side, counted once per edge
-set by the counter the spectrum uses, each stay in one component; walks
-per component give its boundary count ``f_C`` and its Euler genus
-``2 - v_C + e_C - f_C``, which gives the genus of each prime factor too.
+certificate exactly when ``c(A) + c(Aᶜ) = v + 1``, the criterion that
+``duality`` applies to every prime factor to list the certified subsets
+(``duality.enumerate_biseparations``).  The boundary walks of the
+spanning subgraph on a side, counted once per edge set by the counter the
+spectrum uses, each stay in one component; walks per component give its
+boundary count ``f_C`` and its Euler genus ``2 - v_C + e_C - f_C``, which
+gives the genus of each prime factor too.
 
 Every join question reads one memo of the integer view, the factor tree
 (:func:`_factor_tree`), so the move search reads it off a partial dual's
@@ -45,7 +45,7 @@ union-find over vertex names (``incidence_tree_by_union_find``).
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -313,51 +313,6 @@ def classify_biseparation(g: RibbonGraph, edges: Iterable[str]) -> BiseparationC
     genera of the side components (trivial subsets classified by the genus
     of the whole graph, which is what their single side carries)."""
     return BiseparationClass.of(is_biseparation(g, edges))
-
-
-def _certified_subsets(
-    g: RibbonGraph, label: str = "all"
-) -> Iterator[tuple[tuple[str, ...], BiseparationClass]]:
-    """Each subset whose certificate matches the filter of
-    :func:`enumerate_biseparations`, as its sorted labels, with its class,
-    in the spectrum's row order.  Both are read off the summed factor
-    tables of ``duality.spectrum_rows``, with no whole-graph certificate;
-    the refusals and the tables come at the call, before any subset."""
-    from .duality import _by_size, _summed_tables, refuse_large_sweep
-
-    refuse_large_sweep(g, "biseparations")
-    if not is_connected(g):
-        raise InvalidGraph("biseparations are defined for connected graphs")
-    idx = g._indexed()
-    bit, _, totals = _summed_tables(idx, True)
-
-    def matching():
-        n = len(idx.labels)
-        for k, subsets in _by_size(idx.labels, bit):
-            trivial = k in (0, n)
-            # the class of each side-genus total, at most e, where it passes
-            keep = [
-                BiseparationClass(True, trivial, _label_of_total(t), t)
-                if label in ("all", _label_of_total(t)) or (label == "nontrivial" and not trivial)
-                else None
-                for t in range(n + 1)
-            ]
-            for sub, m in subsets:
-                total = totals[m]
-                if total >= 0 and keep[total] is not None:
-                    yield sub, keep[total]
-
-    return matching()
-
-
-def enumerate_biseparations(
-    g: RibbonGraph, label: str = "all"
-) -> list[frozenset]:
-    """All subsets whose certificate matches the filter (``all``, ``plane``,
-    ``rp2``, ``other`` or ``nontrivial``), read off the factor tables.
-    Closed under complement.  Refused above ``duality.SWEEP_MAX_EDGES``
-    edges."""
-    return [frozenset(sub) for sub, _ in _certified_subsets(g, label)]
 
 
 # -- joins: the factor tree -----------------------------------------------------
@@ -732,35 +687,39 @@ def toggle_join_summand(
     return sub ^ fac
 
 
+def _toggle_search(
+    g: RibbonGraph, start: frozenset, goal: Optional[frozenset] = None
+) -> dict[frozenset, tuple[Optional[frozenset], Optional[frozenset]]]:
+    """Breadth-first search over the subsets reached from ``start`` by
+    toggling summand edge sets: each subset found maps to the subset it was
+    first reached from and the toggled set, ``start`` to ``(None, None)``.
+    The search stops once it has reached ``goal``."""
+    moves = summand_edge_sets(g)
+    prev = {start: (None, None)}
+    queue = deque([start])
+    while queue and goal not in prev:
+        cur = queue.popleft()
+        for m in moves:
+            nxt = cur ^ m
+            if nxt not in prev:
+                prev[nxt] = (cur, m)
+                queue.append(nxt)
+    return prev
+
+
 def toggles_related(
     g: RibbonGraph, a: Iterable[str], b: Iterable[str]
 ) -> Optional[list[frozenset]]:
     """Shortest sequence of summand toggles taking one subset to the other,
-    or ``None``.  Breadth-first over subsets; an empty list means equality."""
-    from collections import deque
-
+    or ``None``, walked back through :func:`_toggle_search`; an empty list
+    means equality."""
     start = g.check_subset(a)
-    goal = g.check_subset(b)
-    if start == goal:
-        return []
-    moves = summand_edge_sets(g)
-    prev: dict[frozenset, tuple[Optional[frozenset], Optional[frozenset]]] = {
-        start: (None, None)
-    }
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for m in moves:
-            nxt = cur ^ m
-            if nxt in prev:
-                continue
-            prev[nxt] = (cur, m)
-            if nxt == goal:
-                seq = []
-                at = nxt
-                while prev[at][0] is not None:
-                    seq.append(prev[at][1])
-                    at = prev[at][0]
-                return list(reversed(seq))
-            queue.append(nxt)
-    return None
+    at = g.check_subset(b)
+    prev = _toggle_search(g, start, at)
+    if at not in prev:
+        return None
+    seq = []
+    while at != start:
+        at, m = prev[at]
+        seq.append(m)
+    return seq[::-1]

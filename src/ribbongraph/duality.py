@@ -24,34 +24,34 @@ with ``k`` components and ``e`` edges
 
     γ(G^A) = 2k + e − f(A) − f(Aᶜ).
 
-Separability decides the rest.  Write ``G`` as the join of its prime
-factors ``P_i`` with edge sets ``E_i``; partial duality distributes over
-joins and Euler genus adds over them, so
+Separability makes the walk counts add.  Write ``G`` as the join of its
+prime factors ``P_i`` with edge sets ``E_i``; a join merges one walk of
+each side at the joint, so with ``K`` prime factors, ``C`` components that
+carry an edge and ``B`` edgeless vertices
 
-    γ(G^A) = Σ_i γ(P_i^(A∩E_i)),
+    f(A) = Σ_i f_(P_i)(A∩E_i) − (K − C) + B,
 
 and ``A`` carries a biseparation certificate exactly when every ``A∩E_i``
-carries one on its factor, with the side-genus sums adding up.
-:func:`spectrum_rows` therefore fills one table per prime factor (the
-factors of ``decomposition._factor_tree``), walk count, genus and
-certificate class for each subset of ``E_i`` from the walk-counting
-kernel (:meth:`core._Indexed.walk_lengths`) and the component counts of
-the graph's indexed view, sums the tables over all subsets
-(:func:`_summed_tables`), and yields the rows one at a time;
-:func:`spectrum` lists them, ``io_text`` writes them row by row, and
-``decomposition.enumerate_biseparations`` reads the same sums.
-:func:`genus_polynomial` multiplies the tables' histograms.
-
-The same tables answer ``relate``.  Walk counts add over the factors,
-less one per join, so :func:`_summed_walk_counts` sums the factors' walk
-tables into ``f(A)`` for every subset, and :func:`partial_dual_subsets`
-keeps a subset only when ``(f(A), f(Aᶜ))`` is the target's vertex and
-boundary count.  It then runs the walks of each such candidate, whose
-lengths are the vertex degrees and the face lengths of ``G^A``, and
-codes only the candidates whose two sorted lists are the target's.  The
-built route, ``surface_stats(partial_dual(g, A))``, and the whole-graph
-certificates are the oracles all of these are checked against in
-``verify`` (``count-route-agreement``).
+carries one on its factor, with the side-genus sums adding up.  So one
+table per prime factor (the factors of ``decomposition._factor_tree``)
+holds ``f_P(S)`` and, when asked, the certificate of ``S`` for every
+subset ``S`` of ``E_i``, from the walk-counting kernel
+(:meth:`core._Indexed.walk_lengths`) and the component counts of the
+graph's indexed view, and :func:`_summed_tables` sums the tables into
+``f(A)`` and the certificate of every subset.  Every listing reads those
+sums in one order (:func:`_by_size`): :func:`spectrum_rows` yields the
+spectrum's rows one at a time, each genus from ``f(A)`` and ``f(Aᶜ)``,
+which :func:`spectrum` lists and ``io_text`` writes row by row;
+:func:`enumerate_biseparations` lists the certified subsets; and
+:func:`partial_dual_subsets` keeps a subset only when ``(f(A), f(Aᶜ))``
+is the target's vertex and boundary count.  It then runs the walks of
+each such candidate, whose lengths are the vertex degrees and the face
+lengths of ``G^A``, and codes only the candidates whose two sorted lists
+are the target's.  :func:`genus_polynomial` multiplies the factors'
+genus histograms, each read off its walk table.  The built route,
+``surface_stats(partial_dual(g, A))``, and the whole-graph certificates
+are the oracles all of these are checked against in ``verify``
+(``count-route-agreement``).
 """
 
 from __future__ import annotations
@@ -171,7 +171,6 @@ class _FactorTable(NamedTuple):
 
     edges: list[int]  # the edge indices of F in bit order
     walks: list[int]  # f_P(S)
-    genus: array  # γ(P^S)
     cert: Optional[array]  # side-genus sum of S's certificate on P, or -1
 
 
@@ -183,10 +182,9 @@ def _factor_tables(idx: _Indexed, masks: list[int], classes: bool) -> list[_Fact
     With ``v_P`` the vertices that ``F``'s edges touch, the spanning
     subgraph of ``g`` on ``S`` is ``P``'s plus ``v − v_P`` bare vertices,
     each one walk and one component; so ``P``'s walk count is ``f_P(S) =
-    f(S) − (v − v_P)``, read off :meth:`core._Indexed.walk_lengths`, its
-    component count ``c_P(S)`` likewise, and as ``P`` is connected
-
-        γ(P^S) = 2 + |F| − f_P(S) − f_P(F∖S).
+    f(S) − (v − v_P)``, read off :meth:`core._Indexed.walk_lengths`, and
+    its component count ``c_P(S)`` likewise.  As ``P`` is connected, its
+    partial dual on ``S`` has Euler genus ``2 + |F| − f_P(S) − f_P(F∖S)``.
 
     The side components of ``S`` on ``P`` are the parts of the spanning
     subgraphs on ``S`` and ``F∖S`` that carry an edge; their genera sum to
@@ -209,66 +207,45 @@ def _factor_tables(idx: _Indexed, masks: list[int], classes: bool) -> list[_Fact
         v_p = len({idx.dart_vertex[d] for i in edges for d in (2 * i, 2 * i + 1)})
         bare = idx.nv - v_p
         f = [len(idx.walk_lengths(m)) - bare for m in submask]
-        # one signed byte per entry: a genus or a side-genus sum is at most |F|
-        genus = array("b", (2 + p - f[loc] - f[top ^ loc] for loc in range(top + 1)))
         cert = None
         if classes:
             c = [len(idx.parts(m)[0]) - bare for m in submask]
             side = [2 * c[loc] - v_p + loc.bit_count() - f[loc] for loc in range(top + 1)]
+            # one signed byte per entry: a side-genus sum is at most |F|
             cert = array("b", (
                 side[loc] + side[top ^ loc] if c[loc] + c[top ^ loc] == v_p + 1 else -1
                 for loc in range(top + 1)
             ))
-        out.append(_FactorTable(edges, f, genus, cert))
+        out.append(_FactorTable(edges, f, cert))
     return out
 
 
-def _renumbering(tables: list[_FactorTable]) -> list[int]:
-    """Each edge's bit when the edges are renumbered factor by factor, so
-    that a subset's local indices in the factor tables, side by side,
-    index the sums of the tables."""
-    order = [i for table in tables for i in table.edges]
-    bit = [0] * len(order)
-    for j, i in enumerate(order):
-        bit[i] = 1 << j
-    return bit
+def _summed_tables(idx: _Indexed, classes: bool) -> tuple[list[int], list[int], Optional[array]]:
+    """The factor tables of the graph of ``idx`` summed over all ``2^e``
+    subsets, as ``(bit, counts, totals)``.
 
-
-def _summed_walk_counts(g: RibbonGraph) -> tuple[list[int], list[int]]:
-    """``f(A)`` for every edge subset ``A`` of ``g``, summed from the prime
-    factors' walk tables and indexed by ``A`` in the renumbering of
-    :func:`_renumbering`, whose bits are returned beside it.
-
-    Walk counts add over a join, less one for the walk the joint merges,
-    so with ``K`` prime factors, ``C`` components that carry an edge and
-    ``B`` edgeless vertices
-
-        f(A) = Σ_i f_(P_i)(A∩E_i) − (K − C) + B.
+    The edges are renumbered factor by factor, edge ``i`` to the bit
+    ``bit[i]``, so that a subset's local indices in the factor tables, side
+    by side, index the sums.  ``counts`` holds each subset's walk count
+    ``f(A) = Σ_i f_(P_i)(A∩E_i) − (K − C) + B`` (see the module notes), a
+    list of ints, as ``B`` alone may pass a byte; with ``classes``,
+    ``totals`` holds each certificate's side-genus total (``-1`` for
+    none), one signed byte per subset as in the factor tables.
     """
-    idx = g._indexed()
-    tables = _factor_tables(idx, _factor_tree(idx).masks, False)
+    tables = _factor_tables(idx, _factor_tree(idx).masks, classes)
+    bit = [0] * idx.ne
+    for j, i in enumerate(i for table in tables for i in table.edges):
+        bit[i] = 1 << j
     # −(K − C) + B: the components, edged or bare, less the factors
     counts = [len(idx.components) - len(tables)]
-    for table in tables:
-        counts = [x + y for y in table.walks for x in counts]
-    return counts, _renumbering(tables)
-
-
-def _summed_tables(idx: _Indexed, classes: bool) -> tuple[list[int], array, Optional[array]]:
-    """The bits of :func:`_renumbering`, and the factor tables summed over
-    all ``2^e`` subsets in that numbering: each partial dual's genus and,
-    with ``classes``, each certificate's side-genus total (``-1`` for none)."""
-    tables = _factor_tables(idx, _factor_tree(idx).masks, classes)
-    # one signed byte per subset, as in the factor tables
-    gammas = array("b", [0])
     totals = array("b", [0]) if classes else None
     for table in tables:
-        gammas = array("b", (x + y for y in table.genus for x in gammas))
+        counts = [x + y for y in table.walks for x in counts]
         if classes:
             totals = array("b", (
                 -1 if x < 0 or y < 0 else x + y for y in table.cert for x in totals
             ))
-    return _renumbering(tables), gammas, totals
+    return bit, counts, totals
 
 
 def _by_size(labels: list[str], bit: list[int]) -> Iterator[tuple[int, Iterator]]:
@@ -288,28 +265,28 @@ def spectrum_rows(
     labels in sorted order, Euler genus, orientable, class)``.
 
     The refusals and the factor tables come at the call, before any row.
-    The edges are renumbered factor by factor, so that a subset's local
-    indices in the factor tables, side by side, index the sums of the
-    tables (:func:`_summed_tables`), and a row costs one lookup in each.
+    A row costs two lookups in the summed walk counts, ``f(A)`` and
+    ``f(Aᶜ)``, and one in the summed certificates (:func:`_summed_tables`).
     """
     if not force:
         refuse_large_sweep(g, "spectrum", "; pass force=True to run anyway")
     idx = g._indexed()
     if classes and len(idx.components) > 1:
         raise InvalidGraph("biseparations are defined for connected graphs")
-    bit, gammas, totals = _summed_tables(idx, classes)
-    return _rows(idx.labels, bit, gammas, totals, is_orientable(g), genus)
+    return _rows(idx, *_summed_tables(idx, classes), is_orientable(g), genus)
 
 
-def _rows(labels, bit, gammas, totals, orientable, genus):
-    """The spectrum's rows over the sum tables of :func:`spectrum_rows`,
-    in the order of :func:`_by_size`."""
-    n = len(labels)
+def _rows(idx, bit, counts, totals, orientable, genus):
+    """The spectrum's rows over the sums of :func:`spectrum_rows`, in the
+    order of :func:`_by_size`: ``γ(G^A) = 2k + e − f(A) − f(Aᶜ)``."""
+    n = idx.ne
+    full = (1 << n) - 1
+    top = 2 * len(idx.components) + n
     texts: dict[tuple[int, bool], str] = {}
-    for k, subsets in _by_size(labels, bit):
+    for k, subsets in _by_size(idx.labels, bit):
         trivial = k in (0, n)
         for sub, m in subsets:
-            gamma = gammas[m]
+            gamma = top - counts[m] - counts[full ^ m]
             if genus is not None and gamma != genus:
                 continue
             text = None
@@ -349,15 +326,56 @@ def spectrum(
     ]
 
 
+def _certified_subsets(
+    g: RibbonGraph, label: str = "all"
+) -> Iterator[tuple[tuple[str, ...], BiseparationClass]]:
+    """Each subset whose certificate matches the filter of
+    :func:`enumerate_biseparations`, as its sorted labels, with its class,
+    in the spectrum's row order.  Both are read off the summed
+    certificates (:func:`_summed_tables`), with no whole-graph certificate;
+    the refusals and the tables come at the call, before any subset."""
+    refuse_large_sweep(g, "biseparations")
+    idx = g._indexed()
+    if len(idx.components) > 1:
+        raise InvalidGraph("biseparations are defined for connected graphs")
+    bit, _, totals = _summed_tables(idx, True)
+
+    def matching():
+        n = len(idx.labels)
+        for k, subsets in _by_size(idx.labels, bit):
+            trivial = k in (0, n)
+            # the class of each side-genus total, at most e, where it passes
+            keep = [
+                BiseparationClass(True, trivial, _label_of_total(t), t)
+                if label in ("all", _label_of_total(t)) or (label == "nontrivial" and not trivial)
+                else None
+                for t in range(n + 1)
+            ]
+            for sub, m in subsets:
+                total = totals[m]
+                if total >= 0 and keep[total] is not None:
+                    yield sub, keep[total]
+
+    return matching()
+
+
+def enumerate_biseparations(g: RibbonGraph, label: str = "all") -> list[frozenset]:
+    """All subsets whose certificate matches the filter (``all``, ``plane``,
+    ``rp2``, ``other`` or ``nontrivial``), read off the factor tables.
+    Closed under complement.  Refused above :data:`SWEEP_MAX_EDGES`
+    edges."""
+    return [frozenset(sub) for sub, _ in _certified_subsets(g, label)]
+
+
 def genus_polynomial(g: RibbonGraph) -> dict[int, int]:
     """The partial-dual Euler-genus polynomial ``Σ_A z^γ(G^A)`` of ``g``, as
     a map from Euler genus to the number of subsets reaching it.
 
-    Euler genus adds over the prime factors (see the module notes), so the
-    polynomial is the product of the factors' polynomials, each the
-    histogram of its genus table (Gross, Mansour and Tucker, "Partial
-    duality for ribbon graphs, I: Distributions", European J. Combin. 86,
-    2020).  Only ``Σ_i 2^|E_i|`` subsets are counted, so a join of many
+    Euler genus adds over the prime factors, as walk counts do (see the
+    module notes), so the polynomial is the product of the factors'
+    polynomials, each the genus histogram read off its walk table (Gross,
+    Mansour and Tucker, "Partial duality for ribbon graphs, I:
+    Distributions", European J. Combin. 86, 2020).  Only ``Σ_i 2^|E_i|`` subsets are counted, so a join of many
     small factors needs no ``2^e`` sweep; a prime factor above
     :data:`SWEEP_MAX_EDGES` edges is refused.
     """
@@ -371,7 +389,10 @@ def genus_polynomial(g: RibbonGraph) -> dict[int, int]:
         )
     poly = {0: 1}
     for table in _factor_tables(idx, masks, False):
-        counts = Counter(table.genus)
+        walks, p = table.walks, len(table.edges)
+        top = (1 << p) - 1
+        # γ(P^S) = 2 + |F| − f_P(S) − f_P(F∖S), as in _factor_tables
+        counts = Counter(2 + p - walks[s] - walks[top ^ s] for s in range(top + 1))
         product: Counter = Counter()
         for a, x in poly.items():
             for b, y in counts.items():
@@ -385,8 +406,8 @@ def partial_dual_subsets(g: RibbonGraph, h: RibbonGraph) -> list[frozenset]:
     equivalent to ``h``, smallest subsets first, lexicographic within size.
 
     ``G^A`` has ``f(A)`` vertices and ``f(Aᶜ)`` boundary components, read
-    for every subset off the prime factors' walk tables
-    (:func:`_summed_walk_counts`), so only the subsets whose two counts are
+    for every subset off the summed walk counts (:func:`_summed_tables`) in
+    the order of :func:`_by_size`, so only the subsets whose two counts are
     ``h``'s are candidates.  A candidate's walks are then run once each
     way: their lengths are the vertex degrees of ``G^A`` and, as the faces
     of ``G^A`` are the vertices of ``G^(Aᶜ)``, its face lengths, and both
@@ -404,21 +425,19 @@ def partial_dual_subsets(g: RibbonGraph, h: RibbonGraph) -> list[frozenset]:
     full = (1 << idx.ne) - 1
     degrees = sorted(len(darts) for darts in hidx.rot)
     faces = sorted(hidx.walk_lengths(full))
-    counts, bit = _summed_walk_counts(g)
-    candidates = [
-        [i for i, b in enumerate(bit) if m & b]
-        for m, f in enumerate(counts)
-        if f == len(degrees) and counts[full ^ m] == len(faces)
-    ]
-    candidates.sort(key=lambda edges: (len(edges), edges))
+    bit, counts, _ = _summed_tables(idx, False)
+    v, f = len(degrees), len(faces)
     target = h.canonical_code()
     out = []
-    for edges in candidates:
-        mask = sum(1 << i for i in edges)
-        if (
-            sorted(idx.walk_lengths(mask)) == degrees
-            and sorted(idx.walk_lengths(full ^ mask)) == faces
-            and (canonical_form(_dual_view(g, mask)) if mask else idx.canonical_code()) == target
-        ):
-            out.append(idx.edge_set(mask))
+    for _, subsets in _by_size(idx.labels, bit):
+        for sub, m in subsets:
+            if counts[m] != v or counts[full ^ m] != f:
+                continue
+            mask = idx.mask(sub)
+            if (
+                sorted(idx.walk_lengths(mask)) == degrees
+                and sorted(idx.walk_lengths(full ^ mask)) == faces
+                and (canonical_form(_dual_view(g, mask)) if mask else idx.canonical_code()) == target
+            ):
+                out.append(frozenset(sub))
     return out

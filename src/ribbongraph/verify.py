@@ -109,6 +109,7 @@ from .decomposition import (
     BiseparationClass,
     _factor_tree,
     _join_splits,
+    _toggle_search,
     all_interleave_patterns,
     biseparation_data,
     classify_join_biseparation,
@@ -116,10 +117,9 @@ from .decomposition import (
     is_join_biseparation,
     n_sum,
     prime_factorization,
-    summand_edge_sets,
 )
 from .duality import (
-    _summed_walk_counts,
+    _summed_tables,
     geometric_dual,
     partial_dual,
     refuse_large_sweep,
@@ -1354,7 +1354,7 @@ def _check_count_routes(res: CheckResult, ana: _Analysis) -> None:
     full = frozenset(g.edge_labels)
     idx = g._indexed()
     full_mask = (1 << idx.ne) - 1
-    counts, bit = _summed_walk_counts(g)
+    bit, counts, _ = _summed_tables(idx, False)
     rows = {r.subset: r for r in spectrum(g, classes=True)}
     # a subset and its complement share their side lists, so each edge
     # set's oracle list is built once
@@ -1483,17 +1483,8 @@ def _check_low_genus_duals(res: CheckResult, ana: _Analysis) -> None:
 
 
 def _orbit(g: RibbonGraph, start: frozenset) -> set[frozenset]:
-    moves = summand_edge_sets(g)
-    seen = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for m in moves:
-            nxt = cur ^ m
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+    """Every subset reached from ``start`` by toggling summand edge sets."""
+    return set(_toggle_search(g, start))
 
 
 def _check_toggle_orbit(res: CheckResult, ana: _Analysis) -> None:
@@ -1920,6 +1911,16 @@ ALL_CHECKS = [
 ]
 
 
+def selected_checks(which: Optional[Iterable[str]] = None) -> list[str]:
+    """The check names of ``which`` (default: all), each known, or
+    :class:`ValueError` naming the first unknown one."""
+    names = list(which) if which else list(ALL_CHECKS)
+    for n in names:
+        if n not in ALL_CHECKS:
+            raise ValueError(f"unknown check {n!r}; known: {', '.join(ALL_CHECKS)}")
+    return names
+
+
 def check_suite(
     corpus: Corpus,
     which: Optional[Iterable[str]] = None,
@@ -1930,10 +1931,7 @@ def check_suite(
     ``which`` is a list of check names (default: all).  Results are
     deterministic for fixed corpus parameters and seed.
     """
-    names = list(which) if which else list(ALL_CHECKS)
-    for n in names:
-        if n not in ALL_CHECKS:
-            raise ValueError(f"unknown check {n!r}; known: {', '.join(ALL_CHECKS)}")
+    names = selected_checks(which)
     rng = random.Random(seed)
     results = {n: CheckResult(name=n) for n in names}
 

@@ -51,6 +51,16 @@ def fixtures():
     }
 
 
+@pytest.fixture(scope="session")
+def with_bare_vertices():
+    """A connected three-edge graph of Euler genus 1 with 300 edgeless
+    vertices added: every edge subset ``A`` has ``f(A) > 300``."""
+    return build_graph(
+        {"u": ["a.1", "b.1", "c.1"], "w": ["a.2", "c.2", "b.2"], **{f"x{i}": [] for i in range(300)}},
+        {"a": "+", "b": "-", "c": "+"},
+    )
+
+
 @pytest.fixture
 def coded(monkeypatch):
     """Every argument ``core.canonical_form`` is called with, in order, from

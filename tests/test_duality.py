@@ -558,3 +558,39 @@ def test_partial_dual_subsets_match_the_coding_oracle(pair):
 
     g, h = pair
     assert partial_dual_subsets(g, h) == partial_dual_subsets_by_codes(g, h)
+
+
+def test_listings_count_every_edgeless_vertex(with_bare_vertices, tmp_path, capsys):
+    # f(A) > 300 for every subset: the summed walk counts must hold more
+    # than a signed byte
+    import json
+    from collections import Counter
+
+    from ribbongraph.cli import main
+    from ribbongraph.duality import partial_dual_subsets
+    from ribbongraph.io_text import serialize_graph, subset_text
+    from ribbongraph.verify import partial_dual_subsets_by_codes
+
+    g = with_bare_vertices
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_graph(g))
+    built = [(sub, surface_stats(partial_dual(g, sub))) for sub in subsets_sorted(g.edge_labels)]
+    flags = {True: "orientable", False: "non-orientable"}
+    for genus in (None, 0, 1, 2, 3):
+        rows = [(sub, s) for sub, s in built if genus in (None, s.euler_genus)]
+        extra = [] if genus is None else ["--genus", str(genus)]
+        assert main(["spectrum", str(path)] + extra) == 0
+        text = "".join(f"{subset_text(sub)} γ={s.euler_genus} {flags[s.orientable]}\n" for sub, s in rows)
+        assert capsys.readouterr().out == (text or "\n")
+        assert main(["spectrum", str(path), "--json"] + extra) == 0
+        assert json.loads(capsys.readouterr().out)["spectrum"] == [
+            {"euler_genus": s.euler_genus, "orientable": s.orientable, "subset": sorted(sub)}
+            for sub, s in rows
+        ]
+    poly = dict(sorted(Counter(s.euler_genus for _, s in built).items()))
+    assert genus_polynomial(g) == poly
+    assert main(["spectrum", str(path), "--polynomial"]) == 0
+    assert capsys.readouterr().out == "".join(f"γ={k}: {n}\n" for k, n in poly.items())
+    for sub, _ in built:
+        h = partial_dual(g, sub)
+        assert partial_dual_subsets(g, h) == partial_dual_subsets_by_codes(g, h), sorted(sub)

@@ -422,6 +422,37 @@ def test_cli_verify_refuses_negative_sizes(capsys):
         generate(3, mode="random", count=-3)
 
 
+def test_cli_relate_lists_subsets_of_disconnected_graphs(with_bare_vertices, tmp_path, capsys):
+    # the move search needs connected graphs: relate lists the subsets of
+    # a disconnected pair of genus 0 or 1 and searches no moves, as it does
+    # for genus 2 or more
+    from ribbongraph.io_text import subset_text
+
+    two_loops = "ribbon v1\nedge a +\nedge b +\nvertex u: a.1 a.2\nvertex w: b.1 b.2\n"
+    for text in (two_loops, serialize_graph(with_bare_vertices)):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        assert main(["relate", str(path), str(path)]) == 0
+        out = capsys.readouterr().out
+        assert main(["relate", str(path), str(path), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["equivalent"] is True and data["partial_dual_subsets"][0] == []
+        assert "moves" not in data and "search_closed" not in data
+        listed = ", ".join(subset_text(s) for s in data["partial_dual_subsets"])
+        assert out == f"equivalent: yes\npartial-dual subsets: {listed}\n"
+
+
+def test_cli_verify_names_its_checks_before_the_corpus(monkeypatch, capsys):
+    import ribbongraph.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("corpus generated before the check names were read")
+
+    monkeypatch.setattr(ribbongraph.cli, "generate", refuse)
+    assert main(["verify", "--max-edges", "6", "--suite", "nope"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown check 'nope'")
+
+
 def test_cli_relate_refuses_negative_depth(files, capsys):
     # refused before any work, whether or not a search would run: the
     # plane 2-cycle is searched, the torus (Euler genus 2) is not
