@@ -35,10 +35,18 @@ and ``A`` carries a biseparation certificate exactly when every ``A∩E_i``
 carries one on its factor, with the side-genus sums adding up.  So one
 table per prime factor (the factors of ``decomposition._factor_tree``)
 holds ``f_P(S)`` and, when asked, the certificate of ``S`` for every
-subset ``S`` of ``E_i``, from the walk-counting kernel
-(:meth:`core._Indexed.walk_lengths`) and the component counts of the
-graph's indexed view, and :func:`_summed_tables` sums the tables into
-``f(A)`` and the certificate of every subset.  Every listing reads those
+subset ``S`` of ``E_i``, and :func:`_summed_tables` sums the tables into
+``f(A)`` and the certificate of every subset.  No table entry runs a walk
+pass of its own.  The walks are the cycles of two perfect matchings on
+the arc endpoints of the indexed view, the free corners and each edge's
+band or free-arc pairing, so moving one edge between band and free arc
+changes ``f`` by −1, 0 or +1, read off one path trace; each factor's
+walk table is filled in Gray-code order from ``f_P(∅) = v_P``
+(:func:`_walk_table`).  Its component counts come from a depth-first
+partition recurrence over its edges (:func:`_component_table`).  One
+whole-graph walk pass and one component pass per subset, the route they
+replaced, is the oracle ``verify.factor_tables_by_walk_passes``
+(``table-route-agreement``).  Every listing reads those
 sums in one order (:func:`_by_size`): :func:`spectrum_rows` yields the
 spectrum's rows one at a time, each genus from ``f(A)`` and ``f(Aᶜ)``,
 which :func:`spectrum` lists and ``io_text`` writes row by row;
@@ -167,11 +175,87 @@ def refuse_large_sweep(g: RibbonGraph, what: str, override: str = "") -> None:
 
 class _FactorTable(NamedTuple):
     """The tables of one prime factor ``F``, indexed by the submasks ``S``
-    of ``F`` written in ``F``'s own bits (see :func:`_factor_tables`)."""
+    of ``F`` written in ``F``'s own bits, bit ``j`` for ``edges[j]`` (see
+    :func:`_factor_tables`)."""
 
     edges: list[int]  # the edge indices of F in bit order
-    walks: list[int]  # f_P(S)
+    walks: list[int]  # f_P(S), by Gray-code updates (_walk_table)
     cert: Optional[array]  # side-genus sum of S's certificate on P, or -1
+
+
+def _walk_table(idx: _Indexed, edges: list[int], v_p: int) -> list[int]:
+    """``f_P(S)`` for every submask ``S`` of the prime factor on ``edges``,
+    which touches ``v_P`` vertices, in ``F``'s own bits.
+
+    The walks are the cycles of two perfect matchings on the arc
+    endpoints (:meth:`core._Indexed._endpoint_pairings`): the free corners,
+    and ``mate``, which pairs each edge's four endpoints across its band
+    sides if it is in ``S`` and along its free arcs if not.  Every edge
+    outside ``F`` stays a free arc, so the walks that miss ``F`` never
+    change, and ``f_P(∅) = v_P``: one walk round each vertex of ``P``.
+    The submasks are visited in Gray-code order, each one edge ``i`` away
+    from the last.  With ``i``'s pairings taken out, its four endpoints
+    end two paths; the path from ``a = 4i`` runs ``x = corner[a]``, then
+    ``x = corner[mate[x]]``, to the first endpoint ``x`` of ``i``.  Two
+    pairings that match ``a`` with ``x`` close the paths into two walks,
+    any other into one, so the count moves by ``(new[a] == x) −
+    (mate[a] == x)`` before ``i``'s new pairings go into ``mate``: one
+    path trace per submask, not a pass over the whole graph.  The route
+    of one walk pass per submask is the oracle
+    ``verify.factor_tables_by_walk_passes``.
+    """
+    corner, band, arc = idx._endpoint_pairings()
+    mate = arc[:]
+    walks = [v_p] * (1 << len(edges))
+    loc = 0
+    count = v_p
+    for step in range(1, len(walks)):
+        j = (step & -step).bit_length() - 1
+        loc ^= 1 << j
+        i = edges[j]
+        a = 4 * i
+        x = corner[a]
+        while x >> 2 != i:
+            x = corner[mate[x]]
+        new = band if loc >> j & 1 else arc
+        count += (new[a] == x) - (mate[a] == x)
+        mate[a : a + 4] = new[a : a + 4]
+        walks[loc] = count
+    return walks
+
+
+def _component_table(idx: _Indexed, edges: list[int], verts: dict[int, int]) -> list[int]:
+    """``c_P(S)`` for every submask ``S`` of the prime factor on ``edges``,
+    in ``F``'s own bits, where ``verts`` numbers ``P``'s vertices from 0.
+
+    A partition of ``P``'s vertices is a byte string naming each vertex's
+    block by its least member.  ``S``'s partition is that of ``S`` less its
+    highest bit, with that bit's edge merging two blocks or none; the
+    submasks are visited depth first, edge ``j`` out and then in at depth
+    ``j``, so only the partitions on the current path are held.
+    """
+    ends = [(verts[idx.dart_vertex[2 * i]], verts[idx.dart_vertex[2 * i + 1]]) for i in edges]
+    last = len(edges) - 1
+    out = [len(verts)] * (1 << len(edges))
+
+    def split(j: int, labels: bytes, loc: int, blocks: int) -> None:
+        # the submasks that agree with loc below bit j, on loc's partition
+        lo, hi = labels[ends[j][0]], labels[ends[j][1]]
+        if lo > hi:
+            lo, hi = hi, lo
+        joined = blocks - (lo != hi)
+        if j == last:
+            out[loc] = blocks
+            out[loc | 1 << j] = joined
+            return
+        split(j + 1, labels, loc, blocks)
+        if lo != hi:
+            labels = labels.translate(bytes.maketrans(bytes((hi,)), bytes((lo,))))
+        split(j + 1, labels, loc | 1 << j, joined)
+
+    if edges:
+        split(0, bytes(range(len(verts))), 0, len(verts))
+    return out
 
 
 def _factor_tables(idx: _Indexed, masks: list[int], classes: bool) -> list[_FactorTable]:
@@ -181,10 +265,13 @@ def _factor_tables(idx: _Indexed, masks: list[int], classes: bool) -> list[_Fact
 
     With ``v_P`` the vertices that ``F``'s edges touch, the spanning
     subgraph of ``g`` on ``S`` is ``P``'s plus ``v − v_P`` bare vertices,
-    each one walk and one component; so ``P``'s walk count is ``f_P(S) =
-    f(S) − (v − v_P)``, read off :meth:`core._Indexed.walk_lengths`, and
-    its component count ``c_P(S)`` likewise.  As ``P`` is connected, its
-    partial dual on ``S`` has Euler genus ``2 + |F| − f_P(S) − f_P(F∖S)``.
+    each one walk and one component.  ``P``'s walk counts ``f_P(S)`` come
+    from one Gray-code sweep over its submasks that moves one edge between
+    band and free arc per step and traces one path (:func:`_walk_table`),
+    and its component counts ``c_P(S)`` from a depth-first partition
+    recurrence over its edges (:func:`_component_table`).  As ``P`` is
+    connected, its partial dual on ``S`` has Euler genus ``2 + |F| −
+    f_P(S) − f_P(F∖S)``.
 
     The side components of ``S`` on ``P`` are the parts of the spanning
     subgraphs on ``S`` and ``F∖S`` that carry an edge; their genera sum to
@@ -196,20 +283,14 @@ def _factor_tables(idx: _Indexed, masks: list[int], classes: bool) -> list[_Fact
     out = []
     for fmask in masks:
         edges = _bits(fmask)
-        p = len(edges)
-        top = (1 << p) - 1
-        # the submask of F for each local index, from the one without its
-        # lowest bit
-        submask = [0] * (top + 1)
-        for loc in range(1, top + 1):
-            low = loc & -loc
-            submask[loc] = submask[loc ^ low] | 1 << edges[low.bit_length() - 1]
-        v_p = len({idx.dart_vertex[d] for i in edges for d in (2 * i, 2 * i + 1)})
-        bare = idx.nv - v_p
-        f = [len(idx.walk_lengths(m)) - bare for m in submask]
+        touched = sorted({idx.dart_vertex[d] for i in edges for d in (2 * i, 2 * i + 1)})
+        verts = {v: k for k, v in enumerate(touched)}
+        v_p = len(verts)
+        f = _walk_table(idx, edges, v_p)
         cert = None
         if classes:
-            c = [len(idx.parts(m)[0]) - bare for m in submask]
+            c = _component_table(idx, edges, verts)
+            top = len(f) - 1
             side = [2 * c[loc] - v_p + loc.bit_count() - f[loc] for loc in range(top + 1)]
             # one signed byte per entry: a side-genus sum is at most |F|
             cert = array("b", (
@@ -408,7 +489,9 @@ def partial_dual_subsets(g: RibbonGraph, h: RibbonGraph) -> list[frozenset]:
     ``G^A`` has ``f(A)`` vertices and ``f(Aᶜ)`` boundary components, read
     for every subset off the summed walk counts (:func:`_summed_tables`) in
     the order of :func:`_by_size`, so only the subsets whose two counts are
-    ``h``'s are candidates.  A candidate's walks are then run once each
+    ``h``'s are candidates.  The sweep runs over the subsets' indices in
+    the sums alone, and only a candidate's index is decoded into its edge
+    mask and labels.  A candidate's walks are then run once each
     way: their lengths are the vertex degrees of ``G^A`` and, as the faces
     of ``G^A`` are the vertices of ``G^(Aᶜ)``, its face lengths, and both
     sorted lists must be ``h``'s.  Only the survivors are coded, each from
@@ -429,15 +512,15 @@ def partial_dual_subsets(g: RibbonGraph, h: RibbonGraph) -> list[frozenset]:
     v, f = len(degrees), len(faces)
     target = h.canonical_code()
     out = []
-    for _, subsets in _by_size(idx.labels, bit):
-        for sub, m in subsets:
+    for k in range(idx.ne + 1):
+        for m in map(sum, itertools.combinations(bit, k)):
             if counts[m] != v or counts[full ^ m] != f:
                 continue
-            mask = idx.mask(sub)
+            mask = sum(1 << i for i, b in enumerate(bit) if m & b)
             if (
                 sorted(idx.walk_lengths(mask)) == degrees
                 and sorted(idx.walk_lengths(full ^ mask)) == faces
                 and (canonical_form(_dual_view(g, mask)) if mask else idx.canonical_code()) == target
             ):
-                out.append(frozenset(sub))
+                out.append(idx.edge_set(mask))
     return out

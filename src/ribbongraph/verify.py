@@ -35,7 +35,10 @@ reads from one table per prime factor, are checked against the
 whole-graph certificate of every subset, and the walk counts summed from
 those tables and the walk lengths that ``relate`` filters by against the
 counts, degrees and traced face lengths of every built dual
-(``count-route-agreement``).
+(``count-route-agreement``).  The factor tables themselves, filled by
+Gray-code walk updates and a partition recurrence, are checked against one
+walk pass and one component pass per submask
+(:func:`factor_tables_by_walk_passes`, ``table-route-agreement``).
 
 The library builds a partial dual one way, from the integer walks of
 :meth:`core._Indexed.walk_arrows`, as an integer view that the named dual
@@ -73,6 +76,7 @@ import itertools
 import json
 import random
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional
@@ -119,6 +123,8 @@ from .decomposition import (
     prime_factorization,
 )
 from .duality import (
+    _FactorTable,
+    _factor_tables,
     _summed_tables,
     geometric_dual,
     partial_dual,
@@ -1003,6 +1009,38 @@ def partial_dual_subsets_by_codes(g: RibbonGraph, h: RibbonGraph) -> list[frozen
     ]
 
 
+def factor_tables_by_walk_passes(idx: _Indexed, masks: list[int], classes: bool) -> list:
+    """The factor tables of :func:`duality._factor_tables` from one
+    whole-graph walk pass (:meth:`core._Indexed.walk_lengths`) and one
+    component pass (:meth:`core._Indexed.parts`) per submask of each
+    factor, less the ``v − v_P`` bare vertices outside the factor.  Oracle
+    for the Gray-code walk updates and the partition recurrence."""
+    out = []
+    for fmask in masks:
+        edges = _bits(fmask)
+        p = len(edges)
+        top = (1 << p) - 1
+        # the submask of F for each local index, from the one without its
+        # lowest bit
+        submask = [0] * (top + 1)
+        for loc in range(1, top + 1):
+            low = loc & -loc
+            submask[loc] = submask[loc ^ low] | 1 << edges[low.bit_length() - 1]
+        v_p = len({idx.dart_vertex[d] for i in edges for d in (2 * i, 2 * i + 1)})
+        bare = idx.nv - v_p
+        f = [len(idx.walk_lengths(m)) - bare for m in submask]
+        cert = None
+        if classes:
+            c = [len(idx.parts(m)[0]) - bare for m in submask]
+            side = [2 * c[loc] - v_p + loc.bit_count() - f[loc] for loc in range(top + 1)]
+            cert = array("b", (
+                side[loc] + side[top ^ loc] if c[loc] + c[top ^ loc] == v_p + 1 else -1
+                for loc in range(top + 1)
+            ))
+        out.append(_FactorTable(edges, f, cert))
+    return out
+
+
 def join_splits_by_arcs(g: RibbonGraph, mask: int) -> Iterator[tuple[int, int]]:
     """The join splits of the subgraph induced by the edges in ``mask``, as
     ``(vertex index, edge mask)`` pairs read from the integer view of
@@ -1851,6 +1889,23 @@ def _check_automorphisms(res: CheckResult, corpus: Corpus) -> None:
             res.fail(graph=_serial(g), property="automorphisms vs the all-starts oracle")
 
 
+def _check_table_routes(res: CheckResult, corpus: Corpus) -> None:
+    """The factor tables of :func:`duality._factor_tables` (Gray-code walk
+    updates and the depth-first partition recurrence) equal those of one
+    walk pass and one component pass per submask
+    (:func:`factor_tables_by_walk_passes`), without and with certificates,
+    on every corpus graph."""
+    for g in corpus.graphs:
+        idx = g._indexed()
+        masks = _factor_tree(idx).masks
+        for classes in (False, True):
+            res.checked += 1
+            fast = _factor_tables(idx, masks, classes)
+            if fast != factor_tables_by_walk_passes(idx, masks, classes):
+                res.fail(graph=_serial(g), classes=classes,
+                         property="Gray-code factor tables vs one walk pass per submask")
+
+
 PER_GRAPH_CHECKS: dict[str, Callable] = {
     "partial-dual-identities": _check_dual_identities,
     "dual-composition": None,  # handled specially (needs rng)
@@ -1879,6 +1934,7 @@ CORPUS_CHECKS: dict[str, Callable] = {
     "join-dual-distribution": _check_join_dual_distribution,
     "corpus-counts": _check_corpus_counts,
     "automorphism-agreement": _check_automorphisms,
+    "table-route-agreement": _check_table_routes,
     "interlaced-bouquet-discrepancy": _check_interlaced_discrepancy,
 }
 
@@ -1890,6 +1946,7 @@ ALL_CHECKS = [
     "dual-composition",
     "dual-route-agreement",
     "count-route-agreement",
+    "table-route-agreement",
     "component-duality",
     "genus-decomposition",
     "complement-symmetry",

@@ -26,6 +26,7 @@ SWEEP_CHECKS = [
     "dual-composition",
     "dual-route-agreement",
     "count-route-agreement",
+    "table-route-agreement",
     "component-duality",
     "genus-decomposition",
     "complement-symmetry",

@@ -313,6 +313,40 @@ def test_toggles_related(fixtures):
             assert toggles_related(nested, a, b) is not None
 
 
+def _toggle_distance(g, a, b):
+    """The fewest summand toggles from ``a`` to ``b``, level by level."""
+    moves = summand_edge_sets(g)
+    level, seen, d = {a}, {a}, 0
+    while b not in level:
+        level = {s ^ m for s in level for m in moves} - seen
+        if not level:
+            return None
+        seen |= level
+        d += 1
+    return d
+
+
+def test_toggles_related_is_shortest(corpus4):
+    # a depth-first search reaches every subset too, by longer sequences
+    graphs = [g for g in corpus4.graphs if len(summand_edge_sets(g)) > 2]
+    longer = 0
+    for g in graphs:
+        subsets = list(subsets_sorted(g.edge_labels))
+        for a in subsets[: 1 + g.n_edges]:  # ∅ and the singletons
+            for b in subsets:
+                seq = toggles_related(g, a, b)
+                want = _toggle_distance(g, a, b)
+                assert (seq is None) == (want is None), (g, a, b)
+                if seq is not None:
+                    assert len(seq) == want, (g, a, b)
+                    reached = a
+                    for m in seq:
+                        reached ^= m
+                    assert reached == b
+                    longer += want > 1
+    assert longer
+
+
 def test_plane_sets_form_single_orbit(corpus3):
     from ribbongraph.verify import _orbit
 

@@ -364,19 +364,37 @@ def _eight_edge_join():
     )
 
 
-def _spy_on_walk_lengths(monkeypatch) -> list[tuple]:
-    """Record ``(view, mask)`` for every call of the walk-counting kernel."""
+def _spy_on_walk_passes(monkeypatch) -> list[tuple]:
+    """Record ``(method, view, mask)`` for every call of the walk-counting
+    kernel and of the component pass of the integer view."""
     from ribbongraph.core import _Indexed
 
     calls = []
-    original = _Indexed.walk_lengths
+    for name in ("walk_lengths", "parts"):
+        original = getattr(_Indexed, name)
 
-    def counting(view, mask):
-        calls.append((view, mask))
-        return original(view, mask)
+        def counting(view, mask, original=original, name=name):
+            calls.append((name, view, mask))
+            return original(view, mask)
 
-    monkeypatch.setattr(_Indexed, "walk_lengths", counting)
+        monkeypatch.setattr(_Indexed, name, counting)
     return calls
+
+
+def _spy_on_walk_tables(monkeypatch) -> list[int]:
+    """Record the length of every table the Gray-code walk kernel returns."""
+    import ribbongraph.duality as duality
+
+    sizes = []
+    original = duality._walk_table
+
+    def counting(idx, edges, v_p):
+        table = original(idx, edges, v_p)
+        sizes.append(len(table))
+        return table
+
+    monkeypatch.setattr(duality, "_walk_table", counting)
+    return sizes
 
 
 def test_spectrum_classes_of_a_join_need_no_whole_graph_certificate(monkeypatch):
@@ -393,15 +411,56 @@ def test_spectrum_classes_of_a_join_need_no_whole_graph_certificate(monkeypatch)
         return original(graph, edges)
 
     monkeypatch.setattr(decomposition, "biseparation_data", counting)
-    walked = _spy_on_walk_lengths(monkeypatch)
-    rows = spectrum(_eight_edge_join(), classes=True)
+    g = _eight_edge_join()
+    g._indexed()  # the view's own component pass comes before the spies
+    walked = _spy_on_walk_passes(monkeypatch)
+    tables = _spy_on_walk_tables(monkeypatch)
+    rows = spectrum(g, classes=True)
     assert [r.biseparation for r in rows] == want
     assert calls == []
-    # walks are counted for the subsets of each factor, 4 + 8 + 2 + 2 + 2
-    # masks with the empty one shared, not for the 2^8 subsets of the join
-    masks = [mask for _, mask in walked]
-    assert len(masks) == 18
-    assert len(set(masks)) == 14
+    # one Gray-code sweep per prime factor, 4 + 8 + 2 + 2 + 2 entries, and
+    # no whole-graph walk or component pass for any subset
+    assert sorted(tables) == [2, 2, 2, 4, 8]
+    assert walked == []
+
+
+def _same_tables_both_routes(g):
+    from ribbongraph.duality import _factor_tables
+    from ribbongraph.verify import factor_tables_by_walk_passes
+
+    idx = g._indexed()
+    masks = _factor_tree(idx).masks
+    for classes in (False, True):
+        assert _factor_tables(idx, masks, classes) == factor_tables_by_walk_passes(
+            idx, masks, classes
+        ), (g, classes)
+
+
+def test_gray_code_tables_match_the_walk_pass_oracle(corpus4, with_bare_vertices):
+    rng = random.Random(19)
+    graphs = list(corpus4.graphs) + [with_bare_vertices]
+    graphs += [_with_bare_vertices(g, rng) for g in corpus4.graphs[::25]]
+    graphs += [
+        disjoint_union(_random_graph(rng, rng.randrange(5)), _random_graph(rng, rng.randrange(1, 5)),
+                       _random_graph(rng, 0))
+        for _ in range(30)
+    ]
+    for g in graphs:
+        _same_tables_both_routes(g)
+
+
+def test_gray_code_tables_of_large_prime_graphs():
+    # one factor of 10-12 edges: the Gray-code sweep and the partition
+    # recurrence run through every one of its 2^e submasks
+    rng = random.Random(12)
+    for e in (10, 11, 12):
+        prime = []
+        while len(prime) < 2:
+            g = _random_graph(rng, e)
+            if len(_factor_tree(g._indexed()).masks) == 1 and len(g._indexed().components) == 1:
+                prime.append(g)
+        for g in prime:
+            _same_tables_both_routes(g)
 
 
 def test_cli_spectrum_classes_refuse_disconnected_graphs(tmp_path, capsys):
@@ -497,19 +556,17 @@ def test_partial_dual_subsets_build_only_matching_counts(monkeypatch):
 
 
 def test_partial_dual_subsets_of_a_join_walk_factor_masks_and_candidates(monkeypatch):
-    # the counts come from the 4 + 8 + 2 + 2 + 2 factor masks, and the
-    # whole graph's walks are run only for the candidates those counts
-    # pass, A and then its complement
+    # the counts come from one Gray-code sweep per prime factor, 4 + 8 + 2
+    # + 2 + 2 entries, and the whole graph's walks are run only for the
+    # candidates those counts pass, A and then its complement
     from ribbongraph.duality import partial_dual_subsets
     from ribbongraph.verify import partial_dual_subsets_by_codes
 
     g = _eight_edge_join()
     idx = g._indexed()
     full = (1 << g.n_edges) - 1
-    factor_masks = set()
-    for fmask in _factor_tree(idx).masks:
-        factor_masks |= {m for m in range(fmask + 1) if m & fmask == m}
-    walked = _spy_on_walk_lengths(monkeypatch)
+    walked = _spy_on_walk_passes(monkeypatch)
+    tables = _spy_on_walk_tables(monkeypatch)
     for edges in ([], ["c"], ["a", "c", "f"], ["b", "d", "e", "g"], ["a", "b", "h"]):
         h = partial_dual(g, edges)
         want = partial_dual_subsets_by_codes(g, h)
@@ -519,11 +576,13 @@ def test_partial_dual_subsets_of_a_join_walk_factor_masks_and_candidates(monkeyp
             if (len(idx.walk_homes(m)), len(idx.walk_homes(full ^ m))) == (h.n_vertices, faces)
         }
         walked.clear()
+        tables.clear()
         assert partial_dual_subsets(g, h) == want
-        assert [view for view, _ in walked].count(h._indexed()) == 1  # h's faces
-        masks = [mask for view, mask in walked if view is idx]
-        assert len(masks[:18]) == 18 and set(masks[:18]) == factor_masks
-        assert counted <= set(masks[18:]) <= counted | {full ^ m for m in counted}
+        assert sorted(tables) == [2, 2, 2, 4, 8]
+        assert [view for _, view, _ in walked].count(h._indexed()) == 1  # h's faces
+        masks = [mask for name, view, mask in walked if view is idx]
+        assert {name for name, view, _ in walked if view is idx} == {"walk_lengths"}
+        assert counted <= set(masks) <= counted | {full ^ m for m in counted}
         assert len(masks) < 2**g.n_edges
 
 
