@@ -28,7 +28,7 @@ from .duality import (
     spectrum_rows,
 )
 from .moves import move_related
-from .topology import is_connected, surface_stats
+from .topology import euler_genus, is_connected, surface_stats
 from .verify import ALL_CHECKS, check_suite, generate, selected_checks
 
 
@@ -122,12 +122,13 @@ def cmd_relate(args) -> int:
     h = _load(args.file2)
     subsets = partial_dual_subsets(g, h)  # refuses a large sweep before any coding
     equivalent = bool(subsets) and not subsets[0]  # G^∅ = G, listed first
-    gamma_g = surface_stats(g).euler_genus
-    gamma_h = surface_stats(h).euler_genus
+    gamma_g = euler_genus(g)
+    gamma_h = euler_genus(h)
     trace = None
     search = None
     if gamma_g == gamma_h and gamma_g in (0, 1) and is_connected(g) and is_connected(h):
-        search = move_related(g, h, bound=args.max_depth)
+        # the listing is the target: the search recognises H by subset
+        search = move_related(g, h, bound=args.max_depth, subsets=subsets)
         trace = search.trace
     if args.json:
         data = {

@@ -343,10 +343,12 @@ class _Indexed:
     subgraph built.  :meth:`parts` finds the components of the spanning
     subgraph on a mask and their orientability in one traversal;
     :attr:`components` and :attr:`component_of` hold its answer for the
-    whole graph.  :meth:`walk_arrows` runs the boundary walks: dart ``d``
-    has the arc endpoints ``2*d`` (in) and ``2*d + 1`` (out), numbered as
-    :func:`topology.trace_walks` reads them; the free corners of the
-    rotations pair endpoints once and for all, and every edge adds either
+    whole graph, run on first read, so a view that is only coded
+    (:func:`canonical_form`) never runs it.  :meth:`walk_arrows` runs the
+    boundary walks: dart ``d`` has the arc endpoints ``2*d`` (in) and
+    ``2*d + 1`` (out), numbered as :func:`topology.trace_walks` reads them;
+    the free corners of the rotations pair endpoints once and for all, and
+    every edge adds either
     its band pairings or its free-arc pairings, by its bit in the mask.
     Each walk records the arrow of every band side and free arc it
     crosses: the walks are the vertices of the partial dual on the mask.
@@ -358,7 +360,7 @@ class _Indexed:
 
     __slots__ = (
         "labels", "eindex", "nv", "ne", "rot", "dart_vertex", "dart_pos", "sign",
-        "components", "component_of", "_memo",
+        "_components", "_component_of", "_memo",
     )
 
     def __init__(self, labels: list[str], rot: list[list[int]], sign: list[int]):
@@ -374,7 +376,7 @@ class _Indexed:
             for pos, d in enumerate(darts):
                 dart_vertex[d] = v
                 dart_pos[d] = pos
-        self.components, self.component_of = self.parts((1 << self.ne) - 1)
+        self._components = self._component_of = None  # see components
         self._memo: dict = {}  # see per_view
 
     @classmethod
@@ -424,6 +426,22 @@ class _Indexed:
                 for a, b in pairs:
                     table[a], table[b] = b, a
         return corner, band, arc
+
+    @property
+    def components(self) -> list[tuple[list[int], int, bool]]:
+        """The components of the whole graph, as :meth:`parts` gives them,
+        from one pass run on the first read of this or
+        :attr:`component_of`."""
+        if self._components is None:
+            self._components, self._component_of = self.parts((1 << self.ne) - 1)
+        return self._components
+
+    @property
+    def component_of(self) -> list[int]:
+        """The index in :attr:`components` of every vertex's component."""
+        if self._component_of is None:
+            self._components, self._component_of = self.parts((1 << self.ne) - 1)
+        return self._component_of
 
     def parts(self, mask: int) -> tuple[list[tuple[list[int], int, bool]], list[int]]:
         """Components of the spanning subgraph on the edges in ``mask``.
@@ -958,8 +976,18 @@ def canonical_form(g: Union[RibbonGraph, _Indexed]) -> str:
     rotation, any vertex flip, and global reflection.  Components are coded
     independently and sorted.  ``g`` is a graph or an integer view; a view
     is coded as the graph it names.
+
+    A view whose component pass has not run, such as an enumeration child
+    or a partial dual, is first traced from the least starts over all its
+    vertices: if that trace reads every vertex, the view is connected and
+    the trace is its code, with no component pass.
     """
     idx = g if isinstance(g, _Indexed) else g._indexed()
+    if idx._components is None and idx.ne:
+        tokens = _least_trace(idx, _least_starts(idx, range(idx.nv)))
+        # one vertex separator per row read; the signs follow _SEP_SIGNS
+        if tokens[: tokens.index(_SEP_SIGNS)].count(_SEP_VERTEX) == idx.nv:
+            return _render_component(tokens, idx.nv, idx.ne)
     parts = []
     for members, edges, _ in idx.components:
         tokens = _component_code(idx, members)

@@ -25,11 +25,12 @@ boundary count ``f_C`` and its Euler genus ``2 - v_C + e_C - f_C``, which
 gives the genus of each prime factor too.
 
 Every join question reads one memo of the integer view, the factor tree
-(:func:`_factor_tree`), so the move search reads it off a partial dual's
-view with no named graph.  One depth-first pass finds the blocks (Tarjan,
-SIAM J. Comput. 1, 1972), and one stack scan per vertex merges the blocks
-whose ends interleave in its rotation; the merged classes are the prime
-factors.  Factors and joints, the vertices met by two or more factors,
+(:func:`_factor_tree`), so the move search's ``splits`` steps are read off
+a partial dual's view with no named graph; its ``unions`` steps are the
+connected unions (:func:`_connected_unions`) of the start graph's factors.
+One depth-first pass finds the blocks (Tarjan, SIAM J. Comput. 1, 1972),
+and one stack scan per vertex merges the blocks whose ends interleave in
+its rotation; the merged classes are the prime factors.  Factors and joints, the vertices met by two or more factors,
 form a tree.  The join splits at a joint are the cyclic arcs of its
 rotation that hold every end of each factor they touch, with everything
 behind those factors, and the summand sets are the connected sets of
@@ -593,20 +594,26 @@ def prime_factorization(g: RibbonGraph) -> JoinTree:
 def _summand_masks(idx: _Indexed) -> tuple[int, ...]:
     """Edge masks of the connected unions of prime factors of the graph of
     ``idx``, the whole edge set included, by size and then in the order of
-    their sorted labels.
-
-    Factors meeting at a joint are adjacent, and a union of factors is
-    connected exactly when its factors are; every connected set grows from
-    a smaller one by an adjacent factor, so the sets are listed by
-    extension, each once.
-    """
+    their sorted labels: the factors adjacent at the joints of the factor
+    tree, read by :func:`_connected_unions`."""
     masks = _factor_masks(idx)
-    tree = _factor_tree(idx)
     adjacent = [0] * len(masks)
-    for _, at in tree.joints:
+    for _, at in _factor_tree(idx).joints:
         near = sum(1 << i for i in at)
         for i in at:
             adjacent[i] |= near
+    return _connected_unions(masks, adjacent)
+
+
+def _connected_unions(masks: Sequence[int], adjacent: Sequence[int]) -> tuple[int, ...]:
+    """Edge masks of the connected unions of the factors ``masks``, by size
+    and then in the order of their sorted labels, where bit ``j`` of
+    ``adjacent[i]`` is set when factors ``i`` and ``j`` share a vertex.
+
+    A union of factors is connected exactly when its factors are; every
+    connected set grows from a smaller one by an adjacent factor, so the
+    sets are listed by extension, each once.
+    """
     found = {1 << i for i in range(len(masks))}
     grow = list(found)
     while grow:

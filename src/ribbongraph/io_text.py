@@ -40,6 +40,9 @@ from .core import (
 
 _LABEL = r"[A-Za-z0-9_]+"
 _LABEL_RE = re.compile(f"^{_LABEL}$")
+_VERTEX_RE = re.compile(rf"^vertex\s+({_LABEL})\s*:\s*(.*)$")
+_END_TOKEN_RE = re.compile(rf"^{_LABEL}\.[12]$")
+_ARROW_TOKEN_RE = re.compile(rf"^[<>]{_LABEL}$")
 
 
 class ParseError(RibbonGraphError):
@@ -114,13 +117,13 @@ def parse(text: str) -> GraphDocument:
         elif keyword == "vertex":
             if doc.kind != "ribbon":
                 raise ParseError("vertex lines belong to the ribbon format", lineno)
-            m = re.match(rf"^vertex\s+({_LABEL})\s*:\s*(.*)$", line)
+            m = _VERTEX_RE.match(line)
             if not m:
                 raise ParseError("expected: vertex <name>: <label>.<1|2> ...", lineno)
             name, rest = m.group(1), m.group(2)
             ends = []
             for tok in rest.split():
-                if not re.match(rf"^{_LABEL}\.[12]$", tok):
+                if not _END_TOKEN_RE.match(tok):
                     raise ParseError(f"bad edge end {tok!r}", lineno)
                 ends.append(tok)
             if name in names:
@@ -135,7 +138,7 @@ def parse(text: str) -> GraphDocument:
                 raise ParseError("expected: cycle: [<|>]<label> ...", lineno)
             arrows = []
             for tok in rest[1].split():
-                if not re.match(rf"^[<>]{_LABEL}$", tok):
+                if not _ARROW_TOKEN_RE.match(tok):
                     raise ParseError(f"bad arrow {tok!r}", lineno)
                 arrows.append((tok[1:], tok[0] == ">"))
             doc.cycles.append(arrows)

@@ -10,23 +10,41 @@ because ``(G^A)^X = G^(A△X)`` with the edge labels kept.  So
 :func:`move_related` searches breadth-first over edge subsets ``A`` of
 ``G``: the steps from ``G^A`` lead to ``A△X`` for every summand edge set
 ``X`` of ``G^A`` and to ``A△E`` for the geometric dual.  Nodes are
-deduplicated by canonical code, and each subset is built and coded at
-most once per search, so a search holds at most ``2^e`` nodes.  A subset
-is built as an integer view (``duality._dual_view``) and coded from it,
-and a queued node's steps are read off its view's factor tree; the search
-names no graph, and drops each view once its node is expanded.
+classes, one per canonical code, so a search holds at most ``2^e`` nodes.
+
+The search derives each node from ``G``'s own data.  Since
+``(X ∨ Y)* = X* ∨ Y*``, a prime factor's dual is prime, so every node of a
+``unions`` search is a union of ``G``'s prime factors and has ``G``'s
+factor masks as its own.  Two factors are adjacent in ``G^A`` when they
+meet on one boundary walk of ``A``, a vertex of ``G^A``, so a node's
+steps, the connected unions of the factors, take one walk pass and no
+view of the node (:func:`_factor_adjacency`); the union list is kept per
+adjacency pattern for the search.  A ``splits`` step reads the join
+splits off the node's integer view (``duality._dual_view``).
+
+A subset is coded only when it must be.  Its walk lengths and those of
+its complement are the vertex degrees and face lengths of ``G^A``
+(Chmutov, JCTB 99, 2009), so a subset whose two sorted lists no node
+holds is a new class with no code; one that shares them with a node is
+coded, and so is that node, once.  ``H`` is recognised by the same key
+and a code, or by subset when the caller passes the subsets ``A`` with
+``G^A`` equivalent to ``H``; the trace's nodes are coded at the end.  No
+graph is named.  The search it replaced, a view and a code for every
+subset met, is the ``verify`` oracle ``move_related_by_node_views``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .core import InvariantViolation, RibbonGraph, _Indexed, canonical_form
+from .core import InvariantViolation, RibbonGraph, _bits, _Indexed, canonical_form
 from .core import induced_subgraph, is_equivalent
 from .decomposition import (
     NotAJoinSummand,
+    _connected_unions,
+    _factor_tree,
     _split_sides,
     _summand_masks,
     is_connected,
@@ -71,7 +89,9 @@ class MoveSearchResult:
     max_depth: int
     expanded: int = 0  # classes whose steps were taken
     reached: int = 0  # distinct classes seen, the start included
-    coded: int = 0  # distinct edge subsets coded, the empty one included
+    # distinct edge subsets the search coded: to tell classes with the same
+    # degrees and face lengths apart, to find the target, and for the trace
+    coded: int = 0
 
     @property
     def found(self) -> bool:
@@ -147,80 +167,176 @@ def _step_sets(idx: _Indexed, policy: str) -> list[int]:
     return [m for m in masks if m != full]
 
 
+def _factor_adjacency(idx: _Indexed, mask: int, factor_of: Sequence[int], k: int) -> list[int]:
+    """Which of the ``k`` prime factors of the graph of ``idx`` share a
+    vertex of its partial dual on ``mask``: bit ``j`` of entry ``i`` is set
+    when factors ``i`` and ``j`` do, ``factor_of`` giving each edge's
+    factor.
+
+    The vertices of the partial dual are the boundary walks of the
+    spanning subgraph on ``mask`` (:meth:`core._Indexed.walk_lengths`), and
+    a walk is a vertex of every edge whose band side or free arc it
+    crosses, so one walk pass finds the factors each vertex meets.
+    """
+    corner, band, arc = idx._endpoint_pairings()
+    seen = bytearray(4 * idx.ne)
+    adjacent = [0] * k
+    for start in range(1, 4 * idx.ne, 2):
+        if seen[start]:
+            continue
+        p = start
+        met = 0
+        while not seen[p]:
+            q = corner[p]
+            seen[p] = seen[q] = 1
+            met |= 1 << factor_of[q >> 2]
+            p = band[q] if mask >> (q >> 2) & 1 else arc[q]
+        if met & (met - 1):  # a joint: two factors or more meet here
+            for i in _bits(met):
+                adjacent[i] |= met
+    return adjacent
+
+
 def move_related(
-    g: RibbonGraph, h: RibbonGraph, bound: int = 8, policy: str = "unions"
+    g: RibbonGraph,
+    h: RibbonGraph,
+    bound: int = 8,
+    policy: str = "unions",
+    subsets: Optional[Iterable[Iterable[str]]] = None,
 ) -> MoveSearchResult:
     """Shortest move sequence taking ``g`` to a graph equivalent to ``h``.
 
     Breadth-first over the edge subsets ``A`` of ``g``, one node per
-    canonical code: the steps from ``G^A`` are the summand duals and the
-    geometric dual, each leading to ``G^(A△X)``.  ``closed`` reports
-    whether the search saw its whole reachable set before hitting the depth
-    bound, so a missing trace is a proof of unrelatedness only when
-    ``closed`` is true.  Moves keep the edge count, so graphs with
-    different edge counts are unrelated without a search.  A search that
-    would range over the subsets of more than ``duality.SWEEP_MAX_EDGES``
-    edges is refused.
+    class: the steps from ``G^A`` are the summand duals and the geometric
+    dual, each leading to ``G^(A△X)``.  ``closed`` reports whether the
+    search saw its whole reachable set before hitting the depth bound, so
+    a missing trace is a proof of unrelatedness only when ``closed`` is
+    true.  Moves keep the edge count, so graphs with different edge counts
+    are unrelated without a search.  A search that would range over the
+    subsets of more than ``duality.SWEEP_MAX_EDGES`` edges is refused; a
+    pair of that size whose vertex degrees or face lengths differ cannot
+    be equivalent, so it is refused before either graph is coded, and an
+    equivalent pair keeps its empty trace.
+
+    ``subsets``, if given, must list every edge subset ``A`` with ``G^A``
+    equivalent to ``h``, as :func:`duality.partial_dual_subsets` does; the
+    search then recognises ``h`` by subset and codes no subset to find it.
+    A listed subset whose partial dual's vertex degrees or face lengths are
+    not ``h``'s raises :class:`InvariantViolation`.
     """
     if bound < 0:
         raise ValueError(f"move search depth bound must be at least 0, not {bound}")
+    if policy not in ("unions", "splits"):
+        raise ValueError(f"unknown move policy {policy!r}")
     if not is_connected(g) or not is_connected(h):
         raise ValueError("move search requires connected graphs")
     if g.n_edges != h.n_edges:
         return MoveSearchResult(None, True, 0)
-    target = h.canonical_code()
-    start_code = g.canonical_code()
-    if start_code == target:
-        return MoveSearchResult(MoveTrace((), (start_code,)), True, 0, 0, 1, 1)
-    refuse_large_sweep(g, "move search")
-    idx = g._indexed()
+    idx, hidx = g._indexed(), h._indexed()
     full = (1 << idx.ne) - 1
-    coded = {0}  # every subset coded so far, by edge mask
-    # code -> (parent code, flipped mask)
-    seen: dict[str, tuple[Optional[str], int]] = {start_code: (None, 0)}
-    # a queued node carries the edge mask of its first representative and
-    # that partial dual's view, whose factor tree gives the node's steps
-    queue = deque([(start_code, 0, 0, idx)])
+
+    degrees: dict[int, tuple] = {}  # edge mask -> sorted vertex degrees of G^mask
+
+    def key(mask: int) -> tuple:
+        # the vertex degrees and face lengths of G^mask, as the faces of
+        # G^mask are the vertices of G^(full ^ mask)
+        out = []
+        for m in (mask, full ^ mask):
+            d = degrees.get(m)
+            if d is None:
+                d = degrees[m] = tuple(sorted(idx.walk_lengths(m)))
+            out.append(d)
+        return tuple(out)
+
+    target = (tuple(sorted(len(darts) for darts in hidx.rot)), tuple(sorted(hidx.walk_lengths(full))))
+    targets = None
+    if subsets is not None:
+        targets = {idx.mask(g.check_subset(sub)) for sub in subsets}
+        for mask in targets:
+            if key(mask) != target:
+                raise InvariantViolation(
+                    f"listed subset {sorted(idx.edge_set(mask))} gives a partial dual "
+                    "whose vertex degrees or face lengths are not the target's"
+                )
+    codes: dict[int, str] = {}  # edge mask -> code of G^mask, each subset coded
+
+    def code(mask: int) -> str:
+        c = codes.get(mask)
+        if c is None:
+            c = codes[mask] = canonical_form(_dual_view(g, mask)) if mask else idx.canonical_code()
+        return c
+
+    def is_target(mask: int, k: tuple) -> bool:
+        if targets is not None:
+            return mask in targets
+        return k == target and code(mask) == h.canonical_code()
+
+    start = key(0)
+    if is_target(0, start):
+        return MoveSearchResult(MoveTrace((), (code(0),)), True, 0, 0, 1, 1)
+    refuse_large_sweep(g, "move search")
+    if policy == "unions":
+        tree = _factor_tree(idx)
+        unions: dict[tuple, list[int]] = {}  # factor adjacency -> step masks
+    nodes = [0]  # the first subset met of every class reached
+    came = [(-1, 0)]  # per node, the node it was reached from and the flipped mask
+    by_key = {start: [0]}  # nodes by the degrees and face lengths of their class
+    met = {0}
+    queue = deque([(0, 0)])  # (node, depth)
     closed = True
     max_depth = 0
     expanded = 0
     while queue:
-        code, depth, node, view = queue.popleft()
+        n, depth = queue.popleft()
         if depth >= bound:
             closed = False
             continue
         expanded += 1
-        for flip in _step_sets(view, policy) + [full]:
+        node = nodes[n]
+        if policy == "unions":
+            adjacent = tuple(_factor_adjacency(idx, node, tree.factor_of, len(tree.masks)))
+            steps = unions.get(adjacent)
+            if steps is None:
+                steps = unions[adjacent] = [
+                    m for m in _connected_unions(tree.masks, adjacent) if m != full
+                ]
+        else:
+            steps = _step_sets(_dual_view(g, node) if node else idx, policy)
+        for flip in steps + [full]:
             mask = node ^ flip
-            if mask in coded:
-                continue  # its code is in seen already
-            coded.add(mask)
-            nview = _dual_view(g, mask)
-            ncode = canonical_form(nview)
-            if ncode in seen:
+            if mask in met:
+                continue  # its class is known already
+            met.add(mask)
+            k = key(mask)
+            found = is_target(mask, k)
+            same = by_key.setdefault(k, [])
+            # a class with new degrees or face lengths is new without a code
+            if not found and same and any(code(nodes[j]) == code(mask) for j in same):
                 continue
-            seen[ncode] = (code, flip)
+            nodes.append(mask)
+            came.append((n, flip))
             max_depth = max(max_depth, depth + 1)
-            if ncode == target:
-                steps = []
-                codes = [ncode]
-                at = ncode
-                while seen[at][0] is not None:
-                    at, flip = seen[at]
+            if found:
+                steps_back = []
+                trace_codes = [h.canonical_code()]
+                at = len(nodes) - 1
+                while came[at][0] >= 0:
+                    at, flip = came[at]
                     # a summand step never flips the whole edge set
                     kind = "geometric-dual" if flip == full else "dual-join-summand"
-                    steps.append(MoveStep(kind, idx.edge_set(flip)))
-                    codes.append(at)
+                    steps_back.append(MoveStep(kind, idx.edge_set(flip)))
+                    trace_codes.append(code(nodes[at]))
                 return MoveSearchResult(
-                    MoveTrace(tuple(reversed(steps)), tuple(reversed(codes))),
+                    MoveTrace(tuple(reversed(steps_back)), tuple(reversed(trace_codes))),
                     True,
                     depth + 1,
                     expanded,
-                    len(seen),
-                    len(coded),
+                    len(nodes),
+                    len(codes),
                 )
-            queue.append((ncode, depth + 1, mask, nview))
-    return MoveSearchResult(None, closed, max_depth, expanded, len(seen), len(coded))
+            same.append(len(nodes) - 1)
+            queue.append((len(nodes) - 1, depth + 1))
+    return MoveSearchResult(None, closed, max_depth, expanded, len(nodes), len(codes))
 
 
 def join_partial_dual_distributes(

@@ -18,9 +18,9 @@ set keep their attachment arcs as free, traversable arcs that carry
 direction arrows, and marks ride along the corners they sit on.
 
 The library reads the same walks from the graph's integer view instead
-(``core._Indexed``): :func:`connected_components`, :func:`is_orientable`
-and :func:`surface_stats` read its one component pass and its
-boundary-walk counter, and :func:`duality._dual_view` its walks with
+(``core._Indexed``): :func:`connected_components`, :func:`is_orientable`,
+:func:`surface_stats` and :func:`euler_genus` read its one component pass
+and its boundary-walk counter, and :func:`duality._dual_view` its walks with
 their arrows; none of them builds a subgraph or a step.
 """
 
@@ -330,4 +330,9 @@ def surface_stats(g: RibbonGraph) -> SurfaceStats:
 
 
 def euler_genus(g: RibbonGraph) -> int:
-    return surface_stats(g).euler_genus
+    """The Euler genus ``2k - v + e - f`` of ``g``, with ``k`` components
+    and ``f`` boundary walks, each edgeless vertex one of them: the walk
+    count alone, with no component's names or statistics built."""
+    idx = g._indexed()
+    f = len(idx.walk_lengths((1 << idx.ne) - 1))
+    return 2 * len(idx.components) - idx.nv + idx.ne - f

@@ -30,7 +30,11 @@ of that kind instead of using the uniqueness of the prime factorization.
 The partial-dual subsets of a pair come from building and coding every
 subset (:func:`partial_dual_subsets_by_codes`), and the move closure from
 a search over built graphs (:func:`_move_closure`), where the library
-keys its search by edge subset.  The spectrum's classes, which the library
+keys its search by edge subset.  The library's search reads its steps off
+the start graph's factors and codes a subset only when its vertex degrees
+and face lengths are another node's; the search it replaced, a view and a
+code for every subset met (:func:`move_related_by_node_views`), must give
+the same answers (``search-route-agreement``).  The spectrum's classes, which the library
 reads from one table per prime factor, are checked against the
 whole-graph certificate of every subset, and the walk counts summed from
 those tables and the walk lengths that ``relate`` filters by against the
@@ -99,6 +103,7 @@ from .core import (
     _render_component,
     as_end,
     build_graph,
+    canonical_form,
     disjoint_union,
     from_arrow_presentation,
     from_canonical_code,
@@ -124,18 +129,22 @@ from .decomposition import (
 )
 from .duality import (
     _FactorTable,
+    _dual_view,
     _factor_tables,
     _summed_tables,
     geometric_dual,
     partial_dual,
+    partial_dual_subsets,
     refuse_large_sweep,
     spectrum,
+    spectrum_rows,
     subsets_sorted,
 )
-from .moves import _step_sets
+from .moves import MoveSearchResult, MoveStep, MoveTrace, _step_sets, move_related
 from .topology import (
     SurfaceStats,
     boundary_components,
+    euler_genus,
     is_connected,
     is_orientable,
     stats_from_components,
@@ -1007,6 +1016,77 @@ def partial_dual_subsets_by_codes(g: RibbonGraph, h: RibbonGraph) -> list[frozen
         sub for sub in subsets_sorted(g.edge_labels)
         if partial_dual(g, sub).canonical_code() == target
     ]
+
+
+def move_related_by_node_views(
+    g: RibbonGraph, h: RibbonGraph, bound: int = 8, policy: str = "unions"
+) -> MoveSearchResult:
+    """:func:`moves.move_related` by the search it replaced, which builds
+    the integer view of every subset it meets (:func:`duality._dual_view`)
+    and codes it, keys its nodes by canonical code and reads each node's
+    steps off its own view (:func:`moves._step_sets`).  Oracle for the
+    search that reads its ``unions`` steps off the start graph's factors
+    and codes a subset only when its vertex degrees and face lengths are
+    another node's or the target's; ``coded`` counts every subset met."""
+    if bound < 0:
+        raise ValueError(f"move search depth bound must be at least 0, not {bound}")
+    if not is_connected(g) or not is_connected(h):
+        raise ValueError("move search requires connected graphs")
+    if g.n_edges != h.n_edges:
+        return MoveSearchResult(None, True, 0)
+    target = h.canonical_code()
+    start_code = g.canonical_code()
+    if start_code == target:
+        return MoveSearchResult(MoveTrace((), (start_code,)), True, 0, 0, 1, 1)
+    refuse_large_sweep(g, "move search")
+    idx = g._indexed()
+    full = (1 << idx.ne) - 1
+    coded = {0}  # every subset coded so far, by edge mask
+    # code -> (parent code, flipped mask)
+    seen: dict[str, tuple[Optional[str], int]] = {start_code: (None, 0)}
+    # a queued node carries the edge mask of its first representative and
+    # that partial dual's view, whose factor tree gives the node's steps
+    queue = deque([(start_code, 0, 0, idx)])
+    closed = True
+    max_depth = 0
+    expanded = 0
+    while queue:
+        code, depth, node, view = queue.popleft()
+        if depth >= bound:
+            closed = False
+            continue
+        expanded += 1
+        for flip in _step_sets(view, policy) + [full]:
+            mask = node ^ flip
+            if mask in coded:
+                continue  # its code is in seen already
+            coded.add(mask)
+            nview = _dual_view(g, mask)
+            ncode = canonical_form(nview)
+            if ncode in seen:
+                continue
+            seen[ncode] = (code, flip)
+            max_depth = max(max_depth, depth + 1)
+            if ncode == target:
+                steps = []
+                codes = [ncode]
+                at = ncode
+                while seen[at][0] is not None:
+                    at, flip = seen[at]
+                    # a summand step never flips the whole edge set
+                    kind = "geometric-dual" if flip == full else "dual-join-summand"
+                    steps.append(MoveStep(kind, idx.edge_set(flip)))
+                    codes.append(at)
+                return MoveSearchResult(
+                    MoveTrace(tuple(reversed(steps)), tuple(reversed(codes))),
+                    True,
+                    depth + 1,
+                    expanded,
+                    len(seen),
+                    len(coded),
+                )
+            queue.append((ncode, depth + 1, mask, nview))
+    return MoveSearchResult(None, closed, max_depth, expanded, len(seen), len(coded))
 
 
 def factor_tables_by_walk_passes(idx: _Indexed, masks: list[int], classes: bool) -> list:
@@ -1906,6 +1986,46 @@ def _check_table_routes(res: CheckResult, corpus: Corpus) -> None:
                          property="Gray-code factor tables vs one walk pass per submask")
 
 
+def _search_fields(res: MoveSearchResult) -> tuple:
+    """What a move search answers, its work counts aside from ``coded``."""
+    return res.trace, res.closed, res.max_depth, res.expanded, res.reached
+
+
+def _check_search_routes(res: CheckResult, corpus: Corpus) -> None:
+    """The move search (:func:`moves.move_related`) answers as the search
+    over node views (:func:`move_related_by_node_views`): trace, closure,
+    depth, nodes expanded and classes reached, under both policies, with
+    and without the listed subsets of :func:`duality.partial_dual_subsets`.
+    The pairs are every connected corpus graph of Euler genus 0 or 1
+    against each of its distinct same-genus partial duals and against the
+    first corpus graph of its genus and edge count that is none of them."""
+    low = [g for g in corpus.graphs if is_connected(g) and euler_genus(g) <= 1]
+    alike: dict[tuple[int, int], list[RibbonGraph]] = {}
+    for g in low:
+        alike.setdefault((g.n_edges, euler_genus(g)), []).append(g)
+    for g in low:
+        gamma = euler_genus(g)
+        duals: dict[str, RibbonGraph] = {}
+        for sub, _, _, _ in spectrum_rows(g, genus=gamma):
+            h = partial_dual(g, sub)
+            duals.setdefault(h.canonical_code(), h)
+        pairs = list(duals.values())
+        pairs += itertools.islice((
+            h for h in alike[g.n_edges, gamma] if h.canonical_code() not in duals
+        ), 1)
+        for h in pairs:
+            listed = partial_dual_subsets(g, h)
+            for policy in ("unions", "splits"):
+                want = _search_fields(move_related_by_node_views(g, h, policy=policy))
+                for subsets in (None, listed):
+                    res.checked += 1
+                    got = move_related(g, h, policy=policy, subsets=subsets)
+                    if _search_fields(got) != want:
+                        res.fail(graph=_serial(g), target=_serial(h), policy=policy,
+                                 listed=subsets is not None,
+                                 property="move search vs the search over node views")
+
+
 PER_GRAPH_CHECKS: dict[str, Callable] = {
     "partial-dual-identities": _check_dual_identities,
     "dual-composition": None,  # handled specially (needs rng)
@@ -1935,6 +2055,7 @@ CORPUS_CHECKS: dict[str, Callable] = {
     "corpus-counts": _check_corpus_counts,
     "automorphism-agreement": _check_automorphisms,
     "table-route-agreement": _check_table_routes,
+    "search-route-agreement": _check_search_routes,
     "interlaced-bouquet-discrepancy": _check_interlaced_discrepancy,
 }
 
@@ -1961,6 +2082,7 @@ ALL_CHECKS = [
     "join-oracle-agreement",
     "join-dual-distribution",
     "move-completeness",
+    "search-route-agreement",
     "orientability-cross-check",
     "representation-roundtrip",
     "genus-additivity",

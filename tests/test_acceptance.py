@@ -41,6 +41,7 @@ SWEEP_CHECKS = [
     "join-oracle-agreement",
     "join-dual-distribution",
     "move-completeness",
+    "search-route-agreement",
     "orientability-cross-check",
     "representation-roundtrip",
     "genus-additivity",

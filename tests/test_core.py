@@ -412,3 +412,37 @@ def test_only_core_touches_the_memo():
         if slot.search(line)
     ]
     assert offending == []
+
+
+def test_coded_views_run_no_component_pass(monkeypatch, corpus4):
+    # an enumeration child and a partial dual of the move search are only
+    # coded, and a connected view's code is one trace from the least starts
+    # over all its vertices: neither runs the whole-graph component pass
+    # (the edgeless base graph of the enumeration has no trace to take)
+    from ribbongraph import move_related, partial_dual
+    from ribbongraph.core import _Indexed
+    from ribbongraph.duality import partial_dual_subsets
+    from ribbongraph.topology import euler_genus
+    from ribbongraph.verify import _exhaustive
+
+    calls = []
+    original = _Indexed.parts
+
+    def spy(view, mask):
+        calls.append(view)
+        return original(view, mask)
+
+    pairs = []
+    for g in corpus4.by_edges(4):
+        if euler_genus(g) <= 1:
+            for mask in range(0, 16, 5):
+                h = partial_dual(g, g._indexed().edge_set(mask))
+                h._indexed().components  # the pair's own pass, as relate runs it
+                pairs.append((g, h))
+    monkeypatch.setattr(_Indexed, "parts", spy)
+    assert len(_exhaustive(4)) == len(corpus4)
+    searched = 0
+    for g, h in pairs:
+        res = move_related(g, h, subsets=partial_dual_subsets(g, h))
+        searched += res.expanded
+    assert [view for view in calls if view.ne] == [] and searched > 300

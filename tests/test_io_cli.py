@@ -515,6 +515,26 @@ def test_cli_relate_codes_each_file_once(tmp_path, coded, capsys):
     assert sorted(view.labels for view in coded) == [list("abc"), list("xyz")]
 
 
+def test_cli_relate_codes_three_times_against_the_dual(tmp_path, coded, capsys):
+    # the listing codes the dual and its one candidate subset, the whole
+    # edge set; the search recognises the dual by that subset and codes
+    # theta alone, for its trace
+    from ribbongraph import geometric_dual
+
+    theta = tmp_path / "theta.txt"
+    theta.write_text(
+        "ribbon v1\nedge a +\nedge b +\nedge c +\n"
+        "vertex u: a.1 b.1 c.1\nvertex w: a.2 c.2 b.2\n"
+    )
+    dual = tmp_path / "dual.txt"
+    dual.write_text(serialize_graph(geometric_dual(parse(theta.read_text()).graph())))
+    coded.clear()
+    assert main(["relate", str(theta), str(dual)]) == 0
+    out = capsys.readouterr().out
+    assert "partial-dual subsets: {a,b,c}" in out and "move sequence:\n" in out, out
+    assert len(coded) == 3
+
+
 def test_cli_biseparations_certifies_only_printed_subsets(fixtures, tmp_path, monkeypatch, capsys):
     # the listing reads the factor tables: the text builds no whole-graph
     # certificate, and --json one for each subset it prints

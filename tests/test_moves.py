@@ -1,6 +1,7 @@
 import pytest
 
 from ribbongraph import (
+    InvariantViolation,
     MoveSearchResult,
     NotAJoinSummand,
     build_graph,
@@ -205,10 +206,12 @@ def test_search_counts():
 
 
 def test_search_codes_each_subset_once(monkeypatch):
-    # every subset a search meets is coded from its integer view, at most
-    # once, and ``coded`` counts them with the start's own code
+    # a subset is coded only to tell its class from a node with the same
+    # vertex degrees and face lengths, or from the target, and for the
+    # trace; each at most once, from its integer view, and ``coded`` counts
+    # them with the start's own code when it is read
     import ribbongraph.moves as moves
-    from ribbongraph.verify import generate
+    from ribbongraph.verify import generate, move_related_by_node_views
 
     coded = []
     original = moves._dual_view
@@ -218,29 +221,115 @@ def test_search_codes_each_subset_once(monkeypatch):
         return original(graph, mask)
 
     monkeypatch.setattr(moves, "_dual_view", counting)
-    searches = unfound = 0
+    searches = unfound = fewer = 0
     for g in generate(3).graphs:
         for sub in subsets_sorted(g.edge_labels):
+            h = partial_dual(g, sub)
             for policy in ("unions", "splits"):
                 coded.clear()
-                res = move_related(g, partial_dual(g, sub), policy=policy)
-                assert len(set(coded)) == len(coded) and 0 not in coded, (g, sub)
-                assert res.coded == len(coded) + 1 <= 2 ** g.n_edges
+                res = move_related(g, h, policy=policy)
+                by_views = move_related_by_node_views(g, h, policy=policy)
+                if policy == "unions":
+                    assert len(set(coded)) == len(coded) and 0 not in coded, (g, sub)
+                    assert len(coded) <= res.coded <= len(coded) + 1
+                assert res.coded <= by_views.coded <= 2 ** g.n_edges
+                fewer += res.coded < by_views.coded
                 searches += 1
                 unfound += not res.found
-    assert searches > 500 and unfound > 0
+    assert searches > 500 and unfound > 0 and fewer > 100
     theta = build_graph(
         {"u": ["a.1", "b.1", "c.1"], "w": ["c.2", "b.2", "a.2"]},
         {"a": "+", "b": "+", "c": "+"},
     )
     assert move_related(theta, theta).coded == 1
     assert move_related(theta, single_vertex("a a b b", "++")).coded == 0
+    # the dual's degrees are not theta's, so only the dual and, for the
+    # trace, theta itself are coded
+    assert move_related(theta, geometric_dual(theta)).coded == 2
+
+
+def test_unions_steps_come_from_the_start_graphs_factors(monkeypatch, corpus4):
+    # every node of a unions search is a union of G's prime factors, and
+    # its steps, the connected unions of those factors under the adjacency
+    # of one walk pass, are the steps read off its own view
+    import ribbongraph.moves as moves
+    from ribbongraph.decomposition import _connected_unions, _factor_tree
+    from ribbongraph.duality import _dual_view
+
+    nodes = 0
+    for g in corpus4.graphs:
+        idx = g._indexed()
+        tree = _factor_tree(idx)
+        full = (1 << idx.ne) - 1
+        for s in range(1 << len(tree.masks)):
+            mask = sum(m for i, m in enumerate(tree.masks) if s >> i & 1)
+            adjacent = moves._factor_adjacency(idx, mask, tree.factor_of, len(tree.masks))
+            steps = [m for m in _connected_unions(tree.masks, adjacent) if m != full]
+            assert steps == moves._step_sets(_dual_view(g, mask), "unions"), (g, mask)
+            nodes += 1
+    assert nodes > 2000
+
+    # so a unions search reads the factor tree of G alone, and builds no
+    # view and lists no summand sets per expanded node
+    import ribbongraph.decomposition as decomposition
+
+    trees, views, summands = [], [], []
+    for name, log in (("_factor_tree", trees), ("_summand_masks", summands)):
+        monkeypatch.setattr(moves, name, _spy(getattr(moves, name), log))
+    monkeypatch.setattr(decomposition, "_summand_masks",
+                        _spy(decomposition._summand_masks, summands))
+    monkeypatch.setattr(moves, "_dual_view", _spy(moves._dual_view, views))
+    expanded = 0
+    for g in corpus4.by_edges(4):
+        h = geometric_dual(g)
+        trees.clear()
+        views.clear()
+        res = move_related(g, h, policy="unions")
+        assert all(args == (g._indexed(),) for args in trees), g
+        assert len(views) <= res.coded
+        expanded += res.expanded
+    assert summands == [] and expanded > 400
+
+
+def _fields(res):
+    return res.trace, res.closed, res.max_depth, res.expanded, res.reached
+
+
+def _spy(fn, log):
+    def spy(*args):
+        log.append(args)
+        return fn(*args)
+
+    return spy
+
+
+def test_listed_subsets_are_the_target(fixtures, coded):
+    # with the listing of partial_dual_subsets, the search recognises the
+    # target by subset and codes no subset to find it
+    from ribbongraph.duality import partial_dual_subsets
+    from ribbongraph.verify import move_related_by_node_views
+
+    theta = build_graph(
+        {"u": ["a.1", "b.1", "c.1"], "w": ["c.2", "b.2", "a.2"]},
+        {"a": "+", "b": "+", "c": "+"},
+    )
+    dual = geometric_dual(theta)
+    listed = partial_dual_subsets(theta, dual)
+    coded.clear()
+    res = move_related(theta, dual, subsets=listed)
+    # theta itself, for the trace; the dual's code is the target's
+    assert len(coded) == 1 and res.coded == 1
+    assert _fields(res) == _fields(move_related_by_node_views(theta, dual))
+    nested = fixtures["nested"]
+    with pytest.raises(InvariantViolation, match="listed subset"):
+        move_related(nested, partial_dual(nested, {"a"}), subsets=[{"b"}, set()])
 
 
 def test_search_names_no_graph(monkeypatch):
-    # a search reads each node's steps off the view it coded, so it names
-    # no partial dual; those steps are the steps of the named partial dual,
-    # read from the view its names translate into
+    # a search codes partial duals from their views, and a splits search
+    # reads each node's steps off its view, so it names no partial dual;
+    # a view's steps are the steps of the named partial dual, read from the
+    # view its names translate into
     import ribbongraph.duality as duality
     import ribbongraph.moves as moves
     from ribbongraph.core import _Indexed
@@ -293,3 +382,30 @@ def test_large_search_is_refused():
     with pytest.raises(RibbonGraphError, match="move search over 21 edges"):
         move_related(g, h)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_oversized_pair_is_refused_before_coding(coded):
+    # a 600-edge cycle and its dual (two vertices, 600 parallel edges) have
+    # different vertex degrees, so they cannot be equivalent: the search is
+    # refused before either graph is coded, which would take seconds
+    import time
+
+    from ribbongraph import RibbonGraphError
+
+    def cycle(n):
+        return build_graph(
+            [(f"v{i}", [f"e{i}.1", f"e{(i + 1) % n}.2"]) for i in range(n)],
+            {f"e{i}": "+" for i in range(n)},
+        )
+
+    g = cycle(600)
+    h = geometric_dual(g)
+    t0 = time.perf_counter()
+    with pytest.raises(RibbonGraphError, match="move search over 600 edges"):
+        move_related(g, h)
+    assert time.perf_counter() - t0 < 1.0 and coded == []
+    # an oversized pair that may be equivalent is coded, and an equivalent
+    # one keeps its empty trace
+    g = cycle(24)
+    res = move_related(g, g.reordered(tuple(reversed(g.vertex_names))))
+    assert res.found and len(res.trace) == 0 and len(coded) == 2

@@ -179,3 +179,14 @@ def test_component_pass_matches_oracles_on_corpus(corpus3):
         u = disjoint_union(g1, small[-1], build_graph({"x": []}, {}))
         assert surface_stats(u) == surface_stats_by_walks(u)
         assert connected_components(u) == components_by_names(u)
+
+
+def test_euler_genus_from_the_walk_count(corpus5, with_bare_vertices):
+    # 2k - v + e - f from the walk count alone equals the genus of the
+    # surface statistics, on connected graphs, bare vertices and unions
+    small = [g for g in corpus5.graphs if g.n_edges <= 2]
+    unions = [disjoint_union(g1, g2) for g1 in small for g2 in small]
+    graphs = corpus5.graphs + [with_bare_vertices, build_graph({}, {})] + unions
+    for g in graphs:
+        assert euler_genus(g) == surface_stats(g).euler_genus, g
+    assert len(graphs) > 5000

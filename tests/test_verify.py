@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from ribbongraph import surface_stats
@@ -315,3 +317,23 @@ def test_dual_route_agreement_sees_a_label_swap(corpus3, monkeypatch):
     assert report.results[0].failures[0]["property"] == "construction agreement"
     graph = corpus3.by_edges(3)[-1]
     assert is_equivalent(swapping(graph, {"e1"}), honest(graph, {"e1"}))
+
+
+def test_search_route_agreement_runs_over_the_corpus_only(corpus3, monkeypatch):
+    # a corpus check, so the per-graph battery does not pay for it, and it
+    # sees a search that reports one class too few
+    import ribbongraph.verify as verify
+
+    assert "search-route-agreement" in verify.CORPUS_CHECKS
+    assert "search-route-agreement" in verify.ALL_CHECKS
+    assert "search-route-agreement" not in verify.PER_GRAPH_CHECKS
+    report = check_suite(corpus3, which=["search-route-agreement"])
+    assert report.ok and report.results[0].checked > 500
+    original = verify.move_related
+
+    def short(g, h, **kw):
+        res = original(g, h, **kw)
+        return res if res.found else dataclasses.replace(res, reached=res.reached - 1)
+
+    monkeypatch.setattr(verify, "move_related", short)
+    assert not check_suite(corpus3, which=["search-route-agreement"]).ok
