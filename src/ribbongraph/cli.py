@@ -25,6 +25,7 @@ from .duality import (
     geometric_dual,
     partial_dual,
     partial_dual_subsets,
+    refuse_large_sweep,
     spectrum_rows,
 )
 from .moves import move_related
@@ -85,7 +86,9 @@ def cmd_spectrum(args) -> int:
         else:
             print(io_text.polynomial_text(poly))
         return 0
-    rows = spectrum_rows(g, genus=args.genus, classes=args.classes, force=args.force)
+    if not args.force:
+        refuse_large_sweep(g, "spectrum", "; pass --force to run anyway")
+    rows = spectrum_rows(g, genus=args.genus, classes=args.classes, force=True)
     (io_text.write_spectrum_json if args.json else io_text.write_spectrum_text)(rows)
     return 0
 

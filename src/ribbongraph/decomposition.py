@@ -25,17 +25,18 @@ boundary count ``f_C`` and its Euler genus ``2 - v_C + e_C - f_C``, which
 gives the genus of each prime factor too.
 
 Every join question reads one memo of the integer view, the factor tree
-(:func:`_factor_tree`), so the move search's ``splits`` steps are read off
-a partial dual's view with no named graph; its ``unions`` steps are the
-connected unions (:func:`_connected_unions`) of the start graph's factors.
-One depth-first pass finds the blocks (Tarjan, SIAM J. Comput. 1, 1972),
-and one stack scan per vertex merges the blocks whose ends interleave in
-its rotation; the merged classes are the prime factors.  Factors and joints, the vertices met by two or more factors,
+(:func:`_factor_tree`).  One depth-first pass finds the blocks (Tarjan,
+SIAM J. Comput. 1, 1972), and one stack scan per vertex merges the blocks
+whose ends interleave in its rotation; the merged classes are the prime
+factors.  Factors and joints, the vertices met by two or more factors,
 form a tree.  The join splits at a joint are the cyclic arcs of its
-rotation that hold every end of each factor they touch, with everything
-behind those factors, and the summand sets are the connected sets of
-factors of the tree, listed by extension.  Factors, summand sets and
-join-split sides are edge masks, and the move search reads them as such.
+rotation that hold every end of each factor they touch
+(:func:`_whole_arcs`), with everything behind those factors
+(:func:`_behind`); the move search reads the splits of every partial dual
+it meets through the same two routines, from the rotations of one walk
+pass.  The summand sets are the connected sets of factors of the tree,
+listed by extension.  Factors, summand sets and join-split sides are edge
+masks, and the move search reads them as such.
 The routes they replaced are ``verify`` oracles: the join splits from
 trying every arc of every rotation (``join_splits_by_arcs``), side
 components from built induced subgraphs
@@ -45,6 +46,7 @@ union-find over vertex names (``incidence_tree_by_union_find``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -384,8 +386,9 @@ class _FactorTree(NamedTuple):
     ``masks`` are the factors' edge masks over every component, in the
     order of their sorted labels, and ``factor_of`` the factor of every
     edge.  ``joints`` lists each joint's vertex index with its factors,
-    ascending.  ``behind[(v, i)]`` is the edge mask of factor ``i`` and of
-    every factor reached from it in the tree without passing joint ``v``.
+    ascending.  ``behind[(j, i)]`` is the edge mask of factor ``i`` and of
+    every factor reached from it in the tree without passing joint ``j``
+    (:func:`_behind`).
     """
 
     masks: tuple[int, ...]
@@ -456,32 +459,43 @@ def _factor_tree(idx: _Indexed) -> _FactorTree:
         if len(at) > 1:
             joints.append((v, tuple(at)))
 
-    # root each tree at a factor: a factor's branch behind the joint above
-    # it is its subtree, and behind a joint below it the rest of its
-    # component
+    behind = _behind(masks, [at for _, at in joints])
+    return _FactorTree(tuple(masks), tuple(factor_of), tuple(joints), behind)
+
+
+def _behind(masks: Sequence[int], joints: Sequence[Sequence[int]]) -> dict[tuple[int, int], int]:
+    """The branch behind every factor at every joint of the forest that the
+    factors ``masks`` form with ``joints``, each joint given by its
+    factors: ``behind[(j, i)]`` is the edge mask of factor ``i`` and of
+    every factor reached from it without passing joint ``j``.
+
+    Each tree is rooted at a factor.  A factor's branch behind the joint
+    above it is its subtree, and behind a joint below it the rest of its
+    tree, the root's subtree less the subtrees hung from that joint.
+    """
     at_joints: list[list[int]] = [[] for _ in masks]
-    for j, (_, at) in enumerate(joints):
+    for j, at in enumerate(joints):
         for i in at:
             at_joints[i].append(j)
     up = [-1] * len(masks)  # the joint above each factor
     top = [-1] * len(joints)  # the factor above each joint
-    placed = [False] * len(masks)
+    root = [-1] * len(masks)  # the root of each factor's tree
     order = []
-    for root in range(len(masks)):
-        if placed[root]:
+    for r in range(len(masks)):
+        if root[r] >= 0:
             continue
-        placed[root] = True
-        stack = [root]
+        root[r] = r
+        stack = [r]
         while stack:
             i = stack.pop()
             order.append(i)
             for j in at_joints[i]:
                 if j != up[i]:
                     top[j] = i
-                    for k in joints[j][1]:
+                    for k in joints[j]:
                         if k != i:
                             up[k] = j
-                            placed[k] = True
+                            root[k] = r
                             stack.append(k)
     below = list(masks)  # each factor's subtree
     hung = [0] * len(joints)  # each joint's subtrees
@@ -490,12 +504,37 @@ def _factor_tree(idx: _Indexed) -> _FactorTree:
         if j >= 0:
             hung[j] |= below[i]
             below[top[j]] |= below[i]
-    behind: dict[tuple[int, int], int] = {}
-    for j, (v, at) in enumerate(joints):
-        component = idx.components[idx.component_of[v]][1]
-        for i in at:
-            behind[v, i] = below[i] if up[i] == j else component & ~hung[j]
-    return _FactorTree(tuple(masks), tuple(factor_of), tuple(joints), behind)
+    return {
+        (j, i): below[i] if up[i] == j else below[root[i]] & ~hung[j]
+        for j, at in enumerate(joints)
+        for i in at
+    }
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _whole_arcs(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """The cyclic arcs of the factor sequence ``seq`` around a joint, the
+    whole circle aside, that hold every end of each factor they touch, as
+    bitmasks of the factors they hold, each once.  Kept per sequence: the
+    move search meets the same joints at many nodes."""
+    n = len(seq)
+    ends = Counter(seq)
+    out = []
+    for start in range(n):
+        inside: dict[int, int] = {}
+        cut = 0  # factors with some but not all of their ends in the arc
+        held = 0
+        for k in range(start, start + n - 1):
+            i = seq[k % n]
+            c = inside[i] = inside.get(i, 0) + 1
+            if c == 1:
+                held |= 1 << i
+                cut += ends[i] > 1
+            elif c == ends[i]:
+                cut -= 1
+            if not cut:
+                out.append(held)
+    return tuple(out)
 
 
 def _join_splits(idx: _Indexed) -> Iterator[tuple[int, int]]:
@@ -504,28 +543,16 @@ def _join_splits(idx: _Indexed) -> Iterator[tuple[int, int]]:
 
     A split at ``v`` keeps each factor, with everything behind it, on one
     side, so ``v`` is a joint.  Its sides are the cyclic arcs of the
-    rotation at ``v`` that hold every end of each factor they touch, with
-    the branches behind those factors.
+    rotation at ``v`` that hold every end of each factor they touch
+    (:func:`_whole_arcs`), with the branches behind those factors.
     """
     tree = _factor_tree(idx)
-    for v, _ in tree.joints:
-        seq = [tree.factor_of[d >> 1] for d in idx.rot[v]]
-        n = len(seq)
-        ends = Counter(seq)
-        for start in range(n):
-            inside: dict[int, int] = {}
-            cut = 0  # factors with some but not all of their ends in the arc
+    for j, (v, _) in enumerate(tree.joints):
+        for held in _whole_arcs(tuple(tree.factor_of[d >> 1] for d in idx.rot[v])):
             x = 0
-            for k in range(start, start + n - 1):
-                i = seq[k % n]
-                c = inside[i] = inside.get(i, 0) + 1
-                if c == 1:
-                    x |= tree.behind[(v, i)]
-                    cut += ends[i] > 1
-                elif c == ends[i]:
-                    cut -= 1
-                if not cut:
-                    yield v, x
+            for i in _bits(held):
+                x |= tree.behind[j, i]
+            yield v, x
 
 
 def join_summand_splits(g: RibbonGraph) -> list[tuple[str, frozenset]]:
@@ -594,26 +621,19 @@ def prime_factorization(g: RibbonGraph) -> JoinTree:
 def _summand_masks(idx: _Indexed) -> tuple[int, ...]:
     """Edge masks of the connected unions of prime factors of the graph of
     ``idx``, the whole edge set included, by size and then in the order of
-    their sorted labels: the factors adjacent at the joints of the factor
-    tree, read by :func:`_connected_unions`."""
+    their sorted labels.
+
+    Two factors are adjacent when they meet at a joint of the factor tree,
+    and a union of factors is connected exactly when its factors are;
+    every connected set grows from a smaller one by an adjacent factor, so
+    the sets are listed by extension, each once.
+    """
     masks = _factor_masks(idx)
     adjacent = [0] * len(masks)
     for _, at in _factor_tree(idx).joints:
         near = sum(1 << i for i in at)
         for i in at:
             adjacent[i] |= near
-    return _connected_unions(masks, adjacent)
-
-
-def _connected_unions(masks: Sequence[int], adjacent: Sequence[int]) -> tuple[int, ...]:
-    """Edge masks of the connected unions of the factors ``masks``, by size
-    and then in the order of their sorted labels, where bit ``j`` of
-    ``adjacent[i]`` is set when factors ``i`` and ``j`` share a vertex.
-
-    A union of factors is connected exactly when its factors are; every
-    connected set grows from a smaller one by an adjacent factor, so the
-    sets are listed by extension, each once.
-    """
     found = {1 << i for i in range(len(masks))}
     grow = list(found)
     while grow:

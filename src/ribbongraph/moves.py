@@ -8,19 +8,22 @@ and one.
 Every graph a move sequence reaches from ``G`` is a partial dual ``G^A``,
 because ``(G^A)^X = G^(A△X)`` with the edge labels kept.  So
 :func:`move_related` searches breadth-first over edge subsets ``A`` of
-``G``: the steps from ``G^A`` lead to ``A△X`` for every summand edge set
-``X`` of ``G^A`` and to ``A△E`` for the geometric dual.  Nodes are
-classes, one per canonical code, so a search holds at most ``2^e`` nodes.
+``G``: the steps from ``G^A`` lead to ``A△X`` for every side ``X`` of a
+two-sided join split of ``G^A``, each one move, and to ``A△E`` for the
+geometric dual.  Nodes are classes, one per canonical code, so a search
+holds at most ``2^e`` nodes.
 
 The search derives each node from ``G``'s own data.  Since
-``(X ∨ Y)* = X* ∨ Y*``, a prime factor's dual is prime, so every node of a
-``unions`` search is a union of ``G``'s prime factors and has ``G``'s
-factor masks as its own.  Two factors are adjacent in ``G^A`` when they
-meet on one boundary walk of ``A``, a vertex of ``G^A``, so a node's
-steps, the connected unions of the factors, take one walk pass and no
-view of the node (:func:`_factor_adjacency`); the union list is kept per
-adjacency pattern for the search.  A ``splits`` step reads the join
-splits off the node's integer view (``duality._dual_view``).
+``(X ∨ Y)* = X* ∨ Y*``, a prime factor's dual is prime, so every node is a
+union of ``G``'s prime factors and has ``G``'s factor masks as its own.
+The vertices of ``G^A`` are the boundary walks of ``A``, and a walk's
+factors, in the order it meets them, are that vertex's rotation read as
+factor indices; its joints are the walks that meet two factors or more.
+So one walk pass gives a node's factor tree, and its split sides are the
+arcs of each joint that hold whole factors, with the branches behind
+them, read by the routines that give ``G``'s own splits
+(``decomposition._whole_arcs`` and ``decomposition._behind``), with no
+view of the node (:func:`_node_steps`).
 
 A subset is coded only when it must be.  Its walk lengths and those of
 its complement are the vertex degrees and face lengths of ``G^A``
@@ -29,24 +32,26 @@ holds is a new class with no code; one that shares them with a node is
 coded, and so is that node, once.  ``H`` is recognised by the same key
 and a code, or by subset when the caller passes the subsets ``A`` with
 ``G^A`` equivalent to ``H``; the trace's nodes are coded at the end.  No
-graph is named.  The search it replaced, a view and a code for every
-subset met, is the ``verify`` oracle ``move_related_by_node_views``.
+graph is named.  The search that reads each node's splits off its own
+view and codes every subset met is the ``verify`` oracle
+``move_related_by_node_views``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .core import InvariantViolation, RibbonGraph, _bits, _Indexed, canonical_form
 from .core import induced_subgraph, is_equivalent
 from .decomposition import (
     NotAJoinSummand,
-    _connected_unions,
+    _behind,
     _factor_tree,
+    _FactorTree,
     _split_sides,
-    _summand_masks,
+    _whole_arcs,
     is_connected,
     join_summand_splits,
 )
@@ -72,13 +77,8 @@ class MoveTrace:
         return len(self.steps)
 
     def replay(self, g: RibbonGraph) -> RibbonGraph:
-        # steps recorded under a shortcut policy may bundle several
-        # elementary moves, so replay applies the recorded duals directly
-        for step in self.steps:
-            if step.kind == "geometric-dual":
-                g = geometric_dual(g)
-            else:
-                g = partial_dual(g, step.edges)
+        for step in self.steps:  # the geometric dual's edges are all edges
+            g = partial_dual(g, step.edges)
         return g
 
 
@@ -145,72 +145,58 @@ def dual_join_summand_move(g: RibbonGraph, factor: Iterable[str]) -> RibbonGraph
     return result
 
 
-def _step_sets(idx: _Indexed, policy: str) -> list[int]:
-    """The edge masks a search step from the graph of ``idx`` may dual, in
-    label order.
-
-    ``splits`` duals one side of a two-sided join split (each step is a
-    single legal move).  ``unions`` duals any connected union of prime
-    factors; a step may be a shortcut for a short sequence of legal moves,
-    never leaving the set of partial duals, and reaches the same graphs.
-    The whole edge set is left to the geometric-dual step.  A partial dual
-    keeps its edge labels, so its masks are masks of every graph it is a
-    partial dual of.
-    """
-    if policy == "unions":
-        masks = _summand_masks(idx)
-    elif policy == "splits":
-        masks = _split_sides(idx)
-    else:
-        raise ValueError(f"unknown move policy {policy!r}")
-    full = (1 << idx.ne) - 1
-    return [m for m in masks if m != full]
-
-
-def _factor_adjacency(idx: _Indexed, mask: int, factor_of: Sequence[int], k: int) -> list[int]:
-    """Which of the ``k`` prime factors of the graph of ``idx`` share a
-    vertex of its partial dual on ``mask``: bit ``j`` of entry ``i`` is set
-    when factors ``i`` and ``j`` do, ``factor_of`` giving each edge's
-    factor.
+def _node_steps(idx: _Indexed, tree: _FactorTree, node: int) -> list[int]:
+    """The sides of the join splits of the partial dual on ``node``, a
+    union of the prime factors ``tree`` of the graph of ``idx``, as edge
+    masks in the order of their sorted labels: the steps a search may take
+    from that node, each one move.
 
     The vertices of the partial dual are the boundary walks of the
-    spanning subgraph on ``mask`` (:meth:`core._Indexed.walk_lengths`), and
-    a walk is a vertex of every edge whose band side or free arc it
-    crosses, so one walk pass finds the factors each vertex meets.
+    spanning subgraph on ``node`` (:meth:`core._Indexed.walk_lengths`), and
+    a walk crosses one band side or free arc per edge end of its vertex,
+    in rotation order (as ``duality._dual_view`` reads them); so one walk
+    pass reads every rotation as a sequence of factors.
     """
     corner, band, arc = idx._endpoint_pairings()
+    factor_of = tree.factor_of
     seen = bytearray(4 * idx.ne)
-    adjacent = [0] * k
+    joints = []
     for start in range(1, 4 * idx.ne, 2):
         if seen[start]:
             continue
         p = start
-        met = 0
+        seq = []
         while not seen[p]:
             q = corner[p]
             seen[p] = seen[q] = 1
-            met |= 1 << factor_of[q >> 2]
-            p = band[q] if mask >> (q >> 2) & 1 else arc[q]
-        if met & (met - 1):  # a joint: two factors or more meet here
-            for i in _bits(met):
-                adjacent[i] |= met
-    return adjacent
+            seq.append(factor_of[q >> 2])
+            p = band[q] if node >> (q >> 2) & 1 else arc[q]
+        if min(seq) != max(seq):  # a joint: two factors or more meet here
+            joints.append(tuple(seq))
+    behind = _behind(tree.masks, [set(seq) for seq in joints])
+    sides = set()
+    for j, seq in enumerate(joints):
+        for held in _whole_arcs(seq):
+            x = 0
+            for i in _bits(held):
+                x |= behind[j, i]
+            sides.add(x)
+    return sorted(sides, key=_bits)
 
 
 def move_related(
     g: RibbonGraph,
     h: RibbonGraph,
     bound: int = 8,
-    policy: str = "unions",
     subsets: Optional[Iterable[Iterable[str]]] = None,
 ) -> MoveSearchResult:
     """Shortest move sequence taking ``g`` to a graph equivalent to ``h``.
 
     Breadth-first over the edge subsets ``A`` of ``g``, one node per
-    class: the steps from ``G^A`` are the summand duals and the geometric
-    dual, each leading to ``G^(A△X)``.  ``closed`` reports whether the
-    search saw its whole reachable set before hitting the depth bound, so
-    a missing trace is a proof of unrelatedness only when ``closed`` is
+    class: the steps from ``G^A`` are the duals of the sides ``X`` of its
+    join splits and the geometric dual, each one move leading to
+    ``G^(A△X)``.  ``closed`` reports whether the search saw its whole
+    reachable set before hitting the depth bound, so a missing trace is a proof of unrelatedness only when ``closed`` is
     true.  Moves keep the edge count, so graphs with different edge counts
     are unrelated without a search.  A search that would range over the
     subsets of more than ``duality.SWEEP_MAX_EDGES`` edges is refused; a
@@ -226,8 +212,6 @@ def move_related(
     """
     if bound < 0:
         raise ValueError(f"move search depth bound must be at least 0, not {bound}")
-    if policy not in ("unions", "splits"):
-        raise ValueError(f"unknown move policy {policy!r}")
     if not is_connected(g) or not is_connected(h):
         raise ValueError("move search requires connected graphs")
     if g.n_edges != h.n_edges:
@@ -275,9 +259,7 @@ def move_related(
     if is_target(0, start):
         return MoveSearchResult(MoveTrace((), (code(0),)), True, 0, 0, 1, 1)
     refuse_large_sweep(g, "move search")
-    if policy == "unions":
-        tree = _factor_tree(idx)
-        unions: dict[tuple, list[int]] = {}  # factor adjacency -> step masks
+    tree = _factor_tree(idx)
     nodes = [0]  # the first subset met of every class reached
     came = [(-1, 0)]  # per node, the node it was reached from and the flipped mask
     by_key = {start: [0]}  # nodes by the degrees and face lengths of their class
@@ -293,16 +275,7 @@ def move_related(
             continue
         expanded += 1
         node = nodes[n]
-        if policy == "unions":
-            adjacent = tuple(_factor_adjacency(idx, node, tree.factor_of, len(tree.masks)))
-            steps = unions.get(adjacent)
-            if steps is None:
-                steps = unions[adjacent] = [
-                    m for m in _connected_unions(tree.masks, adjacent) if m != full
-                ]
-        else:
-            steps = _step_sets(_dual_view(g, node) if node else idx, policy)
-        for flip in steps + [full]:
+        for flip in _node_steps(idx, tree, node) + [full]:
             mask = node ^ flip
             if mask in met:
                 continue  # its class is known already

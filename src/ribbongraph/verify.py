@@ -30,11 +30,14 @@ of that kind instead of using the uniqueness of the prime factorization.
 The partial-dual subsets of a pair come from building and coding every
 subset (:func:`partial_dual_subsets_by_codes`), and the move closure from
 a search over built graphs (:func:`_move_closure`), where the library
-keys its search by edge subset.  The library's search reads its steps off
-the start graph's factors and codes a subset only when its vertex degrees
-and face lengths are another node's; the search it replaced, a view and a
-code for every subset met (:func:`move_related_by_node_views`), must give
-the same answers (``search-route-agreement``).  The spectrum's classes, which the library
+keys its search by edge subset; a closure under the connected unions of
+prime factors, steps that may bundle several moves, is kept beside it.
+The library's search reads every node's join splits off the start
+graph's factors and codes a subset only when its vertex degrees and face
+lengths are another node's; the search it replaced, a view and a code for
+every subset met (:func:`move_related_by_node_views`), must give the same
+answers, and every step of a trace must be one move
+(``search-route-agreement``).  The spectrum's classes, which the library
 reads from one table per prime factor, are checked against the
 whole-graph certificate of every subset, and the walk counts summed from
 those tables and the walk lengths that ``relate`` filters by against the
@@ -118,6 +121,8 @@ from .decomposition import (
     BiseparationClass,
     _factor_tree,
     _join_splits,
+    _split_sides,
+    _summand_masks,
     _toggle_search,
     all_interleave_patterns,
     biseparation_data,
@@ -140,7 +145,7 @@ from .duality import (
     spectrum_rows,
     subsets_sorted,
 )
-from .moves import MoveSearchResult, MoveStep, MoveTrace, _step_sets, move_related
+from .moves import MoveSearchResult, MoveStep, MoveTrace, binary_summand_sets, move_related
 from .topology import (
     SurfaceStats,
     boundary_components,
@@ -1018,16 +1023,15 @@ def partial_dual_subsets_by_codes(g: RibbonGraph, h: RibbonGraph) -> list[frozen
     ]
 
 
-def move_related_by_node_views(
-    g: RibbonGraph, h: RibbonGraph, bound: int = 8, policy: str = "unions"
-) -> MoveSearchResult:
+def move_related_by_node_views(g: RibbonGraph, h: RibbonGraph, bound: int = 8) -> MoveSearchResult:
     """:func:`moves.move_related` by the search it replaced, which builds
     the integer view of every subset it meets (:func:`duality._dual_view`)
     and codes it, keys its nodes by canonical code and reads each node's
-    steps off its own view (:func:`moves._step_sets`).  Oracle for the
-    search that reads its ``unions`` steps off the start graph's factors
-    and codes a subset only when its vertex degrees and face lengths are
-    another node's or the target's; ``coded`` counts every subset met."""
+    split sides off its own view's factor tree
+    (:func:`decomposition._split_sides`).  Oracle for the search that
+    reads every node's splits off the start graph's factors and codes a
+    subset only when its vertex degrees and face lengths are another
+    node's or the target's; ``coded`` counts every subset met."""
     if bound < 0:
         raise ValueError(f"move search depth bound must be at least 0, not {bound}")
     if not is_connected(g) or not is_connected(h):
@@ -1056,7 +1060,7 @@ def move_related_by_node_views(
             closed = False
             continue
         expanded += 1
-        for flip in _step_sets(view, policy) + [full]:
+        for flip in _split_sides(view) + (full,):
             mask = node ^ flip
             if mask in coded:
                 continue  # its code is in seen already
@@ -1722,17 +1726,21 @@ def _check_representation_roundtrip(res: CheckResult, ana: _Analysis) -> None:
 
 
 def _neighbours(g: RibbonGraph, policy: str) -> list[RibbonGraph]:
-    """Every graph one search step takes ``g`` to, built from ``g`` itself:
-    the summand duals of the policy's step sets, then the geometric dual.
-    The move search reaches the same graphs as partial duals of its start
-    graph, keyed by edge subset."""
+    """Every graph one step takes ``g`` to, built from ``g`` itself: the
+    duals of the sides of its join splits (``splits``, the moves of the
+    move search) or of its connected unions of prime factors (``unions``,
+    which may bundle several moves into one step), then the geometric
+    dual.  The move search reaches the same graphs as partial duals of its
+    start graph, keyed by edge subset."""
     idx = g._indexed()
-    return [partial_dual(g, idx.edge_set(m)) for m in _step_sets(idx, policy)] + [geometric_dual(g)]
+    full = (1 << idx.ne) - 1
+    masks = _split_sides(idx) if policy == "splits" else _summand_masks(idx)
+    return [partial_dual(g, idx.edge_set(m)) for m in masks if m != full] + [geometric_dual(g)]
 
 
 def _move_closure(g: RibbonGraph, bound: int, policy: str) -> dict[str, int]:
-    """Canonical codes reachable by search moves, with their depths, by a
-    breadth-first search over built graphs."""
+    """Canonical codes reachable by ``policy``'s steps (:func:`_neighbours`),
+    with their depths, by a breadth-first search over built graphs."""
     depth = {g.canonical_code(): 0}
     frontier = [g]
     while frontier:
@@ -1762,7 +1770,9 @@ def _check_move_completeness(res: CheckResult, ana: _Analysis, bound: int = 8) -
         if ana.dual_stats[sub].euler_genus == gamma
     }
     res.checked += len(targets)
-    for policy, note in (("unions", "max_depth"), ("splits", "split_policy_depth")):
+    # max_depth is the closure depth under single moves, the steps that
+    # relate searches by
+    for policy, note in (("splits", "max_depth"), ("unions", "unions_depth")):
         depth = _move_closure(g, bound, policy)
         missing = targets - set(depth)
         for code in sorted(missing):
@@ -1991,14 +2001,27 @@ def _search_fields(res: MoveSearchResult) -> tuple:
     return res.trace, res.closed, res.max_depth, res.expanded, res.reached
 
 
+def _illegal_steps(g: RibbonGraph, trace: MoveTrace) -> list[MoveStep]:
+    """The summand steps of ``trace`` that are not one move: replayed from
+    ``g``, each must dual one side of a join split of the graph it acts on
+    (:func:`moves.binary_summand_sets`)."""
+    bad = []
+    for step in trace.steps:  # the geometric dual's edges are all edges
+        if step.kind == "dual-join-summand" and step.edges not in binary_summand_sets(g):
+            bad.append(step)
+        g = partial_dual(g, step.edges)
+    return bad
+
+
 def _check_search_routes(res: CheckResult, corpus: Corpus) -> None:
     """The move search (:func:`moves.move_related`) answers as the search
     over node views (:func:`move_related_by_node_views`): trace, closure,
-    depth, nodes expanded and classes reached, under both policies, with
-    and without the listed subsets of :func:`duality.partial_dual_subsets`.
-    The pairs are every connected corpus graph of Euler genus 0 or 1
-    against each of its distinct same-genus partial duals and against the
-    first corpus graph of its genus and edge count that is none of them."""
+    depth, nodes expanded and classes reached, with and without the listed
+    subsets of :func:`duality.partial_dual_subsets`, and every summand step
+    of a trace found is one move (:func:`_illegal_steps`).  The pairs are
+    every connected corpus graph of Euler genus 0 or 1 against each of its
+    distinct same-genus partial duals and against the first corpus graph
+    of its genus and edge count that is none of them."""
     low = [g for g in corpus.graphs if is_connected(g) and euler_genus(g) <= 1]
     alike: dict[tuple[int, int], list[RibbonGraph]] = {}
     for g in low:
@@ -2015,15 +2038,20 @@ def _check_search_routes(res: CheckResult, corpus: Corpus) -> None:
         ), 1)
         for h in pairs:
             listed = partial_dual_subsets(g, h)
-            for policy in ("unions", "splits"):
-                want = _search_fields(move_related_by_node_views(g, h, policy=policy))
-                for subsets in (None, listed):
-                    res.checked += 1
-                    got = move_related(g, h, policy=policy, subsets=subsets)
-                    if _search_fields(got) != want:
-                        res.fail(graph=_serial(g), target=_serial(h), policy=policy,
-                                 listed=subsets is not None,
-                                 property="move search vs the search over node views")
+            want = _search_fields(move_related_by_node_views(g, h))
+            for subsets in (None, listed):
+                res.checked += 1
+                got = move_related(g, h, subsets=subsets)
+                if _search_fields(got) != want:
+                    res.fail(graph=_serial(g), target=_serial(h), listed=subsets is not None,
+                             property="move search vs the search over node views")
+            if got.found:
+                res.notes["summand_steps"] = res.notes.get("summand_steps", 0) + sum(
+                    step.kind == "dual-join-summand" for step in got.trace.steps
+                )
+                for step in _illegal_steps(g, got.trace):
+                    res.fail(graph=_serial(g), target=_serial(h), step=sorted(step.edges),
+                             property="every summand step duals one side of a join split")
 
 
 PER_GRAPH_CHECKS: dict[str, Callable] = {

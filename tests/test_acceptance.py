@@ -168,11 +168,14 @@ def test_criterion_08_same_genus_and_moves(sweep):
              "join-dual-distribution", "move-completeness"]
     results = [_result(sweep, n) for n in names]
     moves = _result(sweep, "move-completeness")
+    # the closure depth under single moves, the steps relate searches by,
+    # must fit relate's default --max-depth of 8
     depth = moves.notes.get("max_depth", 0)
     ok = all(r.ok and r.checked > 0 for r in results) and depth <= 8
     total = sum(r.checked for r in results)
     _verdict(8, "same-genus pairs, join structure and move search", ok,
-             f" ({total} checks, max move depth {depth})")
+             f" ({total} checks, max move depth {depth}, "
+             f"unions closure depth {moves.notes.get('unions_depth')})")
 
 
 @pytest.mark.slow

@@ -391,6 +391,18 @@ def test_cli_sweeps_refuse_large_graphs(tmp_path, capsys):
         assert err.startswith("error: ") and "2^21 subsets" in err, err
 
 
+def test_cli_spectrum_refusal_names_the_flag(tmp_path, capsys):
+    # the CLI's way to insist is --force; the library's is force=True
+    path = tmp_path / "path17.txt"
+    path.write_text(serialize_graph(_path_graph(17)))
+    for form in ([], ["--json"]):
+        assert main(["spectrum", str(path)] + form) == 2
+        assert capsys.readouterr().err == (
+            "error: spectrum over 17 edges means 2^17 subsets, above the limit of "
+            "16 edges; pass --force to run anyway\n"
+        )
+
+
 def test_cli_verify_refuses_large_graphs(capsys):
     # one random 24-edge graph: 2^24 subsets per graph for the per-graph checks
     import time
@@ -664,7 +676,8 @@ def test_cli_parser_is_built_once_and_keeps_no_arguments(files, tmp_path, capsys
     assert main(["spectrum", files["t1"]]) == 0
     assert capsys.readouterr().out.count("\n") == 4
     # the move search from the path P4 to its partial dual on {e0,e2}
-    # needs two moves: a depth bound of 1 must not stick
+    # needs three moves, as {e2} is no side of a join split after {e0}:
+    # a depth bound of 1 must not stick
     g = _path_graph(4)
     f, h = tmp_path / "p4.txt", tmp_path / "p4_dual.txt"
     f.write_text(serialize_graph(g))
@@ -673,7 +686,11 @@ def test_cli_parser_is_built_once_and_keeps_no_arguments(files, tmp_path, capsys
     assert "move sequence: none (depth bound hit)" in capsys.readouterr().out
     assert main(["relate", str(f), str(h)]) == 0
     out = capsys.readouterr().out
-    assert "step 2: dual-join-summand on {e2}" in out
+    assert out.endswith(
+        "  step 1: dual-join-summand on {e0}\n"
+        "  step 2: dual-join-summand on {e0,e1}\n"
+        "  step 3: dual-join-summand on {e0,e1,e2}\n"
+    )
     # a usage error leaves nothing behind for the next call
     assert main(["spectrum", files["t1"], "--genus", "two"]) == 2
     assert "invalid int value" in capsys.readouterr().err

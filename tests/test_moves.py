@@ -3,6 +3,8 @@ import pytest
 from ribbongraph import (
     InvariantViolation,
     MoveSearchResult,
+    MoveStep,
+    MoveTrace,
     NotAJoinSummand,
     build_graph,
     dual_join_summand_move,
@@ -96,15 +98,37 @@ def test_related_all_plane_pairs(corpus3):
             assert len(res.trace) <= 8
 
 
-def test_move_policies_reach_the_same_targets(fixtures):
-    triple = single_vertex("a a b b c c", "++-")
-    target = partial_dual(triple, {"a", "b"})
-    by_unions = move_related(triple, target, policy="unions")
-    by_splits = move_related(triple, target, policy="splits")
-    assert by_unions.found and by_splits.found
-    assert len(by_unions.trace) <= len(by_splits.trace)
-    with pytest.raises(ValueError, match="policy"):
-        move_related(triple, target, policy="nonsense")
+def test_search_steps_are_single_moves(corpus4):
+    # a search steps by one move at a time: every summand step of a trace
+    # duals one side of a join split of the graph it acts on, over every
+    # genus-<=1 graph of generate(4) against each of its same-genus
+    # partial duals
+    from ribbongraph.verify import _illegal_steps
+
+    # the loop l is a prime factor but no side of a split (see below), so
+    # its dual takes two moves
+    g = build_graph(
+        {"u": ["x.1"], "v": ["x.2", "l.1", "y.1", "l.2"], "w": ["y.2"]},
+        {"x": "+", "y": "+", "l": "+"},
+    )
+    res = move_related(g, partial_dual(g, {"l"}))
+    assert [sorted(s.edges) for s in res.trace.steps] == [["l", "x"], ["x"]]
+    assert _illegal_steps(g, res.trace) == []
+    shortcut = MoveTrace((MoveStep("dual-join-summand", frozenset({"l"})),), ())
+    assert _illegal_steps(g, shortcut) == list(shortcut.steps)
+    steps = 0
+    for g in corpus4.graphs:
+        gamma = euler_genus(g)
+        if gamma > 1:
+            continue
+        for sub in subsets_sorted(g.edge_labels):
+            h = partial_dual(g, sub)
+            if euler_genus(h) != gamma:
+                continue
+            res = move_related(g, h)
+            assert res.found and _illegal_steps(g, res.trace) == [], (g, sub)
+            steps += sum(s.kind == "dual-join-summand" for s in res.trace.steps)
+    assert steps > 1000
 
 
 def test_interleaved_factor_is_not_a_single_move():
@@ -129,19 +153,17 @@ def test_interleaved_factor_is_not_a_single_move():
 
 
 def test_step_masks_are_the_named_sets_in_label_order(corpus3):
-    # the search reads summand sets and split sides as edge masks; as labels
-    # they must be the named sets, in the label order its traces follow
-    from ribbongraph.decomposition import join_summand_splits, summand_edge_sets
-    from ribbongraph.moves import _step_sets, binary_summand_sets
+    # the search reads split sides as edge masks; as labels they must be
+    # the named sets, in the label order its traces follow
+    from ribbongraph.decomposition import _factor_tree, join_summand_splits
+    from ribbongraph.moves import _node_steps, binary_summand_sets
 
     for g in corpus3.graphs:
         idx = g._indexed()
-        full = frozenset(g.edge_labels)
         splits = sorted({x for _, x in join_summand_splits(g)}, key=sorted)
         assert binary_summand_sets(g) == splits
-        for policy, named in (("splits", splits), ("unions", summand_edge_sets(g))):
-            got = [idx.edge_set(m) for m in _step_sets(idx, policy)]
-            assert got == [x for x in named if x != full], (g, policy)
+        steps = _node_steps(idx, _factor_tree(idx), 0)
+        assert [idx.edge_set(m) for m in steps] == splits, g
 
 
 def test_distributivity(fixtures):
@@ -170,7 +192,7 @@ def test_relate_routes_agree_with_the_built_oracles(corpus4):
     for g in corpus4.graphs:
         if euler_genus(g) > 1:
             continue
-        closures = {p: _move_closure(g, 8, p) for p in ("unions", "splits")}
+        depth = _move_closure(g, 8, "splits")
         seen = set()
         for sub in subsets_sorted(g.edge_labels):
             h = partial_dual(g, sub)
@@ -180,16 +202,15 @@ def test_relate_routes_agree_with_the_built_oracles(corpus4):
             seen.add(code)
             pairs += 1
             assert partial_dual_subsets(g, h) == partial_dual_subsets_by_codes(g, h), (g, sub)
-            for policy, depth in closures.items():
-                res = move_related(g, h, policy=policy)
-                assert res.found == (code in depth), (g, sub, policy)
-                if res.found:
-                    assert len(res.trace) == depth[code]
-                    assert is_equivalent(res.trace.replay(g), h)
-                else:
-                    assert res.closed
-                    assert res.reached == len(depth)
-                assert res.expanded <= res.reached
+            res = move_related(g, h)
+            assert res.found == (code in depth), (g, sub)
+            if res.found:
+                assert len(res.trace) == depth[code]
+                assert is_equivalent(res.trace.replay(g), h)
+            else:
+                assert res.closed
+                assert res.reached == len(depth)
+            assert res.expanded <= res.reached
     assert pairs > 1000
 
 
@@ -225,17 +246,15 @@ def test_search_codes_each_subset_once(monkeypatch):
     for g in generate(3).graphs:
         for sub in subsets_sorted(g.edge_labels):
             h = partial_dual(g, sub)
-            for policy in ("unions", "splits"):
-                coded.clear()
-                res = move_related(g, h, policy=policy)
-                by_views = move_related_by_node_views(g, h, policy=policy)
-                if policy == "unions":
-                    assert len(set(coded)) == len(coded) and 0 not in coded, (g, sub)
-                    assert len(coded) <= res.coded <= len(coded) + 1
-                assert res.coded <= by_views.coded <= 2 ** g.n_edges
-                fewer += res.coded < by_views.coded
-                searches += 1
-                unfound += not res.found
+            coded.clear()
+            res = move_related(g, h)
+            by_views = move_related_by_node_views(g, h)
+            assert len(set(coded)) == len(coded) and 0 not in coded, (g, sub)
+            assert len(coded) <= res.coded <= len(coded) + 1
+            assert res.coded <= by_views.coded <= 2 ** g.n_edges
+            fewer += res.coded < by_views.coded
+            searches += 1
+            unfound += not res.found
     assert searches > 500 and unfound > 0 and fewer > 100
     theta = build_graph(
         {"u": ["a.1", "b.1", "c.1"], "w": ["c.2", "b.2", "a.2"]},
@@ -248,47 +267,50 @@ def test_search_codes_each_subset_once(monkeypatch):
     assert move_related(theta, geometric_dual(theta)).coded == 2
 
 
-def test_unions_steps_come_from_the_start_graphs_factors(monkeypatch, corpus4):
-    # every node of a unions search is a union of G's prime factors, and
-    # its steps, the connected unions of those factors under the adjacency
-    # of one walk pass, are the steps read off its own view
+def test_steps_come_from_the_start_graphs_factors(monkeypatch, corpus4):
+    # every node of a search is a union of G's prime factors, and its
+    # steps, read off one walk pass of the node through G's factor tree,
+    # are the split sides read off its own view
     import ribbongraph.moves as moves
-    from ribbongraph.decomposition import _connected_unions, _factor_tree
+    from ribbongraph.decomposition import _factor_tree, _split_sides
     from ribbongraph.duality import _dual_view
 
     nodes = 0
     for g in corpus4.graphs:
         idx = g._indexed()
         tree = _factor_tree(idx)
-        full = (1 << idx.ne) - 1
         for s in range(1 << len(tree.masks)):
             mask = sum(m for i, m in enumerate(tree.masks) if s >> i & 1)
-            adjacent = moves._factor_adjacency(idx, mask, tree.factor_of, len(tree.masks))
-            steps = [m for m in _connected_unions(tree.masks, adjacent) if m != full]
-            assert steps == moves._step_sets(_dual_view(g, mask), "unions"), (g, mask)
+            want = list(_split_sides(_dual_view(g, mask)))
+            assert moves._node_steps(idx, tree, mask) == want, (g, mask)
             nodes += 1
     assert nodes > 2000
 
-    # so a unions search reads the factor tree of G alone, and builds no
-    # view and lists no summand sets per expanded node
-    import ribbongraph.decomposition as decomposition
+    # so a search reads the factor tree of G alone, builds a view only to
+    # code a subset and runs no component pass per expanded node: at most
+    # one, for G, as H's connectivity is read before the search
+    from ribbongraph.core import _Indexed
 
-    trees, views, summands = [], [], []
-    for name, log in (("_factor_tree", trees), ("_summand_masks", summands)):
-        monkeypatch.setattr(moves, name, _spy(getattr(moves, name), log))
-    monkeypatch.setattr(decomposition, "_summand_masks",
-                        _spy(decomposition._summand_masks, summands))
+    trees, views, passes = [], [], []
+    monkeypatch.setattr(moves, "_factor_tree", _spy(moves._factor_tree, trees))
     monkeypatch.setattr(moves, "_dual_view", _spy(moves._dual_view, views))
+    monkeypatch.setattr(_Indexed, "parts", _spy(_Indexed.parts, passes))
+    # a torus bouquet with a plane loop: every search that does not reach
+    # it expands its whole closure
+    h = single_vertex("a b a b c c d d", "++++")
+    h._indexed().components
     expanded = 0
     for g in corpus4.by_edges(4):
-        h = geometric_dual(g)
+        g = g.reordered(g.vertex_names)  # a fresh view, no pass run yet
         trees.clear()
         views.clear()
-        res = move_related(g, h, policy="unions")
+        passes.clear()
+        res = move_related(g, h)
         assert all(args == (g._indexed(),) for args in trees), g
         assert len(views) <= res.coded
+        assert [args[0] for args in passes] in ([], [g._indexed()]), g
         expanded += res.expanded
-    assert summands == [] and expanded > 400
+    assert expanded > 1500
 
 
 def _fields(res):
@@ -326,13 +348,14 @@ def test_listed_subsets_are_the_target(fixtures, coded):
 
 
 def test_search_names_no_graph(monkeypatch):
-    # a search codes partial duals from their views, and a splits search
-    # reads each node's steps off its view, so it names no partial dual;
-    # a view's steps are the steps of the named partial dual, read from the
-    # view its names translate into
+    # a search codes partial duals from their views, and reads each node's
+    # steps off G's factor tree, so it names no partial dual; a view's split
+    # sides are those of the named partial dual, read from the view its
+    # names translate into
     import ribbongraph.duality as duality
     import ribbongraph.moves as moves
     from ribbongraph.core import _Indexed
+    from ribbongraph.decomposition import _split_sides
     from ribbongraph.verify import generate
 
     graphs = generate(3).graphs
@@ -340,9 +363,8 @@ def test_search_names_no_graph(monkeypatch):
         idx = g._indexed()
         for mask in range(1 << idx.ne):
             named = partial_dual(g, idx.edge_set(mask))
-            for policy in ("unions", "splits"):
-                want = moves._step_sets(_Indexed.of(named), policy)
-                assert moves._step_sets(duality._dual_view(g, mask), policy) == want
+            want = _split_sides(_Indexed.of(named))
+            assert _split_sides(duality._dual_view(g, mask)) == want
     pairs = [(g, partial_dual(g, sub)) for g in graphs for sub in subsets_sorted(g.edge_labels)]
     named = []
     original = duality.partial_dual
@@ -355,9 +377,8 @@ def test_search_names_no_graph(monkeypatch):
     monkeypatch.setattr(moves, "partial_dual", spy)
     found = 0
     for g, h in pairs:
-        for policy in ("unions", "splits"):
-            found += move_related(g, h, policy=policy).found
-    assert named == [] and found > 500
+        found += move_related(g, h).found
+    assert named == [] and found > 400
 
 
 def test_negative_bound_is_refused(fixtures):
