@@ -144,19 +144,28 @@ class RibbonGraph:
     ``vertices`` maps vertex names to rotations; a rotation is the cyclic
     sequence of edge ends at the vertex, stored in the package's fixed
     chirality.  ``signs`` maps each edge label to its twist sign.
+
+    ``_validate=False`` is the package's own path for rows it built
+    itself: it trusts that the vertex names are distinct strings, every
+    rotation item an :class:`End` with a string label and slot 1 or 2,
+    every sign the int ``1`` or ``-1``, and every end of every signed edge
+    present exactly once.  It neither coerces nor checks; the rows and
+    signs are only copied.  Every input from outside the program takes the
+    validated path, which coerces (``"a.1"``, ``"+"``) and checks.
     """
 
     __slots__ = ("_names", "_rots", "_signs", "_view")
 
     def __init__(self, vertices, signs, _validate: bool = True):
-        names = []
-        rots = []
-        for name, rotation in vertices.items() if isinstance(vertices, Mapping) else vertices:
-            names.append(str(name))
-            rots.append(tuple(as_end(x) for x in rotation))
-        self._names = tuple(names)
-        self._rots = tuple(rots)
-        self._signs = {str(k): _as_sign(v) for k, v in dict(signs).items()}
+        rows = vertices.items() if isinstance(vertices, Mapping) else vertices
+        if _validate:
+            rows = [(str(name), tuple(as_end(x) for x in rot)) for name, rot in rows]
+            self._signs = {str(k): _as_sign(v) for k, v in dict(signs).items()}
+        else:
+            rows = [(name, tuple(rot)) for name, rot in rows]
+            self._signs = dict(signs)
+        self._names = tuple(name for name, _ in rows)
+        self._rots = tuple(rot for _, rot in rows)
         self._view: Optional[_Indexed] = None  # see _indexed
         if _validate:
             self._check()
@@ -306,14 +315,11 @@ class RibbonGraph:
 
     def relabeled(self, mapping: Mapping[str, str]) -> "RibbonGraph":
         """Rename edges by the given injective mapping."""
-        new = {mapping.get(k, k) for k in self._signs}
-        if len(new) != len(self._signs):
+        new = {k: str(mapping.get(k, k)) for k in self._signs}
+        if len(set(new.values())) != len(new):
             raise InvalidGraph("edge relabelling must be injective")
-        rots = tuple(
-            tuple(End(mapping.get(e.label, e.label), e.slot) for e in rot)
-            for rot in self._rots
-        )
-        signs = {mapping.get(k, k): v for k, v in self._signs.items()}
+        rots = tuple(tuple(End(new[e.label], e.slot) for e in rot) for rot in self._rots)
+        signs = {new[k]: v for k, v in self._signs.items()}
         return RibbonGraph(zip(self._names, rots), signs, _validate=False)
 
     # -- the integer view, which memoises what is derived -----------------
@@ -698,6 +704,8 @@ class ArrowPresentation:
                 for a in c:
                     counts[a.label] = counts.get(a.label, 0) + 1
             for lab, n in counts.items():
+                if not isinstance(lab, str):
+                    raise InvalidGraph(f"arrow label {lab!r} is not a string")
                 if n != 2:
                     raise InvalidGraph(f"label {lab!r} carries {n} arrows (need exactly 2)")
 
@@ -733,7 +741,9 @@ def from_arrow_presentation(p: ArrowPresentation) -> RibbonGraph:
 
     Cycles become vertices (named ``v0``, ``v1``, ...); the two arrows of a
     label become the edge's ends, twisted exactly when their directions
-    relative to their cycles disagree.
+    relative to their cycles disagree.  Counting every label's arrows to
+    exactly two proves the rows valid, so the graph takes the trusted
+    construction.
     """
     counts: dict[str, int] = {}
     first_dir: dict[str, bool] = {}
@@ -755,7 +765,7 @@ def from_arrow_presentation(p: ArrowPresentation) -> RibbonGraph:
     for lab, n in counts.items():
         if n != 2:
             raise InvalidGraph(f"label {lab!r} carries {n} arrows (need exactly 2)")
-    return RibbonGraph(vertices, signs)
+    return RibbonGraph(vertices, signs, _validate=False)
 
 
 # -- canonical form ---------------------------------------------------------

@@ -43,9 +43,8 @@ if TYPE_CHECKING:
 Step = tuple
 
 def _expand(step: Step) -> list[Step]:
-    """Unpack a corner carrying marks into corner plus mark steps."""
-    if step[0] != "corner":
-        return [step]
+    """Unpack a corner carrying marks, ``(*corner, marks)``, into corner
+    plus mark steps."""
     name, j, forward, marks = step[1], step[2], step[3], step[4]
     out: list[Step] = [("corner", name, j, forward)]
     if forward:
@@ -94,22 +93,23 @@ def trace_walks(
 
     # Endpoints are integers 2*k (in) and 2*k+1 (out) for arc number k.
     arc_id: dict[End, int] = {}
-    arcs: list[End] = []
     for row in rows:
         for x in row:
             if isinstance(x, End):
-                arc_id[x] = len(arcs)
-                arcs.append(x)
+                arc_id[x] = len(arc_id)
 
-    # segments[s] = (endpoint_a, endpoint_b, step_when_a_to_b, step_when_b_to_a)
-    segments: list[tuple[int, int, Step, Step]] = []
-    incident: dict[int, list[int]] = {}
+    # Every endpoint lies on one corner and on one band side or free arc,
+    # and a walk takes them in turn.  corners[c] = (endpoint_a, endpoint_b,
+    # step_when_a_to_b, step_when_b_to_a), corner_at[p] is the corner on
+    # endpoint p, and beyond[p] = (q, step) crosses p's band side or free
+    # arc to endpoint q.
+    corners: list[tuple[int, int, Step, Step]] = []
+    corner_at = [0] * (2 * len(arc_id))
+    beyond: list = [None] * (2 * len(arc_id))
 
-    def add(a: int, b: int, fwd: Step, rev: Step) -> None:
-        s = len(segments)
-        segments.append((a, b, fwd, rev))
-        incident.setdefault(a, []).append(s)
-        incident.setdefault(b, []).append(s)
+    def cross(p: int, q: int, kind: str, label: str, index: int) -> None:
+        beyond[p] = (q, (kind, label, index, True))
+        beyond[q] = (p, (kind, label, index, False))
 
     lone_walks = []
     for name, row in zip(names, rows):
@@ -125,65 +125,58 @@ def trace_walks(
         # any marks stored between them.
         deg = len(ends_here)
         marks_after: list[list[Mark]] = [[] for _ in range(deg)]
-        ei = -1
-        trailing: list[Mark] = []
-        for x in row:
-            if isinstance(x, End):
-                ei += 1
-            elif ei >= 0:
-                marks_after[ei].append(x)
-            else:
-                trailing.append(x)
-        marks_after[deg - 1].extend(trailing)
+        if deg < len(row):
+            ei = -1
+            trailing: list[Mark] = []
+            for x in row:
+                if isinstance(x, End):
+                    ei += 1
+                elif ei >= 0:
+                    marks_after[ei].append(x)
+                else:
+                    trailing.append(x)
+            marks_after[deg - 1].extend(trailing)
         for j in range(deg):
             a = 2 * arc_id[ends_here[j]] + 1
             b = 2 * arc_id[ends_here[(j + 1) % deg]]
-            fwd: Step = ("corner", name, j, True, tuple(marks_after[j]))
-            rev: Step = ("corner", name, j, False, tuple(marks_after[j]))
-            add(a, b, fwd, rev)
+            corner_at[a] = corner_at[b] = len(corners)
+            marks = (tuple(marks_after[j]),) if marks_after[j] else ()
+            corners.append((a, b, ("corner", name, j, True, *marks), ("corner", name, j, False, *marks)))
 
     for label in sorted(signs):
-        e1, e2 = End(label, 1), End(label, 2)
-        h_in, h_out = 2 * arc_id[e1], 2 * arc_id[e1] + 1
-        k_in, k_out = 2 * arc_id[e2], 2 * arc_id[e2] + 1
+        h, k = 2 * arc_id[End(label, 1)], 2 * arc_id[End(label, 2)]
         if label in band:
             if signs[label] > 0:
-                add(h_out, k_in, ("side", label, 0, True), ("side", label, 0, False))
-                add(k_out, h_in, ("side", label, 1, True), ("side", label, 1, False))
+                cross(h + 1, k, "side", label, 0)
+                cross(k + 1, h, "side", label, 1)
             else:
-                add(h_out, k_out, ("side", label, 0, True), ("side", label, 0, False))
-                add(k_in, h_in, ("side", label, 1, True), ("side", label, 1, False))
+                cross(h + 1, k + 1, "side", label, 0)
+                cross(k, h, "side", label, 1)
         else:
-            add(h_in, h_out, ("arc", label, 1, True), ("arc", label, 1, False))
+            cross(h, h + 1, "arc", label, 1)
             if signs[label] > 0:
-                add(k_in, k_out, ("arc", label, 2, True), ("arc", label, 2, False))
+                cross(k, k + 1, "arc", label, 2)
             else:
-                add(k_out, k_in, ("arc", label, 2, True), ("arc", label, 2, False))
+                cross(k + 1, k, "arc", label, 2)
 
     walks = []
-    used = [False] * len(segments)
-    for s0 in range(len(segments)):
-        if used[s0]:
+    used = [False] * len(corners)
+    for c0 in range(len(corners)):
+        if used[c0]:
             continue
-        steps: list[Step] = []
-        s, at = s0, segments[s0][0]
-        while True:
-            used[s] = True
-            a, b, fwd, rev = segments[s]
-            if at == a:
-                steps.extend(_expand(fwd))
-                at = b
+        steps = []
+        c, at = c0, corners[c0][0]
+        while not used[c]:
+            used[c] = True
+            a, b, fwd, rev = corners[c]
+            step, at = (fwd, b) if at == a else (rev, a)
+            if len(step) == 5:  # a corner carrying marks
+                steps.extend(_expand(step))
             else:
-                steps.extend(_expand(rev))
-                at = a
-            nxt = None
-            for t in incident[at]:
-                if not used[t]:
-                    nxt = t
-                    break
-            if nxt is None:
-                break
-            s = nxt
+                steps.append(step)
+            at, step = beyond[at]
+            steps.append(step)
+            c = corner_at[at]
         walks.append(tuple(steps))
 
     walks.extend(lone_walks)

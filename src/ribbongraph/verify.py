@@ -56,7 +56,8 @@ the route it replaced
 (:func:`partial_dual_by_arrows`: the step tracer, an arrow presentation
 and a rebuilt graph), which must give the same graph by ``==``, vertex
 names and end slots included; the one-edge surgery on arrow presentations
-folded over the subset (:func:`partial_dual_by_edges`); and the
+folded over the subset, one surgery on the parent subset's cycles per
+subset (:func:`partial_duals_by_edges`); and the
 mark-and-remove route (:func:`partial_dual_via_marks`: the complement
 removed leaving marks, the marked graph dualised, the edges restored).
 
@@ -479,9 +480,10 @@ def components_by_names(g: RibbonGraph) -> tuple[tuple[frozenset, frozenset], ..
     return tuple(comps)
 
 
-def orientable_by_double_cover(g: RibbonGraph) -> bool:
-    """Orientability via the parity double cover: the cover of each
-    component is connected exactly when the component is non-orientable."""
+def _lifts_apart(g: RibbonGraph) -> dict[str, bool]:
+    """Whether the two lifts ``(v, 0)`` and ``(v, 1)`` of each vertex lie
+    apart in the parity double cover: the cover of a component is
+    connected exactly when the component is non-orientable."""
     nodes = {(n, p): (n, p) for n in g.vertex_names for p in (0, 1)}
 
     def find(x):
@@ -502,16 +504,22 @@ def orientable_by_double_cover(g: RibbonGraph) -> bool:
         else:
             union((u, 0), (w, 1))
             union((u, 1), (w, 0))
-    roots = {find(x) for x in nodes}
-    return len(roots) == 2 * len(components_by_names(g))
+    return {n: find((n, 0)) != find((n, 1)) for n in g.vertex_names}
+
+
+def orientable_by_double_cover(g: RibbonGraph) -> bool:
+    """Orientability via the parity double cover: no vertex's two lifts
+    are joined in it (:func:`_lifts_apart`)."""
+    return all(_lifts_apart(g).values())
 
 
 def surface_stats_by_walks(g: RibbonGraph, walks: Optional[tuple] = None) -> SurfaceStats:
     """:func:`topology.surface_stats` from the step tracer: every boundary
     walk spelled out and placed by the vertex it first meets, components
     from :func:`components_by_names`, and each component's orientability
-    from the double cover of its own built subgraph.  ``walks`` are
-    ``g``'s traced boundary walks, where the caller has them."""
+    from ``g``'s one parity double cover, read at a vertex of the
+    component (:func:`_lifts_apart`).  ``walks`` are ``g``'s traced
+    boundary walks, where the caller has them."""
     if walks is None:
         walks = boundary_components(g).walks
     comps = components_by_names(g)
@@ -522,9 +530,9 @@ def surface_stats_by_walks(g: RibbonGraph, walks: Optional[tuple] = None) -> Sur
         step = next(s for s in walk if s[0] in ("corner", "vertex", "side", "arc"))
         home = step[1] if step[0] in ("corner", "vertex") else end_vertex[step[1]]
         walk_counts[vert_comp[home]] += 1
+    apart = _lifts_apart(g)
     return stats_from_components(g, (
-        (vs, es, f, orientable_by_double_cover(induced_subgraph(g, es)))
-        for (vs, es), f in zip(comps, walk_counts)
+        (vs, es, f, apart[next(iter(vs))]) for (vs, es), f in zip(comps, walk_counts)
     ))
 
 
@@ -837,36 +845,54 @@ def partial_dual_one_edge(g: RibbonGraph, label: str) -> RibbonGraph:
     return from_arrow_presentation(ArrowPresentation(new_cycles, validate=False))
 
 
+def _edge_folds(g: RibbonGraph, subsets: Iterable[frozenset]) -> Iterator[tuple[frozenset, list]]:
+    """``(subset, cycles)`` for each subset, the arrow cycles of its
+    partial dual: the one-edge surgery on its largest label applied to the
+    cycles of its parent, the subset less that label, which must come
+    earlier (as in :func:`duality.subsets_sorted`)."""
+    folded = {frozenset(): [list(c) for c in to_arrow_presentation(g).cycles]}
+    for sub in subsets:
+        if sub not in folded:
+            last = max(sub)
+            folded[sub] = dual_one_edge_cycles(folded[sub - {last}], last)
+        yield sub, folded[sub]
+
+
 def partial_dual_by_edges(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     """Fold the one-edge surgery over a subset, in sorted label order."""
-    sub = g.check_subset(edges)
-    cycles = [list(c) for c in to_arrow_presentation(g).cycles]
-    for label in sorted(sub):
-        cycles = dual_one_edge_cycles(cycles, label)
+    labels = sorted(g.check_subset(edges))
+    prefixes = [frozenset(labels[:k]) for k in range(len(labels) + 1)]
+    cycles = dict(_edge_folds(g, prefixes))[prefixes[-1]]
     return from_arrow_presentation(ArrowPresentation(cycles, validate=False))
+
+
+def partial_duals_by_edges(g: RibbonGraph, subsets: Iterable[frozenset]) -> Iterator[tuple]:
+    """``(subset, partial_dual_by_edges(g, subset))`` for each subset, in
+    :func:`duality.subsets_sorted` order, each folded from its parent by
+    one surgery rather than from ``g`` by one per edge."""
+    for sub, cycles in _edge_folds(g, subsets):
+        yield sub, from_arrow_presentation(ArrowPresentation(cycles, validate=False))
 
 
 class MarkedRibbonGraph:
     """A ribbon graph together with paired marking arrows interleaved in its
-    vertex rotations; records removed edges without losing their position."""
+    vertex rotations; records removed edges without losing their position.
+    ``validate=False`` trusts rows the package built itself, as
+    :class:`core.RibbonGraph` does, with :class:`Mark` items allowed."""
 
     __slots__ = ("_names", "_items", "_signs")
 
     def __init__(self, vertices, signs, validate: bool = True):
-        names = []
-        items = []
-        for name, rotation in vertices.items() if isinstance(vertices, Mapping) else vertices:
-            names.append(str(name))
-            row = []
-            for x in rotation:
-                if isinstance(x, (End, Mark)):
-                    row.append(x)
-                else:
-                    row.append(as_end(x))
-            items.append(tuple(row))
-        self._names = tuple(names)
-        self._items = tuple(items)
-        self._signs = {str(k): _as_sign(v) for k, v in dict(signs).items()}
+        rows = vertices.items() if isinstance(vertices, Mapping) else vertices
+        if validate:
+            rows = [(str(name), tuple(x if isinstance(x, (End, Mark)) else as_end(x) for x in row))
+                    for name, row in rows]
+            self._signs = {str(k): _as_sign(v) for k, v in dict(signs).items()}
+        else:
+            rows = [(name, tuple(row)) for name, row in rows]
+            self._signs = dict(signs)
+        self._names = tuple(name for name, _ in rows)
+        self._items = tuple(row for _, row in rows)
         if validate:
             self._check()
 
@@ -1227,15 +1253,26 @@ def biseparation_sequence_oracle(
     orderings (pruned), independent of the incidence-tree test.  ``first``
     forces the index of the opening component.
     """
+    return _sequence_search(_sequence_sides(g, edges), first)
+
+
+def _sequence_sides(g: RibbonGraph, edges: Iterable[str]) -> list[tuple[str, frozenset, frozenset]]:
+    """``(side, vertices, edges)`` of every component of both sides, from
+    built induced subgraphs, for :func:`_sequence_search`."""
     if len(components_by_names(g)) > 1:
         raise ValueError("sequence oracle requires a connected graph")
     sub = g.check_subset(edges)
-    comps: list[tuple[str, frozenset, frozenset]] = []
+    comps = []
     for side, part in (("A", sub), ("B", g.complement(sub))):
         if not part:
             continue
         for vs, es in components_by_names(induced_subgraph(g, part)):
             comps.append((side, vs, es))
+    return comps
+
+
+def _sequence_search(comps: list[tuple[str, frozenset, frozenset]],
+                     first: Optional[int] = None) -> Optional[list[int]]:
     if len(comps) <= 1:
         return [0] if comps else []
 
@@ -1356,7 +1393,7 @@ def _serial(g: RibbonGraph) -> str:
 class _Analysis:
     """Everything the subset sweeps need about one corpus graph, computed
     once: duals, their traced stats and face lengths, and certificates for
-    every subset."""
+    every subset; each dual's labelled code on first read."""
 
     def __init__(self, g: RibbonGraph):
         self.g = g
@@ -1367,6 +1404,7 @@ class _Analysis:
         self.face_lengths: dict[frozenset, list[int]] = {}
         self.cert: dict[frozenset, Optional[BiseparationCertificate]] = {}
         self.sides: dict[frozenset, tuple] = {}
+        self._codes: dict[frozenset, tuple] = {}
         for sub in self.subsets:
             d = partial_dual(g, sub)
             self.dual[sub] = d
@@ -1376,6 +1414,12 @@ class _Analysis:
             comps, cert = biseparation_data(g, sub)
             self.cert[sub] = cert
             self.sides[sub] = comps
+
+    def code(self, sub: frozenset) -> tuple:
+        """The labelled code of the dual on ``sub``."""
+        if sub not in self._codes:
+            self._codes[sub] = labelled_code(self.dual[sub])
+        return self._codes[sub]
 
     def klass(self, sub: frozenset) -> Optional[str]:
         cert = self.cert[sub]
@@ -1399,14 +1443,15 @@ def _check_dual_identities(res: CheckResult, ana: _Analysis) -> None:
     g = ana.g
     full = frozenset(g.edge_labels)
     res.checked += 1
-    if labelled_code(ana.dual[frozenset()]) != labelled_code(g):
+    code = labelled_code(g)
+    if ana.code(frozenset()) != code:
         res.fail(graph=_serial(g), property="empty-subset identity")
     gstar = geometric_dual(g)
-    if labelled_code(ana.dual[full]) != labelled_code(gstar):
+    if ana.code(full) != labelled_code(gstar):
         res.fail(graph=_serial(g), property="full-subset geometric dual")
     if surface_stats(gstar).n_boundary != g.n_vertices or labelled_code(
         geometric_dual(gstar)
-    ) != labelled_code(g):
+    ) != code:
         res.fail(graph=_serial(g), property="double dual / boundary count")
     for sub in ana.subsets:
         d = ana.dual[sub]
@@ -1430,9 +1475,7 @@ def _check_symmetric_difference(res: CheckResult, ana: _Analysis, rng: random.Ra
         pairs = [(rng.choice(subs), rng.choice(subs)) for _ in range(32)]
     for a, b in pairs:
         res.checked += 1
-        lhs = partial_dual(ana.dual[a], b)
-        rhs = ana.dual[a ^ b]
-        if labelled_code(lhs) != labelled_code(rhs):
+        if labelled_code(partial_dual(ana.dual[a], b)) != ana.code(a ^ b):
             res.fail(graph=_serial(g), a=a, b=b, property="dual composition")
 
 
@@ -1445,14 +1488,13 @@ def view_fields(idx: _Indexed) -> tuple:
 
 def _check_route_agreement(res: CheckResult, ana: _Analysis) -> None:
     g = ana.g
-    for sub in ana.subsets:
+    for sub, one_edge in partial_duals_by_edges(g, ana.subsets):
         res.checked += 1
         if partial_dual_by_arrows(g, sub) != ana.dual[sub]:
             res.fail(graph=_serial(g), subset=sub, property="integer route vs arrow route")
         if view_fields(ana.dual[sub]._indexed()) != view_fields(_Indexed.of(ana.dual[sub])):
             res.fail(graph=_serial(g), subset=sub, property="dual view vs view from names")
-        ref = labelled_code(ana.dual[sub])
-        one_edge = partial_dual_by_edges(g, sub)
+        ref = ana.code(sub)
         marked = partial_dual_via_marks(g, sub)
         if labelled_code(one_edge) != ref or labelled_code(marked) != ref:
             res.fail(graph=_serial(g), subset=sub, property="construction agreement")
@@ -1574,7 +1616,8 @@ def _check_sequence_oracle(res: CheckResult, ana: _Analysis) -> None:
     for sub in ana.subsets:
         cert = ana.cert[sub]
         res.checked += 1
-        order = biseparation_sequence_oracle(g, sub)
+        comps = _sequence_sides(g, sub)  # one build per subset, searched from every start
+        order = _sequence_search(comps)
         if (cert is not None) != (order is not None):
             res.fail(graph=_serial(g), subset=sub,
                      property="tree criterion vs sequence search")
@@ -1585,7 +1628,7 @@ def _check_sequence_oracle(res: CheckResult, ana: _Analysis) -> None:
         if len({v for _, _, v in cert.tree_edges}) != len(cert.tree_edges):
             res.fail(graph=_serial(g), subset=sub, property="distinct gluing vertices")
         for i in range(len(cert.components)):
-            if biseparation_sequence_oracle(g, sub, first=i) is None:
+            if _sequence_search(comps, first=i) is None:
                 res.fail(graph=_serial(g), subset=sub, first=i,
                          property="any component can open the sequence")
 

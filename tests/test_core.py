@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -446,3 +448,53 @@ def test_coded_views_run_no_component_pass(monkeypatch, corpus4):
         res = move_related(g, h, subsets=partial_dual_subsets(g, h))
         searched += res.expanded
     assert [view for view in calls if view.ne] == [] and searched > 300
+
+
+def _validated_twin(h: RibbonGraph) -> RibbonGraph:
+    """``h``'s rows and signs through the validated construction, from
+    iterators, as an outside caller would hand them over."""
+    return RibbonGraph(zip(h.vertex_names, h.rotations), iter(h.signs.items()))
+
+
+def _assert_trusted_rows_valid(h: RibbonGraph, what) -> None:
+    h._check()
+    assert h == _validated_twin(h), what
+    assert all(type(n) is str for n in h.vertex_names), what
+    assert all(type(e) is End and type(e.label) is str for rot in h.rotations for e in rot), what
+    assert all(type(k) is str and type(v) is int for k, v in h.signs.items()), what
+
+
+def test_trusted_construction_agrees_with_validated(corpus4):
+    # every package caller of the trusted path hands over rows that the
+    # validated path keeps unchanged and accepts
+    from ribbongraph import delete_edges, partial_dual
+    from ribbongraph.duality import subsets_sorted
+    from ribbongraph.verify import MarkedRibbonGraph, _random_graph, enumerate_raw
+
+    rng = random.Random(22)
+    graphs = list(corpus4.graphs) + enumerate_raw(2) + [_random_graph(rng, e) for e in range(7)]
+    for g in graphs:
+        _assert_trusted_rows_valid(g, g)
+        outputs = [g.reflected(), from_arrow_presentation(to_arrow_presentation(g)),
+                   g.reordered(tuple(reversed(g.vertex_names)))]
+        for name in g.vertex_names:
+            outputs += [g.flipped(name), g.rotated(name, 1)]
+        if g.n_edges:
+            first = g.edge_labels[0]
+            outputs += [g.relabeled({first: "x"}), g.relabeled({first: 7}),
+                        g.relabeled({lab: i for i, lab in enumerate(reversed(g.edge_labels))})]
+        for sub in subsets_sorted(g.edge_labels):
+            marked = mark_and_remove(g, sub)
+            assert marked == MarkedRibbonGraph(zip(marked.vertex_names, marked.all_items),
+                                               marked.signs), (g, sub)
+            outputs += [induced_subgraph(g, sub), delete_edges(g, sub), partial_dual(g, sub),
+                        marked.graph]
+        for h in outputs:
+            _assert_trusted_rows_valid(h, (g, h))
+    loop = single_vertex("a a", "+").relabeled({"a": 7})
+    assert loop.edge_labels == ("7",) and loop.rotations == ((End("7", 1), End("7", 2)),)
+
+
+def test_arrow_labels_must_be_strings():
+    with pytest.raises(InvalidGraph):
+        ArrowPresentation([[Arrow(1, True), Arrow(1, True)]])

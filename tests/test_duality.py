@@ -26,6 +26,7 @@ from ribbongraph.verify import (
     partial_dual_by_edges,
     partial_dual_one_edge,
     partial_dual_via_marks,
+    partial_duals_by_edges,
 )
 
 
@@ -653,3 +654,14 @@ def test_listings_count_every_edgeless_vertex(with_bare_vertices, tmp_path, caps
     for sub, _ in built:
         h = partial_dual(g, sub)
         assert partial_dual_subsets(g, h) == partial_dual_subsets_by_codes(g, h), sorted(sub)
+
+
+def test_fold_from_the_parent_is_the_prefix_fold(corpus4):
+    # the per-subset fold of dual-route-agreement and partial_dual_by_edges
+    # share one surgery step, and give the same graph on every subset
+    for g in corpus4.graphs:
+        subsets = list(subsets_sorted(g.edge_labels))
+        folded = list(partial_duals_by_edges(g, subsets))
+        assert [sub for sub, _ in folded] == subsets
+        for sub, d in folded:
+            assert d == partial_dual_by_edges(g, sub), (g, sub)

@@ -301,22 +301,24 @@ def test_dual_route_agreement_sees_a_label_swap(corpus3, monkeypatch):
     import ribbongraph.verify as verify
     from ribbongraph import is_equivalent
 
-    honest = verify.partial_dual_by_edges
+    # the check reads the one-edge route from the per-subset fold
+    honest = verify.partial_duals_by_edges
 
-    def swapping(g, edges):
-        d = honest(g, edges)
-        if g.n_edges < 2:
-            return d
-        a, b = g.edge_labels[:2]
-        return d.relabeled({a: b, b: a})
+    def swapping(g, subsets):
+        for sub, d in honest(g, subsets):
+            if g.n_edges >= 2:
+                a, b = g.edge_labels[:2]
+                d = d.relabeled({a: b, b: a})
+            yield sub, d
 
     assert check_suite(corpus3, which=["dual-route-agreement"]).ok
-    monkeypatch.setattr(verify, "partial_dual_by_edges", swapping)
+    monkeypatch.setattr(verify, "partial_duals_by_edges", swapping)
     report = check_suite(corpus3, which=["dual-route-agreement"])
     assert not report.ok
     assert report.results[0].failures[0]["property"] == "construction agreement"
     graph = corpus3.by_edges(3)[-1]
-    assert is_equivalent(swapping(graph, {"e1"}), honest(graph, {"e1"}))
+    subsets = [frozenset(), frozenset({"e1"})]
+    assert is_equivalent(list(swapping(graph, subsets))[1][1], list(honest(graph, subsets))[1][1])
 
 
 def test_search_route_agreement_runs_over_the_corpus_only(corpus3, monkeypatch):
