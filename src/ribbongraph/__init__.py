@@ -68,14 +68,17 @@ from .topology import (
     is_orientable,
     surface_stats,
 )
-from .verify import (
-    Corpus,
-    MarkedRibbonGraph,
-    VerificationReport,
-    biseparation_sequence_oracle,
-    calibration_graphs,
-    check_suite,
-    generate,
-)
+from .verify import Corpus, VerificationReport, check_suite, generate
 
 __version__ = "0.1.0"
+
+# exported from the oracles, which load on first use as in check_suite
+_FROM_ORACLES = ("MarkedRibbonGraph", "biseparation_sequence_oracle", "calibration_graphs")
+
+
+def __getattr__(name: str):
+    if name in _FROM_ORACLES:
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,7 +37,7 @@ it meets through the same two routines, from the rotations of one walk
 pass.  The summand sets are the connected sets of factors of the tree,
 listed by extension.  Factors, summand sets and join-split sides are edge
 masks, and the move search reads them as such.
-The routes they replaced are ``verify`` oracles: the join splits from
+The routes they replaced are ``oracles``: the join splits from
 trying every arc of every rotation (``join_splits_by_arcs``), side
 components from built induced subgraphs
 (``side_components_by_subgraphs``) and the incidence tree from a

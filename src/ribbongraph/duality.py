@@ -9,7 +9,7 @@ arrows, an integer view that :func:`partial_dual_subsets` and the move
 search code with no named graph.  :func:`partial_dual` names it, and
 :func:`geometric_dual` is the partial dual on every edge.  The view
 translated from the dual's names, and the constructions it replaced, are
-oracles in ``verify`` that must agree with it on every subset
+in ``oracles`` and must agree with it on every subset
 (``dual-route-agreement``): the traced arrow presentation
 (``partial_dual_by_arrows``, equal graph for graph), the one-edge surgery
 folded over the subset and the mark-and-remove route (equal as
@@ -45,7 +45,7 @@ walk table is filled in Gray-code order from ``f_P(∅) = v_P``
 (:func:`_walk_table`).  Its component counts come from a depth-first
 partition recurrence over its edges (:func:`_component_table`).  One
 whole-graph walk pass and one component pass per subset, the route they
-replaced, is the oracle ``verify.factor_tables_by_walk_passes``
+replaced, is the oracle ``oracles.factor_tables_by_walk_passes``
 (``table-route-agreement``).  Every listing reads those
 sums in one order (:func:`_by_size`): :func:`spectrum_rows` yields the
 spectrum's rows one at a time, each genus from ``f(A)`` and ``f(Aᶜ)``,
@@ -58,7 +58,7 @@ lengths of ``G^A``, and codes only the candidates whose two sorted lists
 are the target's.  :func:`genus_polynomial` multiplies the factors'
 genus histograms, each read off its walk table.  The built route,
 ``surface_stats(partial_dual(g, A))``, and the whole-graph certificates
-are the oracles all of these are checked against in ``verify``
+are the oracles all of these are checked against in ``oracles``
 (``count-route-agreement``).
 """
 
@@ -202,7 +202,7 @@ def _walk_table(idx: _Indexed, edges: list[int], v_p: int) -> list[int]:
     (mate[a] == x)`` before ``i``'s new pairings go into ``mate``: one
     path trace per submask, not a pass over the whole graph.  The route
     of one walk pass per submask is the oracle
-    ``verify.factor_tables_by_walk_passes``.
+    ``oracles.factor_tables_by_walk_passes``.
     """
     corner, band, arc = idx._endpoint_pairings()
     mate = arc[:]

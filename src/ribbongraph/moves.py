@@ -33,8 +33,8 @@ coded, and so is that node, once.  ``H`` is recognised by the same key
 and a code, or by subset when the caller passes the subsets ``A`` with
 ``G^A`` equivalent to ``H``; the trace's nodes are coded at the end.  No
 graph is named.  The search that reads each node's splits off its own
-view and codes every subset met is the ``verify`` oracle
-``move_related_by_node_views``.
+view and codes every subset met is the oracle
+``oracles.move_related_by_node_views``.
 """
 
 from __future__ import annotations

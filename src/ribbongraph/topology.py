@@ -10,7 +10,7 @@ twisted.  Counting the resulting closed walks gives the number of boundary
 components, hence the Euler characteristic and the Euler genus.
 
 :func:`trace_walks` spells every walk out as named steps, for
-:func:`boundary_components` and the ``verify`` oracles that read those
+:func:`boundary_components` and the ``oracles`` that read those
 steps: the arrow route of the partial dual (``partial_dual_by_arrows``),
 the marked geometric dual of the mark-and-remove route and the traced
 surface statistics (``surface_stats_by_walks``).  Edges outside its band
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Union
 from .core import End, Mark, RibbonGraph, UnknownEdge
 
 if TYPE_CHECKING:
-    from .verify import MarkedRibbonGraph
+    from .oracles import MarkedRibbonGraph
 
 # A walk step is one of
 #   ("corner", vertex_name, gap_index, forward)

@@ -37,7 +37,8 @@ from ribbongraph import (
 )
 from ribbongraph.cli import main
 from ribbongraph.io_text import emit, stats_json, subset_text
-from ribbongraph.verify import _random_graph, surface_stats_by_walks
+from ribbongraph.oracles import surface_stats_by_walks
+from ribbongraph.verify import _random_graph
 
 MAX_EDGES = 6
 

@@ -22,8 +22,8 @@ from ribbongraph import (
     to_arrow_presentation,
 )
 from ribbongraph.core import equivalence_orbit, labelled_code
+from ribbongraph.oracles import mark_and_remove, restore
 from ribbongraph.topology import euler_genus
-from ribbongraph.verify import mark_and_remove, restore
 
 
 def test_build_plane_two_cycle(fixtures):
@@ -216,7 +216,7 @@ def test_mark_restore_round_trip(fixtures):
 
 def test_restore_rejects_unmatched_marks():
     from ribbongraph.core import Mark
-    from ribbongraph.verify import MarkedRibbonGraph
+    from ribbongraph.oracles import MarkedRibbonGraph
 
     with pytest.raises(InvalidGraph, match="mark label"):
         MarkedRibbonGraph([("v", [Mark("m", True)])], {})
@@ -224,7 +224,7 @@ def test_restore_rejects_unmatched_marks():
 
 def test_mark_label_collision_rejected():
     from ribbongraph.core import Mark
-    from ribbongraph.verify import MarkedRibbonGraph
+    from ribbongraph.oracles import MarkedRibbonGraph
 
     with pytest.raises(InvalidGraph, match="collides"):
         MarkedRibbonGraph(
@@ -469,7 +469,8 @@ def test_trusted_construction_agrees_with_validated(corpus4):
     # validated path keeps unchanged and accepts
     from ribbongraph import delete_edges, partial_dual
     from ribbongraph.duality import subsets_sorted
-    from ribbongraph.verify import MarkedRibbonGraph, _random_graph, enumerate_raw
+    from ribbongraph.oracles import MarkedRibbonGraph, enumerate_raw
+    from ribbongraph.verify import _random_graph
 
     rng = random.Random(22)
     graphs = list(corpus4.graphs) + enumerate_raw(2) + [_random_graph(rng, e) for e in range(7)]

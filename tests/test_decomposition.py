@@ -26,8 +26,8 @@ from ribbongraph.decomposition import (
 )
 from ribbongraph.duality import subsets_sorted
 from ribbongraph.io_text import serialize_graph
+from ribbongraph.oracles import biseparation_sequence_oracle, join_biseparations_by_splits
 from ribbongraph.topology import euler_genus, is_connected
-from ribbongraph.verify import biseparation_sequence_oracle, join_biseparations_by_splits
 
 
 # -- constructors ----------------------------------------------------------------
@@ -183,7 +183,7 @@ def test_count_criterion_matches_the_union_find_and_sequence_oracles(corpus4):
     # gluing orders, on every subset of every graph with up to 4 edges
     from ribbongraph.decomposition import biseparation_data
     from ribbongraph.duality import subsets_sorted
-    from ribbongraph.verify import incidence_tree_by_union_find, side_components_by_subgraphs
+    from ribbongraph.oracles import incidence_tree_by_union_find, side_components_by_subgraphs
 
     checked = certified = 0
     for g in corpus4.graphs:
@@ -348,7 +348,7 @@ def test_toggles_related_is_shortest(corpus4):
 
 
 def test_plane_sets_form_single_orbit(corpus3):
-    from ribbongraph.verify import _orbit
+    from ribbongraph.oracles import _orbit
 
     for g in corpus3.graphs[:60]:
         if g.n_edges == 0:
@@ -457,7 +457,8 @@ def test_factor_tree_matches_arc_search():
     import random
 
     from ribbongraph.decomposition import _factor_tree, _join_splits, _summand_masks
-    from ribbongraph.verify import generate, join_splits_by_arcs, prime_factors_by_arcs
+    from ribbongraph.oracles import join_splits_by_arcs, prime_factors_by_arcs
+    from ribbongraph.verify import generate
 
     rng = random.Random(11)
     graphs = []

@@ -19,15 +19,15 @@ from ribbongraph import (
 )
 from ribbongraph.decomposition import _factor_tree
 from ribbongraph.duality import genus_polynomial, subsets_sorted
-from ribbongraph.topology import boundary_components, euler_genus
-from ribbongraph.verify import (
-    _random_graph,
+from ribbongraph.oracles import (
     face_lengths_by_walks,
     partial_dual_by_edges,
     partial_dual_one_edge,
     partial_dual_via_marks,
     partial_duals_by_edges,
 )
+from ribbongraph.topology import boundary_components, euler_genus
+from ribbongraph.verify import _random_graph
 
 
 def test_geometric_dual_of_bare_vertex():
@@ -148,7 +148,7 @@ def test_integer_partial_dual_is_the_arrow_route_exactly(corpus4):
     import random
 
     from ribbongraph import generate
-    from ribbongraph.verify import partial_dual_by_arrows
+    from ribbongraph.oracles import partial_dual_by_arrows
 
     rng = random.Random(5)
     graphs = list(corpus4.graphs)
@@ -197,7 +197,7 @@ def test_dual_view_matches_the_named_dual(case):
     # rebuilt from its names, and codes as the dual built by arrows
     from ribbongraph.core import _Indexed, canonical_form
     from ribbongraph.duality import _dual_view
-    from ribbongraph.verify import partial_dual_by_arrows, view_fields
+    from ribbongraph.oracles import partial_dual_by_arrows, view_fields
 
     g, mask = case
     sub = g._indexed().edge_set(mask)
@@ -427,7 +427,7 @@ def test_spectrum_classes_of_a_join_need_no_whole_graph_certificate(monkeypatch)
 
 def _same_tables_both_routes(g):
     from ribbongraph.duality import _factor_tables
-    from ribbongraph.verify import factor_tables_by_walk_passes
+    from ribbongraph.oracles import factor_tables_by_walk_passes
 
     idx = g._indexed()
     masks = _factor_tree(idx).masks
@@ -561,7 +561,7 @@ def test_partial_dual_subsets_of_a_join_walk_factor_masks_and_candidates(monkeyp
     # + 2 + 2 entries, and the whole graph's walks are run only for the
     # candidates those counts pass, A and then its complement
     from ribbongraph.duality import partial_dual_subsets
-    from ribbongraph.verify import partial_dual_subsets_by_codes
+    from ribbongraph.oracles import partial_dual_subsets_by_codes
 
     g = _eight_edge_join()
     idx = g._indexed()
@@ -614,7 +614,7 @@ def relate_pairs(draw):
 @given(pair=relate_pairs())
 def test_partial_dual_subsets_match_the_coding_oracle(pair):
     from ribbongraph.duality import partial_dual_subsets
-    from ribbongraph.verify import partial_dual_subsets_by_codes
+    from ribbongraph.oracles import partial_dual_subsets_by_codes
 
     g, h = pair
     assert partial_dual_subsets(g, h) == partial_dual_subsets_by_codes(g, h)
@@ -629,7 +629,7 @@ def test_listings_count_every_edgeless_vertex(with_bare_vertices, tmp_path, caps
     from ribbongraph.cli import main
     from ribbongraph.duality import partial_dual_subsets
     from ribbongraph.io_text import serialize_graph, subset_text
-    from ribbongraph.verify import partial_dual_subsets_by_codes
+    from ribbongraph.oracles import partial_dual_subsets_by_codes
 
     g = with_bare_vertices
     path = tmp_path / "g.txt"

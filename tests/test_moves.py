@@ -103,7 +103,7 @@ def test_search_steps_are_single_moves(corpus4):
     # duals one side of a join split of the graph it acts on, over every
     # genus-<=1 graph of generate(4) against each of its same-genus
     # partial duals
-    from ribbongraph.verify import _illegal_steps
+    from ribbongraph.oracles import _illegal_steps
 
     # the loop l is a prime factor but no side of a split (see below), so
     # its dual takes two moves
@@ -186,7 +186,7 @@ def test_relate_routes_agree_with_the_built_oracles(corpus4):
     # building every subset, the subset-keyed search against the closure
     # over built graphs
     from ribbongraph.duality import partial_dual_subsets
-    from ribbongraph.verify import _move_closure, partial_dual_subsets_by_codes
+    from ribbongraph.oracles import _move_closure, partial_dual_subsets_by_codes
 
     pairs = 0
     for g in corpus4.graphs:
@@ -232,7 +232,8 @@ def test_search_codes_each_subset_once(monkeypatch):
     # trace; each at most once, from its integer view, and ``coded`` counts
     # them with the start's own code when it is read
     import ribbongraph.moves as moves
-    from ribbongraph.verify import generate, move_related_by_node_views
+    from ribbongraph.oracles import move_related_by_node_views
+    from ribbongraph.verify import generate
 
     coded = []
     original = moves._dual_view
@@ -329,7 +330,7 @@ def test_listed_subsets_are_the_target(fixtures, coded):
     # with the listing of partial_dual_subsets, the search recognises the
     # target by subset and codes no subset to find it
     from ribbongraph.duality import partial_dual_subsets
-    from ribbongraph.verify import move_related_by_node_views
+    from ribbongraph.oracles import move_related_by_node_views
 
     theta = build_graph(
         {"u": ["a.1", "b.1", "c.1"], "w": ["c.2", "b.2", "a.2"]},

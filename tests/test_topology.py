@@ -7,8 +7,8 @@ from ribbongraph import (
     single_vertex,
     surface_stats,
 )
+from ribbongraph.oracles import orientable_by_double_cover
 from ribbongraph.topology import euler_genus, surface_label
-from ribbongraph.verify import orientable_by_double_cover
 
 
 def test_untwisted_loop_is_annulus():
@@ -143,7 +143,7 @@ def _pass_inputs(fixtures):
 
 
 def test_component_pass_matches_oracles(fixtures):
-    from ribbongraph.verify import components_by_names, surface_stats_by_walks
+    from ribbongraph.oracles import components_by_names, surface_stats_by_walks
 
     for name, g in _pass_inputs(fixtures).items():
         assert surface_stats(g) == surface_stats_by_walks(g), name
@@ -170,7 +170,7 @@ def test_component_pass_values(fixtures):
 
 
 def test_component_pass_matches_oracles_on_corpus(corpus3):
-    from ribbongraph.verify import components_by_names, surface_stats_by_walks
+    from ribbongraph.oracles import components_by_names, surface_stats_by_walks
 
     small = [g for g in corpus3.graphs if g.n_edges <= 2]
     for g in corpus3.graphs:

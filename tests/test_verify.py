@@ -1,16 +1,15 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ribbongraph import surface_stats
+from ribbongraph.oracles import CALIBRATION_EXPECTED, calibration_graphs, enumerate_raw
 from ribbongraph.topology import euler_genus
-from ribbongraph.verify import (
-    CALIBRATION_EXPECTED,
-    calibration_graphs,
-    check_suite,
-    enumerate_raw,
-    generate,
-)
+from ribbongraph.verify import check_suite, generate
 
 
 def test_calibration_fixture_values():
@@ -59,7 +58,7 @@ def test_generated_views_match_their_names(corpus4):
     # each representative keeps the view it was grown as; it must be the
     # view of its names, and its kept code that view's code
     from ribbongraph.core import _Indexed, canonical_form
-    from ribbongraph.verify import view_fields
+    from ribbongraph.oracles import view_fields
 
     for g in corpus4.graphs:
         rebuilt = _Indexed.of(g)
@@ -90,7 +89,7 @@ def test_exhaustive_keeps_the_all_children_representatives():
     # skipping the children a parent automorphism maps onto earlier ones
     # keeps every representative, its names and its place
     from ribbongraph.io_text import serialize_graph
-    from ribbongraph.verify import exhaustive_by_all_children
+    from ribbongraph.oracles import exhaustive_by_all_children
 
     for n in range(5):
         assert [serialize_graph(g) for g in generate(n).graphs] == [
@@ -108,7 +107,7 @@ def test_exhaustive_codes_one_child_per_orbit(coded):
 def test_automorphisms_of_small_graphs(fixtures):
     from ribbongraph import build_graph, single_vertex
     from ribbongraph.core import _automorphisms
-    from ribbongraph.verify import automorphisms_by_all_starts
+    from ribbongraph.oracles import automorphisms_by_all_starts
 
     theta = build_graph(
         {"u": ["a.1", "b.1", "c.1"], "w": ["a.2", "c.2", "b.2"]},
@@ -134,20 +133,20 @@ def test_automorphisms_of_small_graphs(fixtures):
 
 
 def test_automorphism_agreement_has_teeth(corpus3, monkeypatch):
-    import ribbongraph.verify as verify
+    import ribbongraph.oracles as oracles
     from ribbongraph import InvariantViolation, single_vertex
 
     report = check_suite(corpus3, which=["automorphism-agreement"])
     assert report.ok and report.results[0].checked == len(corpus3) - 1
     # a library that finds no automorphism is caught
-    monkeypatch.setattr(verify, "_automorphisms", lambda idx: [])
+    monkeypatch.setattr(oracles, "_automorphisms", lambda idx: [])
     assert not check_suite(corpus3, which=["automorphism-agreement"]).ok
     monkeypatch.undo()
     # ties that are not automorphisms are caught by the oracle's own check
-    monkeypatch.setattr(verify, "_all_starts_trace", lambda idx, d, flip, best: ())
+    monkeypatch.setattr(oracles, "_all_starts_trace", lambda idx, d, flip, best: ())
     asymmetric = single_vertex("a a b c b c", "++-")
     with pytest.raises(InvariantViolation, match="not an automorphism"):
-        verify.automorphisms_by_all_starts(asymmetric._indexed())
+        oracles.automorphisms_by_all_starts(asymmetric._indexed())
     assert not check_suite(corpus3, which=["automorphism-agreement"]).ok
 
 
@@ -230,7 +229,7 @@ def test_sampled_six_edge_graphs_hold_up():
 
 
 def test_sequence_oracle_forced_root(fixtures):
-    from ribbongraph.verify import biseparation_sequence_oracle
+    from ribbongraph.oracles import biseparation_sequence_oracle
 
     cert_subsets = ({"a"}, {"b"})
     for sub in cert_subsets:
@@ -239,6 +238,15 @@ def test_sequence_oracle_forced_root(fixtures):
                 biseparation_sequence_oracle(fixtures["T1"], sub, first=first)
                 is not None
             )
+
+
+def test_sequence_oracle_refuses_a_disconnected_graph(fixtures):
+    from ribbongraph import disjoint_union
+    from ribbongraph.oracles import biseparation_sequence_oracle
+
+    two = disjoint_union(fixtures["T1"], fixtures["loop"])
+    with pytest.raises(ValueError, match="connected"):
+        biseparation_sequence_oracle(two, set())
 
 
 def test_failure_reporting_round_trip():
@@ -283,7 +291,7 @@ def test_corpus_counts_of_a_random_sample():
 def test_canonical_form_matches_the_all_starts_oracle(corpus4):
     from ribbongraph import canonical_form, partial_dual
     from ribbongraph.duality import subsets_sorted
-    from ribbongraph.verify import canonical_form_by_all_starts
+    from ribbongraph.oracles import canonical_form_by_all_starts
 
     graphs = [
         partial_dual(g, sub) for g in corpus4.graphs for sub in subsets_sorted(g.edge_labels)
@@ -298,11 +306,11 @@ def test_canonical_form_matches_the_all_starts_oracle(corpus4):
 def test_dual_route_agreement_sees_a_label_swap(corpus3, monkeypatch):
     # a construction that permutes labels still gives an equivalent graph,
     # so only the labelled comparison catches it
-    import ribbongraph.verify as verify
+    import ribbongraph.oracles as oracles
     from ribbongraph import is_equivalent
 
     # the check reads the one-edge route from the per-subset fold
-    honest = verify.partial_duals_by_edges
+    honest = oracles.partial_duals_by_edges
 
     def swapping(g, subsets):
         for sub, d in honest(g, subsets):
@@ -312,7 +320,7 @@ def test_dual_route_agreement_sees_a_label_swap(corpus3, monkeypatch):
             yield sub, d
 
     assert check_suite(corpus3, which=["dual-route-agreement"]).ok
-    monkeypatch.setattr(verify, "partial_duals_by_edges", swapping)
+    monkeypatch.setattr(oracles, "partial_duals_by_edges", swapping)
     report = check_suite(corpus3, which=["dual-route-agreement"])
     assert not report.ok
     assert report.results[0].failures[0]["property"] == "construction agreement"
@@ -324,19 +332,85 @@ def test_dual_route_agreement_sees_a_label_swap(corpus3, monkeypatch):
 def test_search_route_agreement_runs_over_the_corpus_only(corpus3, monkeypatch):
     # a corpus check, so the per-graph battery does not pay for it, and it
     # sees a search that reports one class too few
+    import ribbongraph.oracles as oracles
     import ribbongraph.verify as verify
 
-    assert "search-route-agreement" in verify.CORPUS_CHECKS
+    assert "search-route-agreement" in oracles.CORPUS_CHECKS
     assert "search-route-agreement" in verify.ALL_CHECKS
     assert "search-route-agreement" not in verify.PER_GRAPH_CHECKS
     report = check_suite(corpus3, which=["search-route-agreement"])
     assert report.ok and report.results[0].checked > 300
     assert report.results[0].notes["summand_steps"] > 50
-    original = verify.move_related
+    original = oracles.move_related
 
     def short(g, h, **kw):
         res = original(g, h, **kw)
         return res if res.found else dataclasses.replace(res, reached=res.reached - 1)
 
-    monkeypatch.setattr(verify, "move_related", short)
+    monkeypatch.setattr(oracles, "move_related", short)
     assert not check_suite(corpus3, which=["search-route-agreement"]).ok
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _fresh(script: str) -> None:
+    """Run ``script`` in a fresh interpreter on the package source."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_commands_that_check_nothing_leave_the_oracles_unloaded(fixtures, tmp_path):
+    # only check_suite loads the oracles; the benchmark's tracer must still
+    # find what it wraps without them
+    from ribbongraph import serialize_graph
+
+    files = {}
+    for name in ("C", "nested", "G2"):
+        files[name] = str(tmp_path / f"{name}.rg")
+        Path(files[name]).write_text(serialize_graph(fixtures[name]), encoding="utf-8")
+    runs = [["spectrum", files["G2"], "--classes", "--json"],
+            ["relate", files["C"], files["nested"], "--json"],
+            ["info", files["G2"]], ["factor", files["G2"]]]
+    _fresh(f"""
+import contextlib, importlib.util, io, sys
+from ribbongraph import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert [cli.main(argv) for argv in {runs!r}] == [0, 0, 0, 0]
+spec = importlib.util.spec_from_file_location("tracer", {str(ROOT / "perfbench" / "tracer.py")!r})
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+tracer.Recorder().install()
+assert "ribbongraph.oracles" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--max-edges", "2"]) == 0
+assert "ribbongraph.oracles" in sys.modules
+""")
+
+
+def test_oracle_exports_resolve_lazily():
+    _fresh("""
+import sys
+import ribbongraph
+for name in ("no_such_name", "__wrapped__"):
+    try:
+        getattr(ribbongraph, name)
+    except AttributeError:
+        continue
+    raise AssertionError(name)
+assert "ribbongraph.oracles" not in sys.modules
+from ribbongraph import oracles
+assert ribbongraph.MarkedRibbonGraph is oracles.MarkedRibbonGraph
+assert ribbongraph.biseparation_sequence_oracle is oracles.biseparation_sequence_oracle
+assert ribbongraph.calibration_graphs is oracles.calibration_graphs
+""")
+    import ribbongraph.oracles as oracles
+    import ribbongraph.verify as verify
+
+    # the benchmark reads the per-graph check names from verify
+    assert verify.PER_GRAPH_CHECKS is oracles.PER_GRAPH_CHECKS
+    assert len(verify.PER_GRAPH_CHECKS) == 17
+    with pytest.raises(AttributeError):
+        verify.CORPUS_CHECKS
